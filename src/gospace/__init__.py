@@ -34,4 +34,24 @@ from .suites import (BATTERY_THREE_BLOCK, BATTERY_TWO_BLOCK, SUITE_NAMES,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "list_catalog", "make_space",
+    "GoSpaceError",
+    "ConvexityReport", "LFunction", "PhiProfile", "a_u_of_u", "f_squared",
+    "fundamental_tensor", "l_from_phi", "l_linear", "l_pert3",
+    "metric_operator", "parse_metric", "spray_vector",
+    "strong_convexity_check",
+    "GO", "INCONCLUSIVE", "NOT_GO", "NOT_NR", "NR", "CheckReport",
+    "centralizer_condition_check", "go_check_operator", "go_check_spray",
+    "go_residual_operator", "go_verdict", "nr_check", "nr_residual",
+    "riemann_two_param_check", "sample_plan", "two_summand_phi_check",
+    "wallach_system_check",
+    "Decomposition", "HomogeneousSpace", "build", "centralizer_in_h",
+    "invariance_residual", "isotropy_decompose", "normalizer_of_in_h",
+    "symmetric_commutant_dim", "tilde_centralizer",
+    "LieAlgebra", "direct_sum", "from_matrices", "jacobi_residual",
+    "q_invariance_residual", "quaternionify", "realify", "so_matrices",
+    "sp_matrices", "su_matrices",
+    "BATTERY_THREE_BLOCK", "BATTERY_TWO_BLOCK", "SUITE_NAMES", "SuiteResult",
+    "run_suite",
+]

@@ -27,7 +27,9 @@ def null_space(a, rtol=None, atol=0.0):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[0] == 0:
         return np.eye(a.shape[1])
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    # a wide input needs the full V to span its kernel; a tall one never
+    # needs the (rows x rows) U that full_matrices would build
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     return vh[svd_rank(s, a.shape, rtol, atol):]
 
 

@@ -46,10 +46,6 @@ def _embed(mat, n, offset=0):
     return out
 
 
-def _coords_rows(g_mats, target_mats):
-    return np.array([matrix_coords(g_mats, m) for m in target_mats])
-
-
 def _two_block_split(space, k_rows):
     """Split m into (tangent beyond k, k minus h) for a chain h < k < g."""
     m2 = gram_schmidt(np.array([space.proj_m(v) for v in k_rows]))
@@ -61,19 +57,14 @@ def _two_block_split(space, k_rows):
 
 def _dec_from_matrix_groups(space, g_mats, groups, tol=1e-8):
     """Canonical decomposition from explicit matrix spans of each summand."""
-    summands = []
-    for mats in groups:
-        rows = []
-        for m in mats:
-            v = matrix_coords(g_mats, m)
-            vm = space.proj_m(v)
-            back = space.lift_m(vm)
-            if np.linalg.norm(back - v) > tol * max(1.0, np.linalg.norm(v)):
-                raise UnsupportedRankError("summand matrix is not inside m")
-            rows.append(vm)
-        summands.append(gram_schmidt(np.array(rows)))
+    v = matrix_coords(g_mats, [m for mats in groups for m in mats])
+    vm = space.proj_m(v.T).T
+    off = np.linalg.norm(space.lift_m(vm) - v, axis=1)
+    if np.any(off > tol * np.maximum(1.0, np.linalg.norm(v, axis=1))):
+        raise UnsupportedRankError("summand matrix is not inside m")
+    ends = np.cumsum([len(mats) for mats in groups])[:-1]
     return homspace.Decomposition(
-        summands=tuple(summands),
+        summands=tuple(gram_schmidt(rows) for rows in np.split(vm, ends)),
         commutant_dim=homspace.symmetric_commutant_dim(space))
 
 
@@ -98,8 +89,8 @@ def _build_so5_u2():
                                                      dtype=complex)]
     h_mats = [_embed(realify(m), 5) for m in u2]
     k_mats = [_embed(m, 5) for m in so_matrices(4)]
-    space = homspace.build(g, _coords_rows(gm, h_mats))
-    dec = _two_block_split(space, _coords_rows(gm, k_mats))
+    space = homspace.build(g, matrix_coords(gm, h_mats))
+    dec = _two_block_split(space, matrix_coords(gm, k_mats))
     return space, dec
 
 
@@ -108,8 +99,8 @@ def _build_su3_su2():
     g = from_matrices(gm)
     h_mats = [_embed(m, 3) for m in su_matrices(2)]
     k_mats = h_mats + [1j * np.diag([1.0, 1.0, -2.0]).astype(complex)]
-    space = homspace.build(g, _coords_rows(gm, h_mats))
-    dec = _two_block_split(space, _coords_rows(gm, k_mats))
+    space = homspace.build(g, matrix_coords(gm, h_mats))
+    dec = _two_block_split(space, matrix_coords(gm, k_mats))
     return space, dec
 
 
@@ -132,8 +123,8 @@ def _build_sp2_sp1u1():
     a_u1[1, 1] = 1j
     h_mats = _sp_slot(2, 0) + [quaternionify(a_u1, np.zeros((2, 2), dtype=complex))]
     k_mats = _sp_slot(2, 0) + _sp_slot(2, 1)
-    space = homspace.build(g, _coords_rows(gm, h_mats))
-    dec = _two_block_split(space, _coords_rows(gm, k_mats))
+    space = homspace.build(g, matrix_coords(gm, h_mats))
+    dec = _two_block_split(space, matrix_coords(gm, k_mats))
     return space, dec
 
 
@@ -162,8 +153,8 @@ def _build_so6_so3irr():
                 r[alpha, beta] = np.trace(sa @ img)
         rho.append(_embed(0.5 * (r - r.T), 6))
     k_mats = [_embed(m, 6) for m in so_matrices(5)]
-    space = homspace.build(g, _coords_rows(gm, rho))
-    dec = _two_block_split(space, _coords_rows(gm, k_mats))
+    space = homspace.build(g, matrix_coords(gm, rho))
+    dec = _two_block_split(space, matrix_coords(gm, k_mats))
     return space, dec
 
 
@@ -219,8 +210,8 @@ def _build_spin8_g2():
     gm = so_matrices(8)
     g = from_matrices(gm)
     k_mats = [_embed(m, 8, offset=1) for m in so_matrices(7)]
-    space = homspace.build(g, _coords_rows(gm, der))
-    dec = _two_block_split(space, _coords_rows(gm, k_mats))
+    space = homspace.build(g, matrix_coords(gm, der))
+    dec = _two_block_split(space, matrix_coords(gm, k_mats))
     return space, dec
 
 
@@ -254,7 +245,7 @@ def _build_wallach_so(k, l, m):
     for rr, size in zip(r, (k, l, m)):
         h_mats.extend(_embed(mat, n, offset=rr.start) for mat in so_matrices(size))
     groups = [_so_pairs(n, r[0], r[1]), _so_pairs(n, r[0], r[2]), _so_pairs(n, r[1], r[2])]
-    h_rows = (_coords_rows(gm, h_mats) if h_mats
+    h_rows = (matrix_coords(gm, h_mats) if h_mats
               else np.zeros((0, g.dim)))
     space = homspace.build(g, h_rows)
     dec = _dec_from_matrix_groups(space, gm, groups)
@@ -297,7 +288,7 @@ def _build_wallach_su(k, l, m):
     d2[list(r[2])] = -l
     h_mats += [np.diag(1j * d1), np.diag(1j * d2)]
     groups = [_su_pairs(n, r[0], r[1]), _su_pairs(n, r[0], r[2]), _su_pairs(n, r[1], r[2])]
-    space = homspace.build(g, _coords_rows(gm, h_mats))
+    space = homspace.build(g, matrix_coords(gm, h_mats))
     dec = _dec_from_matrix_groups(space, gm, groups)
     return space, dec
 
@@ -364,7 +355,7 @@ def _build_wallach_sp(k, l, m):
     for rr in r:
         h_mats.extend(_sp_block(n, rr))
     groups = [_sp_pairs(n, r[0], r[1]), _sp_pairs(n, r[0], r[2]), _sp_pairs(n, r[1], r[2])]
-    space = homspace.build(g, _coords_rows(gm, h_mats))
+    space = homspace.build(g, matrix_coords(gm, h_mats))
     dec = _dec_from_matrix_groups(space, gm, groups)
     return space, dec
 

@@ -277,8 +277,7 @@ def main(argv=None):
         sys.stderr.write(f"metric rejected: {exc}\n")
         return EXIT_METRIC_REJECTED
     except SpecFormatError as exc:
-        col = f" (column {exc.column})" if exc.column is not None else ""
-        sys.stderr.write(f"bad spec: {exc}{col}\n")
+        sys.stderr.write(f"bad spec: {exc}\n")
         return EXIT_BAD_SPEC
     except (UnknownSpecError, UnsupportedRankError) as exc:
         sys.stderr.write(f"unknown spec: {exc}\n")

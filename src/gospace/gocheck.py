@@ -16,6 +16,7 @@ evidence at the sampled tolerance.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -117,16 +118,9 @@ def sample_plan(dec, boundary_ok, samples, seed):
 
 
 def _weight_combos(s, grid):
-    if s == 1:
-        yield (1.0,)
-        return
-    if s == 2:
-        for t in grid:
-            yield (1.0, float(t))
-        return
-    for t1 in grid:
-        for t2 in grid:
-            yield (1.0, float(t1), float(t2))
+    # first block at weight 1, every other block over the grid, last fastest
+    for rest in itertools.product(grid, repeat=s - 1):
+        yield (1.0, *map(float, rest))
 
 
 # ---------------------------------------------------------------------------

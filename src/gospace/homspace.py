@@ -130,32 +130,25 @@ def build(g, h_span, tol=1e-8):
     if m_basis.shape[0] + h_basis.shape[0] != g.dim:
         raise ReductivityError("h and its complement do not fill the algebra")
 
-    c = g.structure
-    proj_h = h_basis @ g.q_form                          # g-coords -> h-coords
-    proj_m = m_basis @ g.q_form
-
-    hh_g = np.einsum("pqk,ip,jq->ijk", c, h_basis, h_basis)
-    hh_h = np.einsum("ijk,wk->ijw", hh_g, proj_h)
-    hh_m = np.einsum("ijk,ak->ija", hh_g, proj_m)
+    # every bracket table at once, in the orthonormal basis b = (h, m) of g;
+    # the coordinate map of that basis is x -> b @ Q @ x
+    basis = np.vstack([h_basis, m_basis])
+    table = np.einsum("pqr,ip,jq,kr->ijk", g.structure, basis, basis,
+                      basis @ g.q_form, optimize=True)
+    h, m = slice(0, h_basis.shape[0]), slice(h_basis.shape[0], None)
+    hh_m, hm_h = table[h, h, m], table[h, m, h]
     closure_residual = float(np.max(np.abs(hh_m))) if hh_m.size else 0.0
     if closure_residual > tol:
         raise NotSubalgebraError(
             f"[h, h] leaves h (max m-component {closure_residual:.3e})")
-
-    hm_g = np.einsum("pqk,ip,aq->iak", c, h_basis, m_basis)
-    hm_m = np.einsum("iak,bk->iab", hm_g, proj_m)
-    hm_h = np.einsum("iak,jk->iaj", hm_g, proj_h)
     reductivity_residual = float(np.max(np.abs(hm_h))) if hm_h.size else 0.0
     if reductivity_residual > tol:
         raise ReductivityError(
             f"[h, m] leaves m (max h-component {reductivity_residual:.3e})")
 
-    mm_g = np.einsum("pqk,ap,bq->abk", c, m_basis, m_basis)
-    mm_h = np.einsum("abk,jk->abj", mm_g, proj_h)
-    mm_m = np.einsum("abk,ck->abc", mm_g, proj_m)
-
     return HomogeneousSpace(g, h_basis, m_basis,
-                            (hh_h, hm_m, mm_h, mm_m),
+                            tuple(np.ascontiguousarray(table[ix]) for ix in
+                                  ((h, h, h), (h, m, m), (m, m, h), (m, m, m))),
                             (closure_residual, reductivity_residual))
 
 
@@ -231,23 +224,35 @@ def invariance_residual(space, dec):
     return worst
 
 
-def _symmetric_basis(n):
-    out = []
-    for p in range(n):
-        for q in range(p, n):
-            e = np.zeros((n, n))
-            e[p, q] = e[q, p] = 1.0
-            out.append(e)
-    return np.array(out)
+def symmetric_commutant(space):
+    """Frobenius-orthonormal basis (k, n, n) of the symmetric S on m that
+    commute with every ad(h)|_m.
 
-
-def _commutant_coeffs(space, sym):
-    """Coefficient rows (in the sym basis) of the symmetric ad(h)-commutant."""
-    if space.dim_h == 0:
-        return np.eye(sym.shape[0])
-    ads = np.array([space.ad_h_on_m(w) for w in np.eye(space.dim_h)])
-    comm = np.einsum("wij,djk->dwik", ads, sym) - np.einsum("dij,wjk->dwik", sym, ads)
-    return _linalg.null_space(comm.reshape(sym.shape[0], -1).T)
+    This is the kernel of the Casimir of h on Sym^2(m), S -> -sum_w
+    [A_w, [A_w, S]] over A_w = ad(h_w)|_m, h_w orthonormal.  The operator is
+    positive semidefinite: one ``eigh`` in an orthonormal basis of symmetric
+    matrices and a relative cutoff as in :func:`_linalg.svd_rank` give it.
+    """
+    n = space.dim_m
+    ads = space.bracket_hm.transpose(0, 2, 1)          # A_w, skew
+    cas = np.einsum("wpr,wrq->pq", ads, ads)           # sum_w A_w^2
+    flat = ads.reshape(space.dim_h, n * n)
+    pair = flat.T @ flat                               # sum_w A_w[p, r] A_w[q, s]
+    # Casimir(S) = -(K S + S K) + 2 sum_w A_w S A_w with K = sum_w A_w^2;
+    # gram[d, e] = <e_d, Casimir(e_e)> in the basis e_d = c_d (E_pq + E_qp),
+    # p <= q (e <-> r <= s), c_d = 1/2 on the diagonal and 1/sqrt(2) off it
+    iu, ju = np.triu_indices(n)
+    p, q, r, s = iu[:, None], ju[:, None], iu, ju
+    c = np.where(iu == ju, 0.5, np.sqrt(0.5))
+    gram = -2.0 * np.outer(c, c) * (
+        cas[p, r] * (q == s) + cas[p, s] * (q == r)
+        + cas[q, r] * (p == s) + cas[q, s] * (p == r)
+        + 2.0 * (pair[p * n + r, q * n + s] + pair[p * n + s, q * n + r]))
+    w, v = np.linalg.eigh(gram)
+    k = len(w) - _linalg.svd_rank(w[::-1], gram.shape)
+    out = np.zeros((k, n, n))
+    out[:, iu, ju] = out[:, ju, iu] = v[:, :k].T * np.where(iu == ju, 1.0, c)
+    return out
 
 
 def symmetric_commutant_dim(space):
@@ -256,9 +261,7 @@ def symmetric_commutant_dim(space):
     Equals the summand count when the invariant splitting is unique;
     anything larger signals equivalent summands or a finer splitting.
     """
-    if space.dim_m == 0:
-        return 0
-    return int(_commutant_coeffs(space, _symmetric_basis(space.dim_m)).shape[0])
+    return symmetric_commutant(space).shape[0]
 
 
 def isotropy_decompose(space, seed=0, cluster_rtol=1e-6):
@@ -273,12 +276,9 @@ def isotropy_decompose(space, seed=0, cluster_rtol=1e-6):
     n = space.dim_m
     if n == 0:
         return Decomposition(summands=(), commutant_dim=0)
-    sym = _symmetric_basis(n)
-    coeffs = _commutant_coeffs(space, sym)
-    k = coeffs.shape[0]
+    basis = symmetric_commutant(space)
     rng = np.random.default_rng(seed)
-    s = np.einsum("c,cd,dpq->pq", rng.standard_normal(k), coeffs, sym)
-    s = 0.5 * (s + s.T)
+    s = np.tensordot(rng.standard_normal(len(basis)), basis, axes=1)
     w, v = np.linalg.eigh(s)
     scale = max(1.0, float(np.max(np.abs(w))))
     groups, start = [], 0
@@ -286,7 +286,7 @@ def isotropy_decompose(space, seed=0, cluster_rtol=1e-6):
         if i == n or w[i] - w[i - 1] > cluster_rtol * scale:
             groups.append(v[:, start:i].T.copy())
             start = i
-    return Decomposition(summands=tuple(groups), commutant_dim=k)
+    return Decomposition(summands=tuple(groups), commutant_dim=len(basis))
 
 
 # ---------------------------------------------------------------------------

@@ -115,46 +115,53 @@ def from_matrices(matrices, tol=1e-8, check_compact=True):
     d = mats[0].shape[0]
     if any(m.shape != (d, d) for m in mats):
         raise DimensionMismatchError("matrices must share a square shape")
-    flat = np.array([m.ravel() for m in mats])           # (n, d*d)
+    stack = np.array(mats)
+    flat = stack.reshape(n, d * d)
     sigma = np.linalg.svd(flat, compute_uv=False)
     if _linalg.svd_rank(sigma, flat.shape) < n:
         raise DependentBasisError(
             f"matrices span only {_linalg.svd_rank(sigma, flat.shape)} "
             f"of {n} dimensions")
+    # every commutator [m_i, m_j], i < j, solved in the span at once
+    iu, ju = np.triu_indices(n, k=1)
+    comm = (stack[iu] @ stack[ju] - stack[ju] @ stack[iu]).reshape(len(iu), d * d)
+    a = comm @ np.linalg.pinv(flat.T).T
+    resid = np.linalg.norm(a @ flat - comm, axis=1)
+    norms = np.linalg.norm(flat, axis=1)
+    rel = resid / np.maximum(norms[iu] * norms[ju], 1.0)
+    bad = np.flatnonzero(rel > tol)
+    if bad.size:
+        i = bad[0]
+        raise NonClosedError(
+            f"commutator of matrices {iu[i]}, {ju[i]} leaves the span "
+            f"(relative residual {rel[i]:.3e})")
     c = np.zeros((n, n, n))
-    pinv = np.linalg.pinv(flat.T)
-    for i in range(n):
-        for j in range(i + 1, n):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            w = comm.ravel()
-            a = pinv @ w
-            resid = np.linalg.norm(flat.T @ a - w)
-            scale = np.linalg.norm(mats[i]) * np.linalg.norm(mats[j])
-            if resid > tol * max(scale, 1.0):
-                raise NonClosedError(
-                    f"commutator of matrices {i}, {j} leaves the span "
-                    f"(relative residual {resid / max(scale, 1.0):.3e})")
-            c[i, j, :] = a
-            c[j, i, :] = -a
+    c[iu, ju] = a
+    c[ju, iu] = -a
     return LieAlgebra(c, check_compact=check_compact)
 
 
 def matrix_coords(matrices, target, tol=1e-8):
-    """Coordinates of ``target`` in the span of ``matrices`` (complex allowed)."""
-    mats = [np.asarray(m) for m in matrices]
+    """Coordinates of ``target`` in the span of ``matrices`` (complex allowed).
+
+    ``target`` may also be a stack of matrices (leading axis); the result
+    then holds one coordinate row per target, from one least-squares solve.
+    """
+    mats = np.asarray(matrices)
     tgt = np.asarray(target)
-    if any(np.iscomplexobj(m) for m in mats):
-        mats = [realify(m) for m in mats]
+    if np.iscomplexobj(mats):
+        mats = realify(mats)
     if np.iscomplexobj(tgt):
         tgt = realify(tgt)
-    flat = np.array([np.asarray(m, dtype=float).ravel() for m in mats])
-    w = np.asarray(tgt, dtype=float).ravel()
+    flat = mats.astype(float).reshape(len(mats), -1)
+    w = tgt.astype(float).reshape(-1, flat.shape[1]).T          # one column per target
     a, resid = _linalg.lstsq_min_norm(flat.T, w)
-    if np.linalg.norm(resid) > tol * max(np.linalg.norm(w), 1.0):
+    rel = np.linalg.norm(resid, axis=0) / np.maximum(np.linalg.norm(w, axis=0), 1.0)
+    if np.any(rel > tol):
         raise DimensionMismatchError(
             "target matrix is not in the span of the basis "
-            f"(relative residual {np.linalg.norm(resid) / max(np.linalg.norm(w), 1.0):.3e})")
-    return a
+            f"(relative residual {np.max(rel):.3e})")
+    return a.T if tgt.ndim == 3 else a[:, 0]
 
 
 def direct_sum(*algebras):
@@ -208,7 +215,8 @@ def realify(m):
     """Real form of a complex matrix: z = x + iy acting on stacked (x, y).
 
     A d x d complex matrix becomes the 2d x 2d real matrix
-    [[Re, -Im], [Im, Re]]; commutators are preserved.
+    [[Re, -Im], [Im, Re]]; commutators are preserved.  A stack of matrices
+    (leading axis) is converted matrix by matrix.
     """
     m = np.asarray(m)
     re, im = m.real.astype(float), m.imag.astype(float)

@@ -58,6 +58,19 @@ def test_family_parameters():
     assert dec.dims == (4, 4, 2)                  # complex blocks 2x1, 2x1, 1x1
 
 
+@pytest.mark.parametrize("spec, dim_h, dims", [
+    ("wallach-so/3,3,4", 3 + 3 + 6, (9, 12, 12)),
+    ("wallach-so/2,3,5", 1 + 3 + 10, (6, 10, 15)),
+])
+def test_largest_wallach_so_builds(spec, dim_h, dims):
+    space, dec, _ = catalog.make_space(spec)
+    assert space.g.dim == 45                      # so(10)
+    assert space.dim_h == dim_h
+    assert dec.dims == dims
+    assert dec.commutant_dim == 3                 # three inequivalent summands
+    assert not dec.non_unique
+
+
 @pytest.mark.parametrize("bad", [
     "wallach-so/2,2",         # wrong count
     "wallach-so/a,b,c",       # not integers

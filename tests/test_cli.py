@@ -96,6 +96,17 @@ def test_bad_spec_exit_four(capsys, argv):
     assert code == cli.EXIT_BAD_SPEC
 
 
+@pytest.mark.parametrize("space, metric, line", [
+    ("so5/u2", "linear:1,x", "bad spec: bad number 'x' in metric (column 10)\n"),
+    ("wallach-so/2,a,2", "linear:1,1,1",
+     "bad spec: bad integer 'a' in 'wallach-so/2,a,2' (column 14)\n"),
+])
+def test_bad_spec_names_column_once(capsys, space, metric, line):
+    code, _, err = run(capsys, "check", "--space", space, "--metric", metric)
+    assert code == cli.EXIT_BAD_SPEC
+    assert err == line
+
+
 def test_bad_numbers_exit_four(capsys):
     code, _, _ = run(capsys, "check", "--space", "so5/u2",
                      "--metric", "linear:1,1", "--samples", "0")

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gospace import catalog, finsler, gocheck
+from gospace import catalog, finsler, gocheck, homspace
 
 
 def unit(rng, n):
@@ -128,6 +128,17 @@ def test_sample_plan_deterministic_and_boundary_aware():
     # with a bad second face, no sample may have a vanishing second block
     plan = gocheck.sample_plan(dec, (True, False), 30, seed=7)
     assert all(dec.theta(u)[1] > 0 for u in plan)
+
+
+def test_sample_plan_weights_every_summand():
+    # six 2-dim summands; with no admissible boundary face every structured
+    # sample is a weighted combination, and each block must be weighted
+    space, _, _ = catalog.make_space("wallach-so/2,2,2")
+    dec = homspace.isotropy_decompose(space)
+    assert dec.dims == (2,) * 6
+    plan = gocheck.sample_plan(dec, (False,) * 6, 200, seed=3)
+    theta = np.array([dec.theta(u) for u in plan[100:]])
+    assert np.all(theta.max(axis=0) > 1e-3)
 
 
 # --------------------------------------------------------------------------

@@ -75,6 +75,16 @@ def test_isotropy_decompose_irreducible(circle_in_so3):
     assert dec.commutant_dim == 1
 
 
+def test_commutant_of_trivial_complements():
+    g = liealg.from_matrices(liealg.so_matrices(3))
+    full = homspace.build(g, np.eye(3))                 # h = g, m = 0
+    assert homspace.symmetric_commutant_dim(full) == 0
+    assert homspace.isotropy_decompose(full).dims == ()
+    point = homspace.build(g, np.zeros((0, 3)))         # h = 0: all of Sym^2(m)
+    assert homspace.symmetric_commutant_dim(point) == 6
+    assert homspace.isotropy_decompose(point).dims == (1, 1, 1)
+
+
 def test_symmetric_commutant_dims():
     expected = {"su3/t2": 3, "spin8/g2": 3, "ledger-obata/su2": 6,
                 "product-sym/3xS2": 3}
@@ -82,6 +92,63 @@ def test_symmetric_commutant_dims():
         space, dec, _ = catalog.make_space(rid)
         assert dec.commutant_dim == want, rid
         assert homspace.symmetric_commutant_dim(space) == want, rid
+
+
+def dense_stack_commutant_dim(space):
+    """Reference commutant dimension, independent of the package's routine:
+    the kernel of the stacked commutator system [ad(h_w), E_d] over the
+    dense basis E_d = E_pq + E_qp of symmetric matrices, by a full SVD."""
+    n = space.dim_m
+    sym = []
+    for p in range(n):
+        for q in range(p, n):
+            e = np.zeros((n, n))
+            e[p, q] = e[q, p] = 1.0
+            sym.append(e)
+    sym = np.array(sym)
+    if space.dim_h == 0:
+        return len(sym)
+    ads = np.array([space.ad_h_on_m(w) for w in np.eye(space.dim_h)])
+    comm = (np.einsum("wij,djk->dwik", ads, sym)
+            - np.einsum("dij,wjk->dwik", sym, ads))
+    mat = comm.reshape(len(sym), -1).T
+    sigma = np.linalg.svd(mat, compute_uv=False)
+    cut = max(mat.shape) * np.finfo(float).eps * sigma[0]
+    return len(sym) - int(np.sum(sigma > cut))
+
+
+SMALL_M = [rid for rid, _, _ in catalog.list_catalog()] + [
+    "wallach-so/1,1,1", "wallach-so/1,1,2", "wallach-so/1,2,2",
+    "wallach-su/2,1,1"]
+
+
+@pytest.mark.parametrize("rid", SMALL_M)
+def test_commutant_dim_matches_dense_stack(rid):
+    space, dec, _ = catalog.make_space(rid)
+    assert space.dim_m <= 14
+    want = dense_stack_commutant_dim(space)
+    assert homspace.symmetric_commutant_dim(space) == want
+    assert dec.commutant_dim == want
+    assert homspace.isotropy_decompose(space).commutant_dim == want
+
+
+def test_commutant_dim_matches_dense_stack_circle(circle_in_so3):
+    assert (homspace.symmetric_commutant_dim(circle_in_so3)
+            == dense_stack_commutant_dim(circle_in_so3) == 1)
+
+
+@pytest.mark.parametrize("rid", [rid for rid, _, _ in catalog.list_catalog()] + [
+    "wallach-su/2,2,2", "wallach-sp/1,1,2", "wallach-so/3,3,4", "wallach-so/2,3,5"])
+def test_commutant_elements_are_symmetric_and_commute(rid):
+    space, _, _ = catalog.make_space(rid)
+    basis = homspace.symmetric_commutant(space)
+    assert basis.shape[1:] == (space.dim_m, space.dim_m)
+    npt.assert_allclose(basis, basis.transpose(0, 2, 1), atol=1e-14)
+    npt.assert_allclose(np.einsum("apq,bpq->ab", basis, basis),
+                        np.eye(len(basis)), atol=1e-12)
+    for w in np.eye(space.dim_h):
+        a = space.ad_h_on_m(w)
+        npt.assert_allclose(a @ basis - basis @ a, 0.0, atol=1e-12)
 
 
 def test_non_unique_flags():

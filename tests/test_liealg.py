@@ -104,6 +104,19 @@ def test_matrix_coords_roundtrip(rng):
         liealg.matrix_coords(mats, np.eye(4))   # symmetric, outside the span
 
 
+def test_matrix_coords_stack_matches_one_by_one(rng):
+    mats = liealg.su_matrices(3)                 # complex: realified inside
+    coeff = rng.standard_normal((5, len(mats)))
+    targets = [sum(c * m for c, m in zip(row, mats)) for row in coeff]
+    rows = liealg.matrix_coords(mats, targets)
+    assert rows.shape == coeff.shape
+    for row, target in zip(rows, targets):
+        npt.assert_allclose(row, liealg.matrix_coords(mats, target), atol=1e-12)
+    npt.assert_allclose(rows, coeff, atol=1e-10)
+    with pytest.raises(DimensionMismatchError):
+        liealg.matrix_coords(mats, targets + [np.eye(3, dtype=complex)])
+
+
 def test_direct_sum_blocks():
     g1 = so_algebra(3)
     g2 = liealg.from_matrices(liealg.su_matrices(2))

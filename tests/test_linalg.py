@@ -26,6 +26,26 @@ def test_null_space_noise_floor():
     assert _linalg.null_space(a, atol=1e-12).shape[0] == 3
 
 
+@pytest.mark.parametrize("shape, rank", [
+    ((40, 6), 4),       # tall
+    ((6, 6), 3),        # square
+    ((3, 8), 2),        # wide, rank deficient
+    ((5, 7), 5),        # wide, full row rank
+])
+def test_null_space_tall_square_wide(shape, rank):
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+    for noise, atol in ((0.0, 0.0), (1e-11, 1e-8)):
+        b = a + noise * rng.standard_normal(shape)
+        if noise and rank < min(shape):
+            # the relative cutoff alone counts the perturbation as rank
+            assert _linalg.null_space(b).shape[0] < shape[1] - rank
+        x = _linalg.null_space(b, atol=atol)
+        assert x.shape == (shape[1] - rank, shape[1])
+        npt.assert_allclose(x @ x.T, np.eye(x.shape[0]), atol=1e-12)
+        npt.assert_allclose(b @ x.T, 0.0, atol=1e-12 * np.linalg.norm(a) + 1e3 * noise)
+
+
 def test_orth_rows_rank():
     rng = np.random.default_rng(1)
     base = rng.standard_normal((2, 6))
