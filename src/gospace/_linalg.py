@@ -74,16 +74,26 @@ def gram_schmidt(rows, inner=None, drop_tol=1e-10):
 
 
 def lstsq_min_norm(a, b, rcond=None):
-    """Minimum-norm least-squares solution and the explicit residual vector.
+    """Minimum-norm least-squares solution and the explicit residual.
 
-    ``rcond=None`` keeps numpy's machine-precision cutoff.
+    ``a`` is one matrix (M, K) with ``b`` of shape (M,) or (M, R), solved by
+    ``np.linalg.lstsq``; or a stack (..., M, K) with ``b`` of shape (..., M),
+    solved by one batched SVD with the same rank cutoff: singular values at
+    or below ``rcond * sigma_max`` are dropped, and ``rcond=None`` is
+    eps * max(M, K).
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)
-    if a.shape[1] == 0:
-        return np.zeros(0), -b
-    x = np.linalg.lstsq(a, b, rcond=rcond)[0]
-    return x, a @ x - b
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-2] + (0,) + b.shape[a.ndim - 1:]), -b
+    if a.ndim == 2:
+        x = np.linalg.lstsq(a, b, rcond=rcond)[0]
+        return x, a @ x - b
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    cut = (max(a.shape[-2:]) * EPS if rcond is None else rcond) * s[..., :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
+    x = np.einsum("...ki,...k->...i", vh, inv * np.einsum("...mk,...m->...k", u, b))
+    return x, np.einsum("...mk,...k->...m", a, x) - b
 
 
 def subspace_intersection(rows_a, rows_b, rtol=None):

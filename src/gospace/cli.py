@@ -1,8 +1,9 @@
 """Command-line driver: catalog listing, single checks, named suites.
 
 Exit codes: 0 success / expectation met; 1 expectation mismatch or suite
-failure; 2 inconclusive verdict; 3 metric rejected (bad profile or not
-strongly convex); 4 bad space/metric/flag syntax; 5 internal error.
+failure; 2 a GO or NR verdict inconclusive and no expectation given; 3
+metric rejected (bad profile or not strongly convex); 4 bad space/metric/flag
+syntax; 5 internal error.
 Reports with identical configuration and seed are byte-identical apart
 from the trailing wallclock field.
 """
@@ -76,7 +77,8 @@ def _build_parser():
                     default=None, help="exit 1 unless the verdict matches")
     pc.add_argument("--format", choices=("json", "csv", "text"), default="json")
     pc.add_argument("--out", default=None, help="write the report to a file")
-    pc.add_argument("--threads", type=int, default=1)
+    pc.add_argument("--threads", type=int, default=1,
+                    help="accepted and echoed in the report; has no effect")
 
     pv = sub.add_parser("verify", help="run a named verification suite")
     pv.add_argument("suite", choices=suites.SUITE_NAMES)
@@ -86,7 +88,8 @@ def _build_parser():
     pv.add_argument("--tol", type=float, default=None)
     pv.add_argument("--format", choices=("json", "csv", "text"), default="text")
     pv.add_argument("--out", default=None)
-    pv.add_argument("--threads", type=int, default=1)
+    pv.add_argument("--threads", type=int, default=1,
+                    help="accepted and echoed in the report; has no effect")
     return p
 
 
@@ -204,21 +207,21 @@ def cmd_check(args):
     t0 = time.time()
     space, dec, _meta = catalog.make_space(args.space)
     fn = parse_metric(args.metric, arity=dec.arity)
-    go = gocheck.go_verdict(space, dec, fn, samples=args.samples,
-                            seed=args.seed, tol=tol, threads=args.threads)
-    nr = gocheck.nr_check(space, dec, fn, samples=args.samples,
-                          seed=args.seed, tol=tol, threads=args.threads)
+    go, nr = gocheck.verdicts(space, dec, fn, samples=args.samples,
+                              seed=args.seed, tol=tol)
     report = _check_report(args, tol, fn, go, nr, round(time.time() - t0, 6))
     _emit(_format_check(report, args.format), args.out)
 
-    if go.verdict == gocheck.INCONCLUSIVE:
-        return EXIT_INCONCLUSIVE
+    # an expectation decides the exit alone: NR/NOT_NR against the NR
+    # verdict, the rest against GO, so INCONCLUSIVE can be expected too
     if args.expect is not None:
-        got = report["verdicts"]["nr"] if args.expect in ("NR", "NOT_NR") \
-            else report["verdicts"]["go"]
+        got = nr.verdict if args.expect in ("NR", "NOT_NR") else go.verdict
         if got != args.expect:
             print(f"expected {args.expect}, got {got}", file=sys.stderr)
             return EXIT_MISMATCH
+        return EXIT_OK
+    if gocheck.INCONCLUSIVE in (go.verdict, nr.verdict):
+        return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 
@@ -243,7 +246,7 @@ def cmd_verify(args):
     _validate_numbers(args)
     t0 = time.time()
     result = suites.run_suite(args.suite, samples=args.samples, seed=args.seed,
-                              tol=tol, threads=args.threads)
+                              tol=tol)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",

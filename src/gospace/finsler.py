@@ -17,6 +17,7 @@ of the norm, which is what every geodesic-orbit criterion consumes.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,9 +44,11 @@ _ODD_COEFF_TOL = 1e-12
 class LFunction:
     """Positively 1-homogeneous function of the squared block norms.
 
-    ``boundary_ok[i]`` records whether the face theta_i = 0 admits a C^2
-    evaluation; the gradient and Hessian callables raise
-    :class:`BoundaryNondifferentiableError` on inadmissible faces.
+    ``grad`` and ``hess`` take theta of shape (s,) or a stack (N, s) and
+    return (..., s) and (..., s, s).  ``boundary_ok[i]`` records whether the
+    face theta_i = 0 admits a C^2 evaluation; the gradient and Hessian
+    callables raise :class:`BoundaryNondifferentiableError` on inadmissible
+    faces.
     """
 
     arity: int
@@ -55,15 +58,6 @@ class LFunction:
     hess: callable = field(repr=False)
     boundary_ok: tuple
     spec_string: str
-
-    def theta_check(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.arity,):
-            raise DimensionMismatchError(
-                f"expected {self.arity} block norms, got shape {theta.shape}")
-        if np.any(theta < 0.0):
-            raise ZeroVectorError("squared block norms must be nonnegative")
-        return theta
 
 
 def _format_floats(vals):
@@ -79,17 +73,15 @@ def l_linear(lambdas):
         raise NonPositiveCoefficientError(f"coefficients must be positive, got {lam.tolist()}")
     lam.setflags(write=False)
     s = lam.size
-    zeros = np.zeros((s, s))
-    zeros.setflags(write=False)
 
     def value(theta):
         return float(lam @ np.asarray(theta, dtype=float))
 
     def grad(theta):
-        return lam.copy()
+        return np.broadcast_to(lam, np.shape(theta)[:-1] + (s,)).copy()
 
     def hess(theta):
-        return zeros.copy()
+        return np.zeros(np.shape(theta)[:-1] + (s, s))
 
     return LFunction(arity=s, kind="linear", value=value, grad=grad, hess=hess,
                      boundary_ok=(True,) * s,
@@ -166,14 +158,6 @@ def l_from_phi(phi, check=True):
     face2_ok = bool(abs(psi[1]) <= _ODD_COEFF_TOL * scale
                     and abs(psi[3]) <= _ODD_COEFF_TOL * scale)
 
-    def _split(theta):
-        t1, t2 = float(theta[0]), float(theta[1])
-        total = t1 + t2
-        if total <= 0.0:
-            raise ZeroVectorError("norm data requested at the zero vector")
-        x = t2 / total
-        return total, x, np.sqrt(x)
-
     def value(theta):
         t1, t2 = float(theta[0]), float(theta[1])
         total = t1 + t2
@@ -183,44 +167,37 @@ def l_from_phi(phi, check=True):
         return float(total * npoly.polyval(th, psi))
 
     def _phi_derivs(theta, need_second):
-        total, x, th = _split(theta)
-        if th == 0.0:
-            if not face2_ok:
-                raise BoundaryNondifferentiableError(
-                    "theta_2 = 0 face is not C^2 for this profile "
-                    "(phi^2 has odd low-order terms)")
-            big_phi = float(psi[0])
-            dbig = float(psi[2])
-            d2big = 2.0 * float(psi[4])
-        else:
-            big_phi = float(npoly.polyval(th, psi))
-            pd = float(npoly.polyval(th, dpsi))
-            dbig = pd / (2.0 * th)
-            d2big = (th * float(npoly.polyval(th, d2psi)) - pd) / (4.0 * th ** 3)
-        if not need_second:
-            d2big = 0.0
-        return total, x, big_phi, dbig, d2big
+        theta = np.asarray(theta, dtype=float)
+        total = theta[..., 0] + theta[..., 1]
+        if np.any(total <= 0.0):
+            raise ZeroVectorError("norm data requested at the zero vector")
+        x = theta[..., 1] / total
+        th = np.sqrt(x)
+        face = th == 0.0
+        if not face2_ok and np.any(face):
+            raise BoundaryNondifferentiableError(
+                "theta_2 = 0 face is not C^2 for this profile "
+                "(phi^2 has odd low-order terms)")
+        ts = np.where(face, 1.0, th)              # the face takes the limits below
+        pd = npoly.polyval(ts, dpsi)
+        if need_second:
+            d2big = (ts * npoly.polyval(ts, d2psi) - pd) / (4.0 * ts ** 3)
+            return total, x, np.where(face, 2.0 * psi[4], d2big)
+        return total, x, npoly.polyval(th, psi), np.where(face, psi[2], pd / (2.0 * ts))
 
     def grad(theta):
-        _, x, big_phi, dbig, _ = _phi_derivs(theta, need_second=False)
-        return np.array([big_phi - x * dbig, big_phi + (1.0 - x) * dbig])
+        _, x, big_phi, dbig = _phi_derivs(theta, need_second=False)
+        return np.stack([big_phi - x * dbig, big_phi + (1.0 - x) * dbig], axis=-1)
 
     def hess(theta):
-        total, x, _, _, d2big = _phi_derivs(theta, need_second=True)
-        a = d2big / total
-        return np.array([[a * x * x, -a * x * (1.0 - x)],
-                         [-a * x * (1.0 - x), a * (1.0 - x) ** 2]])
+        total, x, d2big = _phi_derivs(theta, need_second=True)
+        v = np.stack([x, x - 1.0], axis=-1)
+        return (d2big / total)[..., None, None] * v[..., :, None] * v[..., None, :]
 
     fn = LFunction(arity=2, kind="phi", value=value, grad=grad, hess=hess,
                    boundary_ok=(True, face2_ok),
                    spec_string="phi:" + _format_floats(phi.coeffs))
-    if check:
-        report = strong_convexity_check(fn, (2, 2))
-        if not report.ok:
-            raise NotStronglyConvexError(
-                f"fundamental tensor has eigenvalue {report.min_eigenvalue:.3e} "
-                f"at block norms {np.round(report.witness_theta, 6).tolist()}")
-    return fn
+    return _screened(fn, (2, 2)) if check else fn
 
 
 def l_pert3(lambdas, eps, check=True):
@@ -238,11 +215,12 @@ def l_pert3(lambdas, eps, check=True):
 
     def _pieces(theta):
         th = np.asarray(theta, dtype=float)
-        total = float(np.sum(th))
-        if total <= 0.0:
+        total = np.sum(th, axis=-1)[..., None]
+        if np.any(total <= 0.0):
             raise ZeroVectorError("norm data requested at the zero vector")
-        prod = float(np.prod(th))
-        partials = np.array([th[1] * th[2], th[0] * th[2], th[0] * th[1]])
+        prod = np.prod(th, axis=-1)[..., None]
+        partials = np.stack([th[..., 1] * th[..., 2], th[..., 0] * th[..., 2],
+                             th[..., 0] * th[..., 1]], axis=-1)
         return th, total, prod, partials
 
     def value(theta):
@@ -258,88 +236,110 @@ def l_pert3(lambdas, eps, check=True):
 
     def hess(theta):
         th, total, prod, partials = _pieces(theta)
-        cross = np.array([[0.0, th[2], th[1]],
-                          [th[2], 0.0, th[0]],
-                          [th[1], th[0], 0.0]])
+        # entry (i, j) is theta_k for the third index k, zero on the diagonal
+        cross = th[..., [[0, 2, 1], [2, 0, 0], [1, 0, 0]]] * (1.0 - np.eye(3))
+        total, prod = total[..., None], prod[..., None]
         h = (cross / total ** 2
-             - 2.0 * (partials[:, None] + partials[None, :]) / total ** 3
+             - 2.0 * (partials[..., :, None] + partials[..., None, :]) / total ** 3
              + 6.0 * prod / total ** 4)
         return eps * h
 
     fn = LFunction(arity=3, kind="pert3", value=value, grad=grad, hess=hess,
                    boundary_ok=(True, True, True),
                    spec_string=f"pert3:{_format_floats(lam)},{format(eps, 'g')}")
-    if check and eps != 0.0:
-        report = strong_convexity_check(fn, (2, 2, 2))
-        if not report.ok:
-            raise NotStronglyConvexError(
-                f"fundamental tensor has eigenvalue {report.min_eigenvalue:.3e} "
-                f"at block norms {np.round(report.witness_theta, 6).tolist()}")
-    return fn
+    return _screened(fn, (2, 2, 2)) if check and eps != 0.0 else fn
 
 
 # ---------------------------------------------------------------------------
-# fundamental tensor and friends
+# fundamental tensor and friends, on stacks of m-coords rows ys (N, n); the
+# per-vector public functions are their N = 1 calls
 
 
-def _components(fn, dec, y):
-    y = np.asarray(y, dtype=float)
+def block_data(fn, dec, ys):
+    """Validated rows ``ys`` (N, n) with their block components (N, s, n)
+    and squared block norms theta (N, s).
+
+    Raises for the first row that is zero or that vanishes on a block whose
+    face is not C^2 for this norm.
+    """
+    ys = np.asarray(ys, dtype=float)
     if dec.arity != fn.arity:
         raise DimensionMismatchError(
             f"norm has {fn.arity} blocks but decomposition has {dec.arity}")
     n = int(sum(dec.dims))
-    if y.shape != (n,):
+    if ys.ndim != 2 or ys.shape[1] != n:
         raise DimensionMismatchError(f"expected m-coords vector of length {n}")
-    nrm2 = float(y @ y)
-    if nrm2 == 0.0:
-        raise ZeroVectorError("norm data requested at the zero vector")
-    comps = dec.split(y)
-    theta = dec.theta(y)
-    for i, t in enumerate(theta):
-        if t == 0.0 and not fn.boundary_ok[i]:
-            raise BoundaryNondifferentiableError(
-                f"block {i + 1} vanishes but that face is not C^2 for this norm")
-    return y, comps, theta
+    coords = [ys @ s.T for s in dec.summands]
+    theta = np.stack([np.einsum("ij,ij->i", c, c) for c in coords], axis=1)
+    zero = np.einsum("ij,ij->i", ys, ys) == 0.0
+    bad = (theta == 0.0) & ~np.array(fn.boundary_ok)
+    flagged = np.flatnonzero(zero | np.any(bad, axis=1))
+    if flagged.size:
+        i = flagged[0]
+        if zero[i]:
+            raise ZeroVectorError("norm data requested at the zero vector")
+        raise BoundaryNondifferentiableError(
+            f"block {int(np.argmax(bad[i])) + 1} vanishes but that face is not C^2 "
+            "for this norm")
+    comps = np.stack([c @ s for c, s in zip(coords, dec.summands)], axis=1)
+    return ys, comps, theta
+
+
+def apply_grad(g1, comps):
+    """A_y(y) = sum_a dL/dtheta_a * y_a for each row."""
+    return np.einsum("ra,rak->rk", g1, comps)
+
+
+def fundamental_tensors(dec, g1, h2, comps):
+    """Fundamental tensors (N, n, n), the Hessians of F^2/2: grad_a(L) on
+    each summand plus rank-one couplings of the block components (N, s, n)
+    from the L-Hessian.  This matrix is the metric operator A_y of the norm."""
+    proj = np.stack([s.T @ s for s in dec.summands])
+    out = np.einsum("ra,akl->rkl", g1, proj)
+    if np.any(h2):
+        out += 2.0 * np.einsum("rab,rak,rbl->rkl", h2, comps, comps)
+    return 0.5 * (out + out.swapaxes(1, 2))
+
+
+def require_positive_definite(a):
+    """The stack of tensors ``a``, after checking that each is positive definite."""
+    w = np.linalg.eigvalsh(a)
+    bad = np.flatnonzero(w[:, 0] <= a.shape[-1] * _linalg.EPS
+                         * np.maximum(np.abs(w[:, -1]), 1.0))
+    if bad.size:
+        raise NotPositiveDefiniteError(
+            f"fundamental tensor not positive definite (min eigenvalue {w[bad[0], 0]:.3e})")
+    return a
+
+
+def spray_rows(space, a, ys, auu):
+    """(rhs, eta) for each row: eta solves g_y(eta, .) = g_y(y, [., y]_m) = rhs,
+    given the tensors ``a`` at the rows ``ys`` and ``auu`` = A_y(y)."""
+    rhs = np.einsum("rib,rb->ri", np.tensordot(auu, space.bracket_mm_m, axes=(-1, 2)), ys)
+    try:
+        eta = np.linalg.solve(a, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularOperatorError(f"metric operator is singular at this vector: {exc}")
+    if not np.all(np.isfinite(eta)):
+        raise SingularOperatorError("metric operator solve produced non-finite values")
+    return rhs, eta
 
 
 def fundamental_tensor(fn, dec, y):
-    """Hessian of F^2/2 at y in orthonormal m-coords (symmetric matrix).
-
-    Equals grad_a(L) on each summand plus rank-one couplings from the
-    L-Hessian; this matrix is the metric operator A_y of the norm.
-    """
-    y, comps, theta = _components(fn, dec, y)
-    g1 = fn.grad(theta)
-    h2 = fn.hess(theta)
-    n = y.size
-    out = np.zeros((n, n))
-    for a, s in enumerate(dec.summands):
-        out += g1[a] * (s.T @ s)
-    for a in range(dec.arity):
-        for b in range(dec.arity):
-            if h2[a, b] != 0.0:
-                out += 2.0 * h2[a, b] * np.outer(comps[a], comps[b])
-    return 0.5 * (out + out.T)
+    """Hessian of F^2/2 at y in orthonormal m-coords (symmetric matrix)."""
+    _, comps, theta = block_data(fn, dec, np.asarray(y, dtype=float)[None])
+    return fundamental_tensors(dec, fn.grad(theta), fn.hess(theta), comps)[0]
 
 
 def metric_operator(fn, dec, y):
     """Fundamental tensor with a positive-definiteness guard."""
-    g = fundamental_tensor(fn, dec, y)
-    w = np.linalg.eigvalsh(g)
-    if w[0] <= g.shape[0] * _linalg.EPS * max(abs(w[-1]), 1.0):
-        raise NotPositiveDefiniteError(
-            f"fundamental tensor not positive definite (min eigenvalue {w[0]:.3e})")
-    return g
+    return require_positive_definite(fundamental_tensor(fn, dec, y)[None])[0]
 
 
 def a_u_of_u(fn, dec, u):
     """A_u(u) = sum_i dL/dtheta_i * u_i, the metric operator applied to u itself."""
-    u, comps, theta = _components(fn, dec, u)
-    g1 = fn.grad(theta)
-    out = np.zeros_like(u)
-    for a, c in enumerate(comps):
-        out += g1[a] * c
-    return out
+    _, comps, theta = block_data(fn, dec, np.asarray(u, dtype=float)[None])
+    return apply_grad(fn.grad(theta), comps)[0]
 
 
 def f_squared(fn, dec, y):
@@ -349,22 +349,11 @@ def f_squared(fn, dec, y):
 
 
 def spray_vector(space, dec, fn, y):
-    """Spray vector eta(y): solves g_y(eta, .) = g_y(y, [., y]_m) on m.
-
-    The right side is assembled from the bracket table and A_y(y); the left
-    side inverts the metric operator.
-    """
-    y = np.asarray(y, dtype=float)
-    a = fundamental_tensor(fn, dec, y)
-    auu = a_u_of_u(fn, dec, y)
-    rhs = np.einsum("ibk,b,k->i", space.bracket_mm_m, y, auu)
-    try:
-        eta = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularOperatorError(f"metric operator is singular at this vector: {exc}")
-    if not np.all(np.isfinite(eta)):
-        raise SingularOperatorError("metric operator solve produced non-finite values")
-    return eta
+    """Spray vector eta(y): solves g_y(eta, .) = g_y(y, [., y]_m) on m."""
+    ys, comps, theta = block_data(fn, dec, np.asarray(y, dtype=float)[None])
+    g1 = fn.grad(theta)
+    a = fundamental_tensors(dec, g1, fn.hess(theta), comps)
+    return spray_rows(space, a, ys, apply_grad(g1, comps))[1][0]
 
 
 @dataclass(frozen=True)
@@ -389,31 +378,36 @@ def strong_convexity_check(fn, dims, samples=64, seed=0):
         raise DimensionMismatchError(
             f"norm has {fn.arity} blocks but {len(dims)} dims were given")
     dec = Decomposition.from_dims(dims)
-    n = int(sum(dims))
     rng = np.random.default_rng(seed)
     patterns = [tuple(True for _ in dims)]
     for mask in range(1, 2 ** len(dims) - 1):
         keep = tuple(bool(mask >> i & 1) for i in range(len(dims)))
         if all(fn.boundary_ok[i] for i, k in enumerate(keep) if not k):
             patterns.append(keep)
-    best = (np.inf, None, None)
-    checked = 0
-    for it in range(samples):
+    us = np.zeros((samples, sum(dims)))
+    for it, u in enumerate(us):
         keep = patterns[it % len(patterns)]
-        u = np.zeros(n)
         off = 0
         for i, d in enumerate(dims):
             if keep[i]:
                 u[off:off + d] = rng.standard_normal(d)
             off += d
         u /= np.linalg.norm(u)
-        w = np.linalg.eigvalsh(fundamental_tensor(fn, dec, u))
-        checked += 1
-        if w[0] < best[0]:
-            best = (float(w[0]), u, dec.theta(u))
-    ok = bool(best[0] > 1e-10)
-    return ConvexityReport(ok=ok, min_eigenvalue=best[0], witness=best[1],
-                           witness_theta=best[2], samples=checked)
+    _, comps, theta = block_data(fn, dec, us)
+    a = fundamental_tensors(dec, fn.grad(theta), fn.hess(theta), comps)
+    w = np.linalg.eigvalsh(a)[:, 0]
+    best = int(np.argmin(w))
+    return ConvexityReport(ok=bool(w[best] > 1e-10), min_eigenvalue=float(w[best]),
+                           witness=us[best], witness_theta=theta[best], samples=samples)
+
+
+def _screened(fn, dims):
+    report = strong_convexity_check(fn, dims)
+    if not report.ok:
+        raise NotStronglyConvexError(
+            f"fundamental tensor has eigenvalue {report.min_eigenvalue:.3e} "
+            f"at block norms {np.round(report.witness_theta, 6).tolist()}")
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -458,5 +452,4 @@ def parse_metric(text, arity=None, check=True):
     if arity is not None and fn.arity != arity:
         raise SpecFormatError(
             f"metric has {fn.arity} blocks but the space decomposition has {arity}")
-    return LFunction(arity=fn.arity, kind=fn.kind, value=fn.value, grad=fn.grad,
-                     hess=fn.hess, boundary_ok=fn.boundary_ok, spec_string=text)
+    return dataclasses.replace(fn, spec_string=text)

@@ -16,16 +16,17 @@ evidence at the sampled tolerance.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _linalg
 from .errors import DimensionMismatchError, ZeroVectorError
-from .finsler import (PhiProfile, a_u_of_u, l_from_phi, l_linear,
-                      metric_operator)
+from .finsler import (PhiProfile, apply_grad, block_data, fundamental_tensors,
+                      l_from_phi, l_linear, require_positive_definite,
+                      spray_rows)
 from .homspace import centralizer_in_h, tilde_centralizer
 
 GO = "GO"
@@ -51,16 +52,8 @@ class CheckReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self):
-        out = {
-            "check": self.check,
-            "verdict": self.verdict,
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "tol": self.tol,
-            "seed": self.seed,
-            "witness": self.witness,
-        }
-        out.update(self.extras)
+        out = dataclasses.asdict(self)
+        out.update(out.pop("extras"))
         return out
 
 
@@ -69,7 +62,7 @@ class CheckReport:
 
 
 def sample_plan(dec, boundary_ok, samples, seed):
-    """Deterministic list of test directions in m-coords.
+    """Deterministic test directions in m-coords, as rows of a (samples, n) array.
 
     Half the quota is uniform on the unit sphere; the rest are structured
     combinations of per-summand unit vectors over a logarithmic weight grid,
@@ -90,7 +83,6 @@ def sample_plan(dec, boundary_ok, samples, seed):
         keep = tuple(bool(mask >> i & 1) for i in range(s))
         if all(boundary_ok[i] for i in range(s) if not keep[i]):
             patterns.append(keep)
-    weight_grids = [np.logspace(-1.5, 1.5, 7), np.logspace(-1.0, 1.0, 5)]
 
     n_uniform = samples // 2
     n_struct = samples - n_uniform
@@ -105,7 +97,7 @@ def sample_plan(dec, boundary_ok, samples, seed):
         v = sum(unit_in_summand(i) for i in range(s) if keep[i])
         out.append(v / np.linalg.norm(v))
         count += 1
-    grid = weight_grids[0] if s == 2 else weight_grids[1]
+    grid = np.logspace(-1.5, 1.5, 7) if s == 2 else np.logspace(-1.0, 1.0, 5)
     while count < n_struct:
         parts = [unit_in_summand(i) for i in range(s)]
         for combo in _weight_combos(s, grid):
@@ -114,81 +106,133 @@ def sample_plan(dec, boundary_ok, samples, seed):
             v = sum(t * p for t, p in zip(combo, parts))
             out.append(v / np.linalg.norm(v))
             count += 1
-    return out
+    return np.array(out)
 
 
 def _weight_combos(s, grid):
-    # first block at weight 1, every other block over the grid, last fastest
-    for rest in itertools.product(grid, repeat=s - 1):
-        yield (1.0, *map(float, rest))
+    # first block at weight 1, every other block over the grid
+    if s <= 3:
+        # last block fastest
+        for rest in itertools.product(grid, repeat=s - 1):
+            yield (1.0, *map(float, rest))
+        return
+    # more blocks: lift one block at a time above the lowest weight, then
+    # every pair, and so on, so each block is lifted alone early in the plan
+    for r in range(s):
+        for lifted in itertools.combinations(range(s - 1), r):
+            for vals in itertools.product(grid[1:], repeat=r):
+                rest = dict(zip(lifted, vals))
+                yield (1.0, *(float(rest.get(i, grid[0])) for i in range(s - 1)))
 
 
 # ---------------------------------------------------------------------------
-# per-direction residuals
+# the residual engine: every residual takes a stack of directions u (N, n)
+
+CHUNK = 32        # rows per array pass; bounds the (CHUNK, n, n) intermediates and peak memory
+
+
+def _shared(space, dec, fn, u):
+    """(u, comps, theta, g1, A_u(u), [u, A_u(u)]_h, [u, A_u(u)]_m) at rows u."""
+    u, comps, theta = block_data(fn, dec, u)
+    g1 = fn.grad(theta)
+    auu = apply_grad(g1, comps)
+    return (u, comps, theta, g1, auu, *space.bracket_mm(u, auu))
+
+
+def _norm(x):
+    return np.linalg.norm(x, axis=-1)
+
+
+def _scale(sh):
+    """D(u) = max(|[u, A_u(u)]|, |u|^2)."""
+    u, *_, bh, bm = sh
+    return np.maximum(np.hypot(_norm(bh), _norm(bm)), _norm(u) ** 2)
+
+
+def _operator(space, sh):
+    *_, auu, bh, bm = sh
+    w, resid = _linalg.lstsq_min_norm(space.hm_columns(auu), -bm)
+    return np.hypot(_norm(resid), _norm(bh)) / _scale(sh), w
+
+
+def _spray(space, dec, fn, sh):
+    u, comps, theta, g1, auu, _, _ = sh
+    a = require_positive_definite(fundamental_tensors(dec, g1, fn.hess(theta), comps))
+    rhs, eta = spray_rows(space, a, u, auu)
+    _, resid = _linalg.lstsq_min_norm(a @ space.hm_columns(u), (a @ eta[..., None])[..., 0])
+    return _norm(resid) / np.maximum(_norm(rhs), _norm(u) ** 2)
+
+
+def _nr(sh):
+    u, *_, auu, bh, bm = sh
+    den = _norm(u) * _norm(auu)
+    if np.any(den == 0.0):
+        raise ZeroVectorError("natural-reductivity residual undefined at zero")
+    return np.hypot(_norm(bh), _norm(bm)) / den
+
+
+def residuals(space, dec, fn, plan, go=True):
+    """Residual arrays (operator, spray, nr) over the rows of ``plan`` (N, n).
+
+    Works in chunks of CHUNK rows and computes A_u(u) and [u, A_u(u)] once
+    per direction; the per-direction functions below are its N = 1 calls.
+    ``go=False`` computes only the NR residual, and None for the others.
+    """
+    parts = ([], [], [])
+    for start in range(0, len(plan), CHUNK):
+        sh = _shared(space, dec, fn, plan[start:start + CHUNK])
+        if go:
+            parts[0].append(_operator(space, sh)[0])
+            parts[1].append(_spray(space, dec, fn, sh))
+        parts[2].append(_nr(sh))
+    return tuple(np.concatenate(p) if p else None for p in parts)
+
+
+def _single(space, dec, fn, u):
+    return _shared(space, dec, fn, np.asarray(u, dtype=float)[None])
 
 
 def nr_residual(space, dec, fn, u):
     """|[u, A_u(u)]| / (|u| |A_u(u)|), using the full bracket (h and m parts)."""
-    u = np.asarray(u, dtype=float)
-    auu = a_u_of_u(fn, dec, u)
-    bh, bm = space.bracket_mm(u, auu)
-    num = float(np.sqrt(bh @ bh + bm @ bm))
-    den = float(np.linalg.norm(u) * np.linalg.norm(auu))
-    if den == 0.0:
-        raise ZeroVectorError("natural-reductivity residual undefined at zero")
-    return num / den
-
-
-def _operator_ls(space, dec, fn, u):
-    """Least squares for [w + u, A_u(u)] = 0; returns (residual, w, scale D)."""
-    u = np.asarray(u, dtype=float)
-    auu = a_u_of_u(fn, dec, u)
-    bh, bm = space.bracket_mm(u, auu)
-    cols = space.hm_columns(auu)                     # column j = [h_j, A_u(u)]_m
-    w, resid_m = _linalg.lstsq_min_norm(cols, -bm)
-    resid = float(np.sqrt(resid_m @ resid_m + bh @ bh))
-    d = max(float(np.sqrt(bm @ bm + bh @ bh)), float(u @ u))
-    return resid / d, w, d
+    return float(_nr(_single(space, dec, fn, u))[0])
 
 
 def go_residual_operator(space, dec, fn, u):
     """Normalized least-squares residual of the operator criterion at u."""
-    return _operator_ls(space, dec, fn, u)[0]
+    return go_check_operator(space, dec, fn, u)[0]
 
 
 def go_check_operator(space, dec, fn, u, tol=1e-8):
     """(residual, minimizer w) for the operator criterion; w is None above tol."""
-    resid, w, _ = _operator_ls(space, dec, fn, u)
-    return resid, (w if resid <= tol else None)
+    resid, w = _operator(space, _single(space, dec, fn, u))
+    return float(resid[0]), (w[0] if resid[0] <= tol else None)
 
 
-def go_check_spray(space, dec, fn, u, tol=1e-8):
+def go_check_spray(space, dec, fn, u):
     """Spray-route residual: distance of eta(u) from span{[w, u]} in the
     metric-operator norm, on the shared scale D(u)."""
-    u = np.asarray(u, dtype=float)
-    a = metric_operator(fn, dec, u)
-    auu = a_u_of_u(fn, dec, u)
-    wt = np.einsum("ibk,b,k->i", space.bracket_mm_m, u, auu)
-    eta = np.linalg.solve(a, wt)
-    cols = space.hm_columns(u)                       # column j = [h_j, u]_m
-    acols = a @ cols
-    _, resid_vec = _linalg.lstsq_min_norm(acols, a @ eta)
-    d = max(float(np.linalg.norm(wt)), float(u @ u))
-    return float(np.linalg.norm(resid_vec)) / d
+    return float(_spray(space, dec, fn, _single(space, dec, fn, u))[0])
 
 
 # ---------------------------------------------------------------------------
 # sampled verdicts
 
 
-def _map_indexed(fn, items, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+def _band(worst, proof, tol, yes, no):
+    # yes when the worst sample passes; no when some proof sample fails by FAIL_FACTOR
+    return yes if worst <= tol else no if proof > FAIL_FACTOR * tol else INCONCLUSIVE
 
 
-def go_verdict(space, dec, fn, samples=200, seed=42, tol=1e-8, threads=1):
+def _nr_report(plan, res, tol, seed):
+    worst = int(np.argmax(res))
+    witness = {"index": worst, "u": [float(x) for x in plan[worst]],
+               "residual": float(res[worst])}
+    return CheckReport(check="nr", verdict=_band(res[worst], res[worst], tol, NR, NOT_NR),
+                       samples=len(plan), max_residual=float(res[worst]), tol=tol,
+                       seed=seed, witness=witness)
+
+
+def go_verdict(space, dec, fn, samples=200, seed=42, tol=1e-8):
     """Sampled geodesic-orbit verdict under both criteria.
 
     GO: every sample passes both criteria at ``tol``.  NOT_GO: some sample
@@ -196,66 +240,45 @@ def go_verdict(space, dec, fn, samples=200, seed=42, tol=1e-8, threads=1):
     report records the worst sample as witness and flags any sample where
     the two criteria disagree at those thresholds.
     """
+    return verdicts(space, dec, fn, samples=samples, seed=seed, tol=tol)[0]
+
+
+def nr_check(space, dec, fn, samples=200, seed=42, tol=1e-8):
+    """Sampled natural-reductivity verdict: NR iff every residual is <= tol,
+    NOT_NR when some residual exceeds 1e3 * tol, INCONCLUSIVE otherwise."""
     plan = sample_plan(dec, fn.boundary_ok, samples, seed)
+    return _nr_report(plan, residuals(space, dec, fn, plan, go=False)[2], tol, seed)
 
-    def one(u):
-        return (go_residual_operator(space, dec, fn, u),
-                go_check_spray(space, dec, fn, u))
 
-    pairs = _map_indexed(one, plan, threads)
-    r_op = np.array([p[0] for p in pairs])
-    r_sp = np.array([p[1] for p in pairs])
-    worst = int(np.argmax(np.maximum(r_op, r_sp)))
-    disagree = bool(np.any(((r_op <= tol) & (r_sp > FAIL_FACTOR * tol))
-                           | ((r_sp <= tol) & (r_op > FAIL_FACTOR * tol))))
-    if np.all(r_op <= tol) and np.all(r_sp <= tol):
-        verdict = GO
-    elif np.any((r_op > FAIL_FACTOR * tol) & (r_sp > FAIL_FACTOR * tol)):
-        verdict = NOT_GO
-    else:
-        verdict = INCONCLUSIVE
-    witness = {
-        "index": worst,
-        "u": [float(x) for x in plan[worst]],
-        "operator_residual": float(r_op[worst]),
-        "spray_residual": float(r_sp[worst]),
-    }
-    return CheckReport(
-        check="go", verdict=verdict, samples=len(plan),
-        max_residual=float(max(r_op[worst], r_sp[worst])), tol=tol, seed=seed,
-        witness=witness,
-        extras={
+def verdicts(space, dec, fn, samples=200, seed=42, tol=1e-8):
+    """(go_verdict, nr_check) reports from one sample plan and one engine pass."""
+    plan = sample_plan(dec, fn.boundary_ok, samples, seed)
+    r_op, r_sp, r_nr = residuals(space, dec, fn, plan)
+    lo, hi = np.minimum(r_op, r_sp), np.maximum(r_op, r_sp)
+    worst = int(np.argmax(hi))
+    witness = {"index": worst, "u": [float(x) for x in plan[worst]],
+               "operator_residual": float(r_op[worst]),
+               "spray_residual": float(r_sp[worst])}
+    # NOT_GO needs one sample that fails both criteria
+    go = CheckReport(
+        check="go", verdict=_band(hi[worst], np.max(lo), tol, GO, NOT_GO),
+        samples=len(plan), max_residual=float(hi[worst]), tol=tol, seed=seed,
+        witness=witness, extras={
             "max_residual_operator": float(np.max(r_op)),
             "max_residual_spray": float(np.max(r_sp)),
             "max_criteria_gap": float(np.max(np.abs(r_op - r_sp))),
-            "criteria_disagree": disagree,
+            "criteria_disagree": bool(np.any((lo <= tol) & (hi > FAIL_FACTOR * tol))),
         })
+    return go, _nr_report(plan, r_nr, tol, seed)
 
 
-def nr_check(space, dec, fn, samples=200, seed=42, tol=1e-8, threads=1):
-    """Sampled natural-reductivity verdict: NR iff every residual is <= tol."""
-    plan = sample_plan(dec, fn.boundary_ok, samples, seed)
-    res = np.array(_map_indexed(lambda u: nr_residual(space, dec, fn, u),
-                                plan, threads))
-    worst = int(np.argmax(res))
-    verdict = NR if res[worst] <= tol else NOT_NR
-    witness = {"index": worst, "u": [float(x) for x in plan[worst]],
-               "residual": float(res[worst])}
-    return CheckReport(check="nr", verdict=verdict, samples=len(plan),
-                       max_residual=float(res[worst]), tol=tol, seed=seed,
-                       witness=witness)
-
-
-def riemann_two_param_check(space, dec, lam, mu, samples=200, seed=42,
-                            tol=1e-8, threads=1):
+def riemann_two_param_check(space, dec, lam, mu, samples=200, seed=42, tol=1e-8):
     """go_verdict for the diagonal two-block Riemannian metric (lam, mu)."""
     if dec.arity != 2:
         raise DimensionMismatchError("two-parameter check needs a two-summand splitting")
     fn = l_linear([float(lam), float(mu)])
-    rep = go_verdict(space, dec, fn, samples=samples, seed=seed, tol=tol,
-                     threads=threads)
-    rep.extras["lambda"] = float(lam)
-    rep.extras["mu"] = float(mu)
+    rep = go_verdict(space, dec, fn, samples=samples, seed=seed, tol=tol)
+    rep.extras.update({"lambda": float(lam), "mu": float(mu)})
     return rep
 
 
@@ -294,10 +317,7 @@ def two_summand_phi_check(space, dec, phi, u1, u2):
     _, resid_vec = _linalg.lstsq_min_norm(cols, -(pd / t) * bm)
     num = np.hypot(pv * float(np.linalg.norm(resid_vec)),
                    pv * (pd / t) * float(np.linalg.norm(bh)))
-    auu = a_u_of_u(l_from_phi(phi, check=False), dec, u)
-    ch, cm = space.bracket_mm(u, auu)
-    d = max(float(np.sqrt(ch @ ch + cm @ cm)), nrm ** 2)
-    return float(num) / d
+    return float(num) / float(_scale(_single(space, dec, l_from_phi(phi, check=False), u))[0])
 
 
 def wallach_system_check(space, dec, fn, u):
@@ -311,32 +331,16 @@ def wallach_system_check(space, dec, fn, u):
     """
     if dec.arity != 3:
         raise DimensionMismatchError("three-block system needs a three-summand splitting")
-    u = np.asarray(u, dtype=float)
-    comps = dec.split(u)
-    theta = dec.theta(u)
-    g1 = fn.grad(theta)
-    pieces = []
-    rhs_pieces = []
-    for i in range(3):
-        j, k = [x for x in range(3) if x != i]
+    sh = _single(space, dec, fn, u)
+    _, comps, _, g1, *_ = (x[0] for x in sh)
+    pieces, rhs = [], []
+    for i, (j, k) in enumerate(((1, 2), (0, 2), (0, 1))):
         p = dec.summands[i]
-        cols_i = p @ space.hm_columns(comps[i])
-        _, cross = space.bracket_mm(comps[j], comps[k])
-        pieces.append(g1[i] * cols_i)
-        rhs_pieces.append(-(g1[k] - g1[j]) * (p @ cross))
-    stacked = np.vstack(pieces)
-    rhs = np.concatenate(rhs_pieces)
-    _, resid_vec = _linalg.lstsq_min_norm(stacked, rhs)
-    auu = a_u_of_u(fn, dec, u)
-    bh, bm = space.bracket_mm(u, auu)
-    d = max(float(np.sqrt(bm @ bm + bh @ bh)), float(u @ u))
-    out = []
-    off = 0
-    for i in range(3):
-        ni = dec.dims[i]
-        out.append(float(np.linalg.norm(resid_vec[off:off + ni])) / d)
-        off += ni
-    return np.array(out)
+        pieces.append(g1[i] * (p @ space.hm_columns(comps[i])))
+        rhs.append(-(g1[k] - g1[j]) * (p @ space.bracket_mm(comps[j], comps[k])[1]))
+    _, resid = _linalg.lstsq_min_norm(np.vstack(pieces), np.concatenate(rhs))
+    blocks = np.split(resid, np.cumsum(dec.dims)[:-1])
+    return np.array([np.linalg.norm(b) for b in blocks]) / _scale(sh)[0]
 
 
 def centralizer_condition_check(space, dec, x, y, tol=1e-8):
@@ -357,12 +361,7 @@ def centralizer_condition_check(space, dec, x, y, tol=1e-8):
     sx = _linalg.subspace_intersection(tilde, cx)
     sy = _linalg.subspace_intersection(tilde, cy)
     _, target = space.bracket_mm(x, y)
-    cols = []
-    for row in sy:
-        cols.append(space.bracket_hm_vec(row, x))
-    for row in sx:
-        cols.append(space.bracket_hm_vec(row, y))
-    mat = np.array(cols).T if cols else np.zeros((space.dim_m, 0))
+    mat = np.hstack([space.hm_columns(x) @ sy.T, space.hm_columns(y) @ sx.T])
     coef, resid_vec = _linalg.lstsq_min_norm(mat, target)
     scale = max(float(np.linalg.norm(target)),
                 float(np.linalg.norm(x) * np.linalg.norm(y)), _linalg.EPS)

@@ -71,19 +71,25 @@ class HomogeneousSpace:
     def proj_h(self, x):
         return self.h_basis @ (self.g.q_form @ np.asarray(x, dtype=float))
 
-    def _vec(self, v, size, name):
+    def _vec(self, v, size, name, rows=False):
         v = np.asarray(v, dtype=float)
-        if v.shape != (size,):
+        if v.shape[-1:] != (size,) or v.ndim > (2 if rows else 1):
             raise DimensionMismatchError(
                 f"expected {name}-coords vector of length {size}, got {v.shape}")
         return v
 
     def bracket_mm(self, x, y):
-        """(h-part, m-part) of [x, y] for x, y in m-coords."""
-        x = self._vec(x, self.dim_m, "m")
-        y = self._vec(y, self.dim_m, "m")
-        return (np.einsum("abk,a,b->k", self.bracket_mm_h, x, y),
-                np.einsum("abk,a,b->k", self.bracket_mm_m, x, y))
+        """(h-part, m-part) of [x, y] for x, y in m-coords.
+
+        Also takes two stacks of rows (N, dim_m) and brackets them row by row.
+        """
+        x = self._vec(x, self.dim_m, "m", rows=True)
+        y = self._vec(y, self.dim_m, "m", rows=True)
+        out = []
+        for table in (self.bracket_mm_h, self.bracket_mm_m):
+            xt = (x @ table.reshape(self.dim_m, -1)).reshape(x.shape + table.shape[2:])
+            out.append(np.einsum("...bk,...b->...k", xt, y))
+        return tuple(out)
 
     def bracket_hm_vec(self, w, x):
         """[w, x] in m-coords for w in h-coords, x in m-coords."""
@@ -97,9 +103,10 @@ class HomogeneousSpace:
         return np.einsum("iab,i->ba", self.bracket_hm, w)
 
     def hm_columns(self, x):
-        """Matrix whose j-th column is [h_j, x] in m-coords."""
-        x = self._vec(x, self.dim_m, "m")
-        return np.einsum("jab,a->bj", self.bracket_hm, x)
+        """Matrix whose j-th column is [h_j, x] in m-coords; a stack of rows
+        (N, dim_m) gives a stack of matrices (N, dim_m, dim_h)."""
+        x = self._vec(x, self.dim_m, "m", rows=True)
+        return np.moveaxis(x @ self.bracket_hm, 0, -1)
 
     def __repr__(self):
         return f"HomogeneousSpace(dim_g={self.g.dim}, dim_h={self.dim_h}, dim_m={self.dim_m})"

@@ -73,7 +73,7 @@ def _spaces_with_tag(tag):
     return [rid for rid, _, tags in catalog.list_catalog() if tag in tags]
 
 
-def suite_thm1_converse(samples=200, seed=42, tol=1e-8, threads=1):
+def suite_thm1_converse(samples=200, seed=42, tol=1e-8):
     """Two-summand entries: GO for the whole battery, NOT_NR off the normal
     metric, and the two-block centralizer equation solvable and unique."""
     out = SuiteResult("thm1-converse")
@@ -81,13 +81,11 @@ def suite_thm1_converse(samples=200, seed=42, tol=1e-8, threads=1):
         space, dec, _ = catalog.make_space(spec)
         for mtext in battery_for(dec.arity):
             fn = parse_metric(mtext)
-            rep = gocheck.go_verdict(space, dec, fn, samples=samples,
-                                     seed=seed, tol=tol, threads=threads)
+            rep, nr = gocheck.verdicts(space, dec, fn, samples=samples,
+                                       seed=seed, tol=tol)
             out.add(f"{spec} {mtext} go", rep.verdict == GO,
                     f"verdict={rep.verdict} max_residual={rep.max_residual:.3e}")
             if mtext.startswith("phi:"):
-                nr = gocheck.nr_check(space, dec, fn, samples=samples,
-                                      seed=seed, tol=tol, threads=threads)
                 out.add(f"{spec} {mtext} nr", nr.verdict == NOT_NR
                         and nr.max_residual > 1e-3,
                         f"verdict={nr.verdict} max_residual={nr.max_residual:.3e}")
@@ -106,12 +104,12 @@ def suite_thm1_converse(samples=200, seed=42, tol=1e-8, threads=1):
     return out
 
 
-def _wallach_battery_items(out, spec, samples, seed, tol, threads):
+def _wallach_battery_items(out, spec, samples, seed, tol):
     space, dec, _ = catalog.make_space(spec)
     for mtext in battery_for(dec.arity):
         fn = parse_metric(mtext)
         rep = gocheck.go_verdict(space, dec, fn, samples=samples, seed=seed,
-                                 tol=tol, threads=threads)
+                                 tol=tol)
         equal = mtext == equal_linear_for(dec.arity)
         want = GO if equal else NOT_GO
         ok = rep.verdict == want
@@ -122,35 +120,33 @@ def _wallach_battery_items(out, spec, samples, seed, tol, threads):
                 f"verdict={rep.verdict} max_residual={rep.max_residual:.3e}")
 
 
-def suite_thm2_wallach(samples=200, seed=42, tol=1e-8, threads=1):
+def suite_thm2_wallach(samples=200, seed=42, tol=1e-8):
     """Three-summand entries with all cross brackets nonzero: GO exactly for
     the equal-coefficient linear metric within the battery."""
     out = SuiteResult("thm2-wallach")
     for spec in _spaces_with_tag("wallach-type-ii") + _spaces_with_tag("wallach-type-iii"):
-        _wallach_battery_items(out, spec, samples, seed, tol, threads)
+        _wallach_battery_items(out, spec, samples, seed, tol)
     return out
 
 
-def suite_cor_wallach_normal(samples=200, seed=42, tol=1e-8, threads=1):
+def suite_cor_wallach_normal(samples=200, seed=42, tol=1e-8):
     """Normal (equal-coefficient) metrics on su3/t2 and wallach-sp/1,1,1
     are GO; the battery confirms the equal-only-GO pattern on both."""
     out = SuiteResult("cor-wallach-normal")
     for spec in ("su3/t2", "wallach-sp/1,1,1"):
-        _wallach_battery_items(out, spec, samples, seed, tol, threads)
+        _wallach_battery_items(out, spec, samples, seed, tol)
     return out
 
 
-def suite_type1_nr(samples=200, seed=42, tol=1e-8, threads=1):
+def suite_type1_nr(samples=200, seed=42, tol=1e-8):
     """Product-of-rank-one entry: every battery metric naturally reductive."""
     out = SuiteResult("type1-nr")
     for spec in _spaces_with_tag("wallach-type-i"):
         space, dec, _ = catalog.make_space(spec)
         for mtext in battery_for(dec.arity):
             fn = parse_metric(mtext)
-            nr = gocheck.nr_check(space, dec, fn, samples=samples, seed=seed,
-                                  tol=tol, threads=threads)
-            go = gocheck.go_verdict(space, dec, fn, samples=samples, seed=seed,
-                                    tol=tol, threads=threads)
+            go, nr = gocheck.verdicts(space, dec, fn, samples=samples, seed=seed,
+                                      tol=tol)
             out.add(f"{spec} {mtext} nr", nr.verdict == NR
                     and nr.max_residual <= 1e-10 and go.verdict == GO,
                     f"nr={nr.verdict} residual={nr.max_residual:.3e} go={go.verdict}")
@@ -160,7 +156,7 @@ def suite_type1_nr(samples=200, seed=42, tol=1e-8, threads=1):
 CROSSVAL_SPACES = ("so5/u2", "su3/su2", "su3/t2", "wallach-sp/1,1,1", "so6/so3irr")
 
 
-def suite_crossval(samples=60, seed=42, tol=1e-8, threads=1):
+def suite_crossval(samples=60, seed=42, tol=1e-8):
     """Per-sample agreement of the operator and spray criteria over at least
     1000 (space, metric, direction) triples."""
     out = SuiteResult("crossval")
@@ -170,23 +166,18 @@ def suite_crossval(samples=60, seed=42, tol=1e-8, threads=1):
         for mtext in battery_for(dec.arity):
             fn = parse_metric(mtext)
             plan = gocheck.sample_plan(dec, fn.boundary_ok, samples, seed)
-            gaps = []
-            agree = True
-            for u in plan:
-                r_op = gocheck.go_residual_operator(space, dec, fn, u)
-                r_sp = gocheck.go_check_spray(space, dec, fn, u)
-                gaps.append(abs(r_op - r_sp))
-                ok_op, ok_sp = r_op <= tol, r_sp <= tol
-                if ok_op != ok_sp and max(r_op, r_sp) > gocheck.FAIL_FACTOR * tol:
-                    agree = False
+            r_op, r_sp, _ = gocheck.residuals(space, dec, fn, plan)
+            gap = float(np.max(np.abs(r_op - r_sp)))
+            agree = not np.any(((r_op <= tol) != (r_sp <= tol))
+                               & (np.maximum(r_op, r_sp) > gocheck.FAIL_FACTOR * tol))
             triples += len(plan)
-            out.add(f"{spec} {mtext} agreement", agree and max(gaps) <= 1e-6,
-                    f"samples={len(plan)} max_gap={max(gaps):.3e}")
+            out.add(f"{spec} {mtext} agreement", agree and gap <= 1e-6,
+                    f"samples={len(plan)} max_gap={gap:.3e}")
     out.add("total triples >= 1000", triples >= 1000, f"triples={triples}")
     return out
 
 
-def suite_invariants(samples=40, seed=42, tol=1e-8, threads=1):
+def suite_invariants(samples=40, seed=42, tol=1e-8):
     """Cross-cutting identities: normal metric everywhere NR and GO, NR
     implies GO, residual scale invariance, the profile-form and blockwise
     specializations, and centralizer uniqueness when feasible."""
@@ -196,10 +187,8 @@ def suite_invariants(samples=40, seed=42, tol=1e-8, threads=1):
     for rid, _, tags in catalog.list_catalog():
         space, dec, _ = catalog.make_space(rid)
         fn = parse_metric(equal_linear_for(dec.arity))
-        nr = gocheck.nr_check(space, dec, fn, samples=samples, seed=seed,
-                              tol=tol, threads=threads)
-        go = gocheck.go_verdict(space, dec, fn, samples=samples, seed=seed,
-                                tol=tol, threads=threads)
+        go, nr = gocheck.verdicts(space, dec, fn, samples=samples, seed=seed,
+                                  tol=tol)
         out.add(f"{rid} normal metric nr+go",
                 nr.verdict == NR and go.verdict == GO,
                 f"nr={nr.verdict} go={go.verdict}")
@@ -265,12 +254,12 @@ _SUITES = {
 }
 
 
-def run_suite(name, samples=None, seed=42, tol=1e-8, threads=1):
+def run_suite(name, samples=None, seed=42, tol=1e-8):
     """Run one named suite; ``samples=None`` keeps the suite's own default."""
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     fn = _SUITES[name]
-    kwargs = {"seed": seed, "tol": tol, "threads": threads}
+    kwargs = {"seed": seed, "tol": tol}
     if samples is not None:
         kwargs["samples"] = samples
     return fn(**kwargs)

@@ -69,6 +69,36 @@ def test_check_inconclusive_exit_two(capsys):
     assert json.loads(out)["verdicts"]["go"] == "INCONCLUSIVE"
 
 
+NR_BAND = ("check", "--space", "so5/u2", "--metric", "phi:1,0,0.25",
+           "--tol", "1e-3")
+
+
+def test_check_nr_inconclusive_exit_two(capsys):
+    # NR residual 0.063 lies between tol and 1000 * tol; GO passes
+    code, out, _ = run(capsys, *NR_BAND)
+    assert code == cli.EXIT_INCONCLUSIVE
+    rep = json.loads(out)
+    assert rep["verdicts"] == {"go": "GO", "nr": "INCONCLUSIVE"}
+    assert 1e-3 < rep["max_residuals"]["nr"] <= 1.0
+
+
+@pytest.mark.parametrize("argv, expect, code", [
+    (NR_BAND, "GO", cli.EXIT_OK),
+    (NR_BAND, "INCONCLUSIVE", cli.EXIT_MISMATCH),      # compared against GO
+    (NR_BAND, "NOT_NR", cli.EXIT_MISMATCH),
+    (("check", "--space", "su3/t2", "--metric", "pert3:1,1,1,0.0001",
+      "--samples", "40"), "INCONCLUSIVE", cli.EXIT_OK),
+    (("check", "--space", "su3/t2", "--metric", "pert3:1,1,1,0.0001",
+      "--samples", "40"), "NOT_NR", cli.EXIT_MISMATCH),
+    (("check", "--space", "su3/t2", "--metric", "pert3:1,1,1,0.0001",
+      "--samples", "40"), "GO", cli.EXIT_MISMATCH),
+])
+def test_check_expect_decides_exit_before_inconclusive(capsys, argv, expect, code):
+    got, _, err = run(capsys, *argv, "--expect", expect)
+    assert got == code
+    assert ("expected" in err) == (code == cli.EXIT_MISMATCH)
+
+
 def test_check_metric_rejected_exit_three(capsys):
     code, _, err = run(capsys, "check", "--space", "so5/u2",
                        "--metric", "phi:1,-2")
@@ -145,6 +175,17 @@ def test_check_deterministic_modulo_wallclock(capsys):
     r1, r2 = json.loads(out1), json.loads(out2)
     r1.pop("wallclock"), r2.pop("wallclock")
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+
+def test_threads_flag_has_no_effect(capsys):
+    args = ("check", "--space", "su3/t2", "--metric", "linear:1,2,3",
+            "--samples", "30", "--seed", "5")
+    _, out1, _ = run(capsys, *args, "--threads", "1")
+    _, out3, _ = run(capsys, *args, "--threads", "3")
+    r1, r3 = json.loads(out1), json.loads(out3)
+    assert (r1.pop("threads"), r3.pop("threads")) == (1, 3)    # echoed only
+    r1.pop("wallclock"), r3.pop("wallclock")
+    assert json.dumps(r1, sort_keys=True) == json.dumps(r3, sort_keys=True)
 
 
 def test_check_out_file_and_csv(capsys, tmp_path):

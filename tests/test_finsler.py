@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import fd_gradient, fd_hessian
-from gospace import catalog, finsler
+from gospace import catalog, finsler, homspace
 from gospace.errors import (BoundaryNondifferentiableError,
                             DimensionMismatchError, InvalidProfileError,
                             NonPositiveCoefficientError,
@@ -57,6 +57,20 @@ def test_l_homogeneity(rng):
         # positive 1-homogeneity and the Euler identity
         assert fn.value(3.7 * th) == pytest.approx(3.7 * fn.value(th))
         assert float(fn.grad(th) @ th) == pytest.approx(fn.value(th))
+
+
+@pytest.mark.parametrize("mtext", ["linear:1,2.5,3", "phi:1,0,0.25", "phi:1,0.1",
+                                   "pert3:1,2,1.5,0.8"])
+def test_grad_hess_take_stacks(mtext, rng):
+    fn = finsler.parse_metric(mtext)
+    th = rng.uniform(0.2, 2.0, size=(7, fn.arity))
+    if fn.boundary_ok[-1]:
+        th[0, -1] = 0.0                          # an admissible face row
+    g, h = fn.grad(th), fn.hess(th)
+    assert g.shape == (7, fn.arity) and h.shape == (7, fn.arity, fn.arity)
+    for i in range(7):
+        npt.assert_allclose(g[i], fn.grad(th[i]), rtol=1e-14, atol=1e-15)
+        npt.assert_allclose(h[i], fn.hess(th[i]), rtol=1e-14, atol=1e-15)
 
 
 def test_pert3_guards():
@@ -172,6 +186,33 @@ def test_zero_vector_guards():
     assert finsler.f_squared(fn, dec, np.zeros(space.dim_m)) == 0.0
     with pytest.raises(ZeroVectorError):
         finsler.fundamental_tensor(fn, dec, np.zeros(space.dim_m))
+
+
+@pytest.mark.parametrize("fn", [
+    finsler.l_from_phi(finsler.PhiProfile((1.0, 0.0, 5.0)), check=False),
+    finsler.l_from_phi(finsler.PhiProfile((1.0, 0.1)), check=False),
+    finsler.l_pert3([1.0, 1.0, 1.0], 0.5, check=False),
+])
+def test_strong_convexity_screen_matches_loop(fn):
+    # the screen before batching: one tensor and one eigvalsh per direction
+    dims = (2,) * fn.arity
+    dec = homspace.Decomposition.from_dims(dims)
+    rng = np.random.default_rng(0)
+    patterns = [(True,) * fn.arity]
+    for mask in range(1, 2 ** fn.arity - 1):
+        keep = tuple(bool(mask >> i & 1) for i in range(fn.arity))
+        if all(fn.boundary_ok[i] for i, k in enumerate(keep) if not k):
+            patterns.append(keep)
+    mins = []
+    for it in range(64):
+        u = np.concatenate([rng.standard_normal(2) if keep else np.zeros(2)
+                            for keep in patterns[it % len(patterns)]])
+        u /= np.linalg.norm(u)
+        mins.append(np.linalg.eigvalsh(finsler.fundamental_tensor(fn, dec, u))[0])
+    report = finsler.strong_convexity_check(fn, dims)
+    assert report.samples == 64
+    assert report.min_eigenvalue == pytest.approx(min(mins), rel=1e-12, abs=1e-14)
+    assert report.ok == (min(mins) > 1e-10)
 
 
 def test_strong_convexity_report_fields():

@@ -3,7 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from gospace import catalog, homspace, liealg
-from gospace.errors import NotSubalgebraError, ZeroVectorError
+from gospace.errors import (DimensionMismatchError, NotSubalgebraError,
+                            ZeroVectorError)
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,24 @@ def test_hm_columns_and_ad(circle_in_so3, rng):
         e = np.zeros(space.dim_h)
         e[j] = 1.0
         npt.assert_allclose(cols[:, j], space.bracket_hm_vec(e, x), atol=1e-12)
+
+
+def test_bracket_and_columns_take_stacks_of_rows(rng):
+    space, _, _ = catalog.make_space("su3/t2")
+    x = rng.standard_normal((5, space.dim_m))
+    y = rng.standard_normal((5, space.dim_m))
+    bh, bm = space.bracket_mm(x, y)
+    cols = space.hm_columns(x)
+    assert cols.shape == (5, space.dim_m, space.dim_h)
+    for i in range(5):
+        one_h, one_m = space.bracket_mm(x[i], y[i])
+        npt.assert_allclose(bh[i], one_h, atol=1e-14)
+        npt.assert_allclose(bm[i], one_m, atol=1e-14)
+        npt.assert_allclose(cols[i], space.hm_columns(x[i]), atol=1e-14)
+    with pytest.raises(DimensionMismatchError):
+        space.hm_columns(np.ones((2, 2, space.dim_m)))
+    with pytest.raises(DimensionMismatchError):
+        space.bracket_hm_vec(np.ones((2, space.dim_h)), x[0])
 
 
 def test_build_rejects_non_subalgebra():

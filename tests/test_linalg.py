@@ -82,6 +82,26 @@ def test_lstsq_min_norm_residual_vector(rng):
     npt.assert_allclose(a.T @ res, np.zeros(3), atol=1e-10)
 
 
+def test_lstsq_min_norm_stack_matches_numpy(rng):
+    # a stack of systems, every third one rank deficient, against lstsq one by one
+    a = rng.standard_normal((9, 7, 4))
+    a[::3, :, 3] = a[::3, :, 0] - 2.0 * a[::3, :, 1]
+    b = rng.standard_normal((9, 7))
+    x, res = _linalg.lstsq_min_norm(a, b)
+    assert x.shape == (9, 4) and res.shape == (9, 7)
+    for i in range(9):
+        want = np.linalg.lstsq(a[i], b[i], rcond=None)[0]
+        npt.assert_allclose(x[i], want, atol=1e-12)
+        npt.assert_allclose(res[i], a[i] @ want - b[i], atol=1e-12)
+    # one matrix with several right-hand sides, as numpy takes them
+    x, res = _linalg.lstsq_min_norm(a[0], b[:3].T)
+    npt.assert_allclose(x, np.linalg.lstsq(a[0], b[:3].T, rcond=None)[0], atol=1e-12)
+    assert res.shape == (7, 3)
+    x, res = _linalg.lstsq_min_norm(np.zeros((9, 7, 0)), b)
+    assert x.shape == (9, 0)
+    npt.assert_allclose(res, -b)
+
+
 def test_lstsq_min_norm_empty_columns():
     b = np.array([1.0, -2.0])
     x, res = _linalg.lstsq_min_norm(np.zeros((2, 0)), b)
