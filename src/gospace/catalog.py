@@ -35,6 +35,7 @@ from .liealg import (
     quaternionify,
     realify,
     so_matrices,
+    sp_matrices,
     su_matrices,
 )
 
@@ -55,25 +56,16 @@ def _two_block_split(space, k_rows):
         commutant_dim=homspace.symmetric_commutant_dim(space))
 
 
-def _dec_from_matrix_groups(space, g_mats, groups, tol=1e-8):
-    """Canonical decomposition from explicit matrix spans of each summand."""
-    v = matrix_coords(g_mats, [m for mats in groups for m in mats])
-    vm = space.proj_m(v.T).T
+def _dec_from_rows(space, groups):
+    """Decomposition whose i-th summand is spanned by the g-coords rows ``groups[i]``."""
+    v = np.vstack(groups)
+    vm = np.array([space.proj_m(x) for x in v])
     off = np.linalg.norm(space.lift_m(vm) - v, axis=1)
-    if np.any(off > tol * np.maximum(1.0, np.linalg.norm(v, axis=1))):
+    if np.any(off > 1e-8 * np.maximum(1.0, np.linalg.norm(v, axis=1))):
         raise UnsupportedRankError("summand matrix is not inside m")
-    ends = np.cumsum([len(mats) for mats in groups])[:-1]
+    ends = np.cumsum([len(rows) for rows in groups])[:-1]
     return homspace.Decomposition(
         summands=tuple(gram_schmidt(rows) for rows in np.split(vm, ends)),
-        commutant_dim=homspace.symmetric_commutant_dim(space))
-
-
-def _dec_from_coord_groups(space, groups):
-    out = []
-    for rows in groups:
-        out.append(gram_schmidt(np.array([space.proj_m(v) for v in rows])))
-    return homspace.Decomposition(
-        summands=tuple(out),
         commutant_dim=homspace.symmetric_commutant_dim(space))
 
 
@@ -116,7 +108,6 @@ def _sp_slot(n, idx):
 
 
 def _build_sp2_sp1u1():
-    from .liealg import sp_matrices
     gm = sp_matrices(2)
     g = from_matrices(gm)
     a_u1 = np.zeros((2, 2), dtype=complex)
@@ -218,145 +209,34 @@ def _build_spin8_g2():
 # ---------------------------------------------------------------------------
 # three-summand entries
 
-
-def _ranges(k, l, m):
-    return (range(0, k), range(k, k + l), range(k + l, k + l + m))
-
-
-def _so_pairs(n, ra, rb):
-    out = []
-    for i in ra:
-        for j in rb:
-            a = np.zeros((n, n))
-            a[i, j], a[j, i] = 1.0, -1.0
-            out.append(a)
-    return out
+# per kind: the standard basis of g and the largest supported k+l+m
+_CLASSICAL = {"so": (so_matrices, 10), "su": (su_matrices, 6), "sp": (sp_matrices, 4)}
 
 
-def _build_wallach_so(k, l, m):
+def _build_wallach(kind, k, l, m):
+    """Generalized Wallach space over blocks of sizes k, l, m.
+
+    Every matrix of g's standard basis acts on the index pairs of one pair
+    of blocks (for sp, indices i and i + n share a block): the ones on a
+    block with itself span h, the ones on blocks i < j span m_ij.
+    """
+    basis, cap = _CLASSICAL[kind]
     n = k + l + m
-    if min(k, l, m) < 1 or n < 3 or n > 10:
+    if min(k, l, m) < 1 or n < 3 or n > cap:
         raise UnsupportedRankError(
-            f"wallach-so needs k,l,m >= 1 and 3 <= k+l+m <= 10, got {k},{l},{m}")
-    gm = so_matrices(n)
-    g = from_matrices(gm)
-    r = _ranges(k, l, m)
-    h_mats = []
-    for rr, size in zip(r, (k, l, m)):
-        h_mats.extend(_embed(mat, n, offset=rr.start) for mat in so_matrices(size))
-    groups = [_so_pairs(n, r[0], r[1]), _so_pairs(n, r[0], r[2]), _so_pairs(n, r[1], r[2])]
-    h_rows = (matrix_coords(gm, h_mats) if h_mats
-              else np.zeros((0, g.dim)))
-    space = homspace.build(g, h_rows)
-    dec = _dec_from_matrix_groups(space, gm, groups)
-    return space, dec
-
-
-def _su_pairs(n, ra, rb):
-    out = []
-    for i in ra:
-        for j in rb:
-            a = np.zeros((n, n), dtype=complex)
-            a[i, j], a[j, i] = 1.0, -1.0
-            out.append(a)
-            a = np.zeros((n, n), dtype=complex)
-            a[i, j] = a[j, i] = 1j
-            out.append(a)
-    return out
-
-
-def _build_wallach_su(k, l, m):
-    n = k + l + m
-    if min(k, l, m) < 1 or n < 3 or n > 6:
-        raise UnsupportedRankError(
-            f"wallach-su needs k,l,m >= 1 and 3 <= k+l+m <= 6, got {k},{l},{m}")
-    gm = su_matrices(n)
-    g = from_matrices(gm)
-    r = _ranges(k, l, m)
-    h_mats = []
-    for rr, size in zip(r, (k, l, m)):
-        for mat in su_matrices(size):
-            big = np.zeros((n, n), dtype=complex)
-            idx = list(rr)
-            big[np.ix_(idx, idx)] = mat
-            h_mats.append(big)
-    d1 = np.zeros(n)
-    d1[list(r[0])] = l
-    d1[list(r[1])] = -k
-    d2 = np.zeros(n)
-    d2[list(r[1])] = m
-    d2[list(r[2])] = -l
-    h_mats += [np.diag(1j * d1), np.diag(1j * d2)]
-    groups = [_su_pairs(n, r[0], r[1]), _su_pairs(n, r[0], r[2]), _su_pairs(n, r[1], r[2])]
-    space = homspace.build(g, matrix_coords(gm, h_mats))
-    dec = _dec_from_matrix_groups(space, gm, groups)
-    return space, dec
-
-
-def _sp_pairs(n, ra, rb):
-    zero = np.zeros((n, n), dtype=complex)
-    out = []
-    for i in ra:
-        for j in rb:
-            a = np.zeros((n, n), dtype=complex)
-            a[i, j], a[j, i] = 1.0, -1.0
-            out.append(quaternionify(a, zero))
-            a = np.zeros((n, n), dtype=complex)
-            a[i, j] = a[j, i] = 1j
-            out.append(quaternionify(a, zero))
-            b = np.zeros((n, n), dtype=complex)
-            b[i, j] = b[j, i] = 1.0
-            out.append(quaternionify(zero, b))
-            b = np.zeros((n, n), dtype=complex)
-            b[i, j] = b[j, i] = 1j
-            out.append(quaternionify(zero, b))
-    return out
-
-
-def _sp_block(n, rr):
-    zero = np.zeros((n, n), dtype=complex)
-    out = []
-    idx = list(rr)
-    for i in idx:
-        for j in idx:
-            if j > i:
-                a = np.zeros((n, n), dtype=complex)
-                a[i, j], a[j, i] = 1.0, -1.0
-                out.append(quaternionify(a, zero))
-                a = np.zeros((n, n), dtype=complex)
-                a[i, j] = a[j, i] = 1j
-                out.append(quaternionify(a, zero))
-    for i in idx:
-        a = np.zeros((n, n), dtype=complex)
-        a[i, i] = 1j
-        out.append(quaternionify(a, zero))
-    for i in idx:
-        for j in idx:
-            if j >= i:
-                b = np.zeros((n, n), dtype=complex)
-                b[i, j] = b[j, i] = 1.0
-                out.append(quaternionify(zero, b))
-                b = np.zeros((n, n), dtype=complex)
-                b[i, j] = b[j, i] = 1j
-                out.append(quaternionify(zero, b))
-    return out
-
-
-def _build_wallach_sp(k, l, m):
-    from .liealg import sp_matrices
-    n = k + l + m
-    if min(k, l, m) < 1 or n < 3 or n > 4:
-        raise UnsupportedRankError(
-            f"wallach-sp needs k,l,m >= 1 and 3 <= k+l+m <= 4, got {k},{l},{m}")
-    gm = sp_matrices(n)
-    g = from_matrices(gm)
-    r = _ranges(k, l, m)
-    h_mats = []
-    for rr in r:
-        h_mats.extend(_sp_block(n, rr))
-    groups = [_sp_pairs(n, r[0], r[1]), _sp_pairs(n, r[0], r[2]), _sp_pairs(n, r[1], r[2])]
-    space = homspace.build(g, matrix_coords(gm, h_mats))
-    dec = _dec_from_matrix_groups(space, gm, groups)
+            f"wallach-{kind} needs k,l,m >= 1 and 3 <= k+l+m <= {cap}, got {k},{l},{m}")
+    gm = basis(n)
+    block = np.repeat([0, 1, 2], (k, l, m))
+    pairs = []
+    for mat in gm:
+        # blocks of the nonzero entries; anti-Hermitian, so rows and columns
+        # touch the same blocks
+        r, c = (block[x % n] for x in np.nonzero(mat))
+        pairs.append(None if np.all(r == c) else (r.min(), r.max()))
+    rows = np.eye(len(gm))
+    space = homspace.build(from_matrices(gm), rows[[p is None for p in pairs]])
+    dec = _dec_from_rows(space, [rows[[p == q for p in pairs]]
+                                 for q in ((0, 1), (0, 2), (1, 2))])
     return space, dec
 
 
@@ -384,7 +264,7 @@ def _build_ledger_obata(which):
                 rows[a, blk * d + a] = signs[blk]
         groups.append(rows)
     space = homspace.build(g, h_rows)
-    dec = _dec_from_coord_groups(space, groups)
+    dec = _dec_from_rows(space, groups)
     return space, dec
 
 
@@ -401,7 +281,7 @@ def _build_product_sym():
         rows[1, 3 * f + 2] = 1.0
         groups.append(rows)
     space = homspace.build(g, h_rows)
-    dec = _dec_from_coord_groups(space, groups)
+    dec = _dec_from_rows(space, groups)
     return space, dec
 
 
@@ -429,7 +309,7 @@ _FIXED = {
         ("two-summand-go", "two-summand"),
     ),
     "su3/t2": (
-        lambda: _build_wallach_su(1, 1, 1),
+        lambda: _build_wallach("su", 1, 1, 1),
         "full flag of special unitary 3x3 over its diagonal torus; three "
         "2-dimensional root-plane summands",
         ("wallach-type-ii", "three-summand"),
@@ -469,19 +349,19 @@ _FIXED = {
 
 _FAMILIES = {
     "wallach-so": (
-        _build_wallach_so,
+        functools.partial(_build_wallach, "so"),
         "rotations of k+l+m coordinates over the block rotations; three "
         "off-block summands of dims kl, km, lm",
         ("wallach-type-ii", "three-summand"),
     ),
     "wallach-su": (
-        _build_wallach_su,
+        functools.partial(_build_wallach, "su"),
         "special unitary k+l+m over the blockwise unitary subalgebra; three "
         "complex off-block summands",
         ("wallach-type-ii", "three-summand"),
     ),
     "wallach-sp": (
-        _build_wallach_sp,
+        functools.partial(_build_wallach, "sp"),
         "compact symplectic k+l+m over the blockwise symplectic subalgebra; "
         "three quaternionic off-block summands",
         ("wallach-type-ii", "three-summand"),

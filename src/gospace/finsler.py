@@ -356,6 +356,18 @@ def spray_vector(space, dec, fn, y):
     return spray_rows(space, a, ys, apply_grad(g1, comps))[1][0]
 
 
+def admissible_faces(boundary_ok):
+    """Block patterns (keep flags) with at least one block kept and one
+    dropped, every dropped block admitting theta_i = 0; in bitmask order."""
+    s = len(boundary_ok)
+    out = []
+    for mask in range(1, 2 ** s - 1):
+        keep = tuple(bool(mask >> i & 1) for i in range(s))
+        if all(ok for ok, k in zip(boundary_ok, keep) if not k):
+            out.append(keep)
+    return out
+
+
 @dataclass(frozen=True)
 class ConvexityReport:
     ok: bool
@@ -379,11 +391,7 @@ def strong_convexity_check(fn, dims, samples=64, seed=0):
             f"norm has {fn.arity} blocks but {len(dims)} dims were given")
     dec = Decomposition.from_dims(dims)
     rng = np.random.default_rng(seed)
-    patterns = [tuple(True for _ in dims)]
-    for mask in range(1, 2 ** len(dims) - 1):
-        keep = tuple(bool(mask >> i & 1) for i in range(len(dims)))
-        if all(fn.boundary_ok[i] for i, k in enumerate(keep) if not k):
-            patterns.append(keep)
+    patterns = [tuple(True for _ in dims)] + admissible_faces(fn.boundary_ok)
     us = np.zeros((samples, sum(dims)))
     for it, u in enumerate(us):
         keep = patterns[it % len(patterns)]

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import _linalg
 from .errors import DimensionMismatchError, ZeroVectorError
-from .finsler import (PhiProfile, apply_grad, block_data, fundamental_tensors,
-                      l_from_phi, l_linear, require_positive_definite,
-                      spray_rows)
+from .finsler import (PhiProfile, admissible_faces, apply_grad, block_data,
+                      fundamental_tensors, l_from_phi, l_linear,
+                      require_positive_definite, spray_rows)
 from .homspace import centralizer_in_h, tilde_centralizer
 
 GO = "GO"
@@ -78,12 +78,6 @@ def sample_plan(dec, boundary_ok, samples, seed):
         nv = np.linalg.norm(v)
         return v / nv if nv > 0 else v
 
-    patterns = []
-    for mask in range(1, 2 ** s - 1):
-        keep = tuple(bool(mask >> i & 1) for i in range(s))
-        if all(boundary_ok[i] for i in range(s) if not keep[i]):
-            patterns.append(keep)
-
     n_uniform = samples // 2
     n_struct = samples - n_uniform
     for _ in range(n_uniform):
@@ -91,7 +85,7 @@ def sample_plan(dec, boundary_ok, samples, seed):
         out.append(v / np.linalg.norm(v))
 
     count = 0
-    for keep in patterns:
+    for keep in admissible_faces(boundary_ok):
         if count >= n_struct:
             break
         v = sum(unit_in_summand(i) for i in range(s) if keep[i])

@@ -68,9 +68,6 @@ class HomogeneousSpace:
         """m-coords of the m-component of a g-coords vector."""
         return self.m_basis @ (self.g.q_form @ np.asarray(x, dtype=float))
 
-    def proj_h(self, x):
-        return self.h_basis @ (self.g.q_form @ np.asarray(x, dtype=float))
-
     def _vec(self, v, size, name, rows=False):
         v = np.asarray(v, dtype=float)
         if v.shape[-1:] != (size,) or v.ndim > (2 if rows else 1):

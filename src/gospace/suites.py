@@ -193,40 +193,30 @@ def suite_invariants(samples=40, seed=42, tol=1e-8):
                 nr.verdict == NR and go.verdict == GO,
                 f"nr={nr.verdict} go={go.verdict}")
 
+    def unit_rows(n):
+        u = rng.standard_normal((20, n))
+        return u / np.linalg.norm(u, axis=1, keepdims=True)
+
     space, dec, _ = catalog.make_space("so5/u2")
     fn = parse_metric("phi:1,0,0.25")
-    worst = 0.0
-    for _ in range(20):
-        u = rng.standard_normal(space.dim_m)
-        u /= np.linalg.norm(u)
-        r1 = gocheck.go_residual_operator(space, dec, fn, u)
-        r2 = gocheck.go_residual_operator(space, dec, fn, 7.3 * u)
-        worst = max(worst, abs(r1 - r2))
+    u = unit_rows(space.dim_m)
+    worst = float(np.max(np.abs(gocheck.residuals(space, dec, fn, u)[0]
+                                - gocheck.residuals(space, dec, fn, 7.3 * u)[0])))
     out.add("so5/u2 residual scale invariance", worst <= 1e-10,
             f"max |r(u) - r(7.3u)| = {worst:.3e}")
 
     phi = PhiProfile((1.0, 0.0, 0.25))
-    worst = 0.0
-    for _ in range(20):
-        u = rng.standard_normal(space.dim_m)
-        u /= np.linalg.norm(u)
-        u1, u2 = dec.split(u)
-        a = gocheck.two_summand_phi_check(space, dec, phi, u1, u2)
-        b = gocheck.go_residual_operator(space, dec, fn, u)
-        worst = max(worst, abs(a - b))
+    u = unit_rows(space.dim_m)
+    a = [gocheck.two_summand_phi_check(space, dec, phi, *dec.split(x)) for x in u]
+    worst = float(np.max(np.abs(a - gocheck.residuals(space, dec, fn, u)[0])))
     out.add("so5/u2 profile-form specialization", worst <= 1e-10,
             f"max gap vs operator residual = {worst:.3e}")
 
     space3, dec3, _ = catalog.make_space("su3/t2")
     fn3 = parse_metric("linear:1,2,3")
-    worst = 0.0
-    for _ in range(20):
-        u = rng.standard_normal(space3.dim_m)
-        u /= np.linalg.norm(u)
-        blocks = gocheck.wallach_system_check(space3, dec3, fn3, u)
-        joint = float(np.sqrt(np.sum(blocks ** 2)))
-        op = gocheck.go_residual_operator(space3, dec3, fn3, u)
-        worst = max(worst, abs(joint - op))
+    u = unit_rows(space3.dim_m)
+    joint = [np.linalg.norm(gocheck.wallach_system_check(space3, dec3, fn3, x)) for x in u]
+    worst = float(np.max(np.abs(joint - gocheck.residuals(space3, dec3, fn3, u)[0])))
     out.add("su3/t2 blockwise reassembly", worst <= 1e-10,
             f"max gap vs operator residual = {worst:.3e}")
 

@@ -58,6 +58,33 @@ def test_family_parameters():
     assert dec.dims == (4, 4, 2)                  # complex blocks 2x1, 2x1, 1x1
 
 
+# family members beyond the listed defaults, one or more per kind
+FAMILY_MEMBERS = ("wallach-su/2,1,1", "wallach-su/2,2,2", "wallach-sp/1,1,2",
+                  "wallach-so/3,3,4")
+
+
+def _closed_form_dims(spec):
+    """(dim g, dim h, summand dims) of G(k+l+m)/(G(k)xG(l)xG(m)) by formula."""
+    family, _, params = spec.partition("/")
+    k, l, m = (int(x) for x in params.split(","))
+    # dim of the block algebra (u(d) for su), real dim of one matrix entry,
+    # and the one dimension the trace condition of su removes
+    dim, entry, trace = {"wallach-so": (lambda d: d * (d - 1) // 2, 1, 0),
+                         "wallach-su": (lambda d: d * d, 2, 1),
+                         "wallach-sp": (lambda d: d * (2 * d + 1), 4, 0)}[family]
+    return (dim(k + l + m) - trace, dim(k) + dim(l) + dim(m) - trace,
+            (entry * k * l, entry * k * m, entry * l * m))
+
+
+@pytest.mark.parametrize("spec", FAMILY_MEMBERS)
+def test_family_member_structure(spec):
+    space, dec, _ = catalog.make_space(spec)
+    assert (space.g.dim, space.dim_h, dec.dims) == _closed_form_dims(spec)
+    assert dec.completeness_residual() < 1e-10
+    assert homspace.invariance_residual(space, dec) < 1e-10
+    assert dec.commutant_dim == 3                 # three inequivalent summands
+
+
 @pytest.mark.parametrize("spec, dim_h, dims", [
     ("wallach-so/3,3,4", 3 + 3 + 6, (9, 12, 12)),
     ("wallach-so/2,3,5", 1 + 3 + 10, (6, 10, 15)),
@@ -80,14 +107,23 @@ def test_family_rejects_syntax(bad):
         catalog.make_space(bad)
 
 
-@pytest.mark.parametrize("bad", [
-    "wallach-so/0,1,2",       # parameters below 1
-    "wallach-so/5,5,5",       # total beyond the supported range
-    "wallach-sp/3,3,3",
-])
+RANGE_MESSAGES = {
+    "wallach-so/0,1,2":       # parameters below 1
+        "wallach-so needs k,l,m >= 1 and 3 <= k+l+m <= 10, got 0,1,2",
+    "wallach-so/5,5,5":       # total beyond the supported range
+        "wallach-so needs k,l,m >= 1 and 3 <= k+l+m <= 10, got 5,5,5",
+    "wallach-su/3,2,2":
+        "wallach-su needs k,l,m >= 1 and 3 <= k+l+m <= 6, got 3,2,2",
+    "wallach-sp/3,3,3":
+        "wallach-sp needs k,l,m >= 1 and 3 <= k+l+m <= 4, got 3,3,3",
+}
+
+
+@pytest.mark.parametrize("bad", list(RANGE_MESSAGES))
 def test_family_rejects_range(bad):
-    with pytest.raises(UnsupportedRankError):
+    with pytest.raises(UnsupportedRankError) as err:
         catalog.make_space(bad)
+    assert str(err.value) == RANGE_MESSAGES[bad]
 
 
 def test_unknown_space():
@@ -121,7 +157,7 @@ def three_summand_ids():
             if "three-summand" in tags]
 
 
-@pytest.mark.parametrize("rid", three_summand_ids())
+@pytest.mark.parametrize("rid", three_summand_ids() + list(FAMILY_MEMBERS))
 def test_diagonal_brackets_land_in_h(rid):
     space, dec, _ = catalog.make_space(rid)
     for i in range(3):
@@ -130,7 +166,8 @@ def test_diagonal_brackets_land_in_h(rid):
 
 
 @pytest.mark.parametrize("rid", [r for r, _, t in catalog.list_catalog()
-                                 if "wallach-type-ii" in t or "wallach-type-iii" in t])
+                                 if "wallach-type-ii" in t or "wallach-type-iii" in t]
+                         + list(FAMILY_MEMBERS))
 def test_cross_brackets_fill_third_summand(rid):
     space, dec, _ = catalog.make_space(rid)
     for i in range(3):
@@ -183,3 +220,10 @@ def test_meta_fields():
     assert meta["family"] == "wallach-so"
     assert meta["dims"] == (4, 4, 4)
     assert "wallach-type-ii" in meta["tags"]
+
+
+def test_summand_rows_outside_m_are_rejected():
+    space, _, _ = catalog.make_space("product-sym/3xS2")
+    rows = np.eye(9)
+    with pytest.raises(UnsupportedRankError, match="^summand matrix is not inside m$"):
+        catalog._dec_from_rows(space, [rows[[1, 2]], rows[[0]]])     # e_0 spans h
