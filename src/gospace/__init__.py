@@ -12,15 +12,12 @@ your own space or on the built-in catalog (:mod:`gospace.catalog`).
 from . import errors
 from .catalog import list_catalog, make_space
 from .errors import GoSpaceError
-from .finsler import (ConvexityReport, LFunction, PhiProfile, a_u_of_u,
-                      f_squared, fundamental_tensor, l_from_phi, l_linear,
-                      l_pert3, metric_operator, parse_metric, spray_vector,
-                      strong_convexity_check)
+from .finsler import (ConvexityReport, LFunction, PhiProfile, f_squared,
+                      l_from_phi, l_linear, l_pert3, metric_operator,
+                      parse_metric, strong_convexity_check)
 from .gocheck import (GO, INCONCLUSIVE, NOT_GO, NOT_NR, NR, CheckReport,
-                      centralizer_condition_check, go_check_operator,
-                      go_check_spray, go_residual_operator, go_verdict,
-                      nr_check, nr_residual, riemann_two_param_check,
-                      sample_plan, two_summand_phi_check,
+                      centralizer_condition_check, go_verdict, nr_check,
+                      residuals, sample_plan, two_summand_phi_check, verdicts,
                       wallach_system_check)
 from .homspace import (Decomposition, HomogeneousSpace, build,
                        centralizer_in_h, invariance_residual,
@@ -37,14 +34,12 @@ __version__ = "0.1.0"
 __all__ = [
     "list_catalog", "make_space",
     "GoSpaceError",
-    "ConvexityReport", "LFunction", "PhiProfile", "a_u_of_u", "f_squared",
-    "fundamental_tensor", "l_from_phi", "l_linear", "l_pert3",
-    "metric_operator", "parse_metric", "spray_vector",
+    "ConvexityReport", "LFunction", "PhiProfile", "f_squared", "l_from_phi",
+    "l_linear", "l_pert3", "metric_operator", "parse_metric",
     "strong_convexity_check",
     "GO", "INCONCLUSIVE", "NOT_GO", "NOT_NR", "NR", "CheckReport",
-    "centralizer_condition_check", "go_check_operator", "go_check_spray",
-    "go_residual_operator", "go_verdict", "nr_check", "nr_residual",
-    "riemann_two_param_check", "sample_plan", "two_summand_phi_check",
+    "centralizer_condition_check", "go_verdict", "nr_check", "residuals",
+    "sample_plan", "two_summand_phi_check", "verdicts",
     "wallach_system_check",
     "Decomposition", "HomogeneousSpace", "build", "centralizer_in_h",
     "invariance_residual", "isotropy_decompose", "normalizer_of_in_h",

@@ -33,22 +33,12 @@ def null_space(a, rtol=None, atol=0.0):
     return vh[svd_rank(s, a.shape, rtol, atol):]
 
 
-def orth_rows(rows, rtol=None):
-    """Orthonormal rows spanning the same row space (SVD based, rank revealing)."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.shape[0] == 0:
-        return rows
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    return vh[: svd_rank(s, rows.shape, rtol)]
-
-
 def gram_schmidt(rows, inner=None, drop_tol=1e-10):
     """Orthonormalize rows against the inner product matrix ``inner``.
 
     Modified Gram-Schmidt with a second sweep; rows that become negligible
-    relative to their original size are dropped.  Unlike :func:`orth_rows`
-    this keeps the leading vectors aligned with the input, which matters for
-    canonical summand bases.
+    relative to their original size are dropped.  The leading vectors stay
+    aligned with the input, which matters for canonical summand bases.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     n = rows.shape[1]

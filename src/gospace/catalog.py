@@ -16,7 +16,10 @@ Tags used:
   summand inside a simple algebra (II), or come from the four-factor
   diagonal construction (III);
 * ``control``: entries included to witness failure behavior;
-* ``equivalent-summands``: the isotropy splitting is not unique.
+* ``equivalent-summands``: the isotropy splitting is not unique
+  (``Decomposition.non_unique``: the symmetric commutant is larger than
+  the number of summands).  ``make_space`` derives it from the built
+  decomposition; the listed rows carry it without building anything.
 """
 
 from __future__ import annotations
@@ -343,7 +346,7 @@ _FIXED = {
         _build_spin8_g2,
         "8x8 rotations over the octonion derivation algebra; two equivalent "
         "7-dimensional summands, splitting not unique",
-        ("two-summand-go", "two-summand", "equivalent-summands"),
+        ("two-summand-go", "two-summand"),
     ),
 }
 
@@ -375,6 +378,16 @@ _LISTED_FAMILY_DEFAULTS = (
 )
 
 
+# listed ids whose decomposition is non_unique; the tests hold this set to
+# the tags that make_space derives
+_LISTED_NON_UNIQUE = frozenset(
+    ("wallach-so/2,2,2", "ledger-obata/su2", "ledger-obata/so3", "spin8/g2"))
+
+
+def _tagged(tags, non_unique):
+    return tuple(tags) + (("equivalent-summands",) if non_unique else ())
+
+
 def list_catalog():
     """Catalog rows as (id, description, tags), stable order."""
     rows = []
@@ -388,7 +401,8 @@ def list_catalog():
                 "so6/so3irr", "spin8/g2"):
         builder, desc, tags = _FIXED[key]
         rows.append((key, desc, tags))
-    return rows
+    return [(key, desc, _tagged(tags, key in _LISTED_NON_UNIQUE))
+            for key, desc, tags in rows]
 
 
 def _parse_family_params(spec, params_text):
@@ -427,7 +441,7 @@ def _make_space_cached(spec):
         "id": spec,
         "family": family,
         "description": desc,
-        "tags": tuple(tags),
+        "tags": _tagged(tags, dec.non_unique),
         "dim_g": space.g.dim,
         "dim_h": space.dim_h,
         "dims": dec.dims,

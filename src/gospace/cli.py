@@ -146,7 +146,7 @@ def cmd_list(args):
         body = _csv_text(("id", "description", "tags"),
                          [(rid, desc, ";".join(tags)) for rid, desc, tags in rows])
     else:
-        lines = [f"{rid:<20} {','.join(tags):<42} {desc}" for rid, desc, tags in rows]
+        lines = [f"{rid:<20} {','.join(tags):<50} {desc}" for rid, desc, tags in rows]
         body = "\n".join(lines) + "\n"
     _emit(body, args.out)
     return EXIT_OK

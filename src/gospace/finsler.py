@@ -112,9 +112,6 @@ class PhiProfile:
     def d1(self, theta):
         return npoly.polyval(theta, npoly.polyder(self.coeffs))
 
-    def d2(self, theta):
-        return npoly.polyval(theta, npoly.polyder(self.coeffs, 2))
-
     def validate(self, grid=2001):
         t = np.linspace(0.0, 1.0, grid)
         v = self.value(t)
@@ -251,8 +248,7 @@ def l_pert3(lambdas, eps, check=True):
 
 
 # ---------------------------------------------------------------------------
-# fundamental tensor and friends, on stacks of m-coords rows ys (N, n); the
-# per-vector public functions are their N = 1 calls
+# fundamental tensor and friends, on stacks of m-coords rows ys (N, n)
 
 
 def block_data(fn, dec, ys):
@@ -325,35 +321,18 @@ def spray_rows(space, a, ys, auu):
     return rhs, eta
 
 
-def fundamental_tensor(fn, dec, y):
-    """Hessian of F^2/2 at y in orthonormal m-coords (symmetric matrix)."""
-    _, comps, theta = block_data(fn, dec, np.asarray(y, dtype=float)[None])
-    return fundamental_tensors(dec, fn.grad(theta), fn.hess(theta), comps)[0]
-
-
 def metric_operator(fn, dec, y):
-    """Fundamental tensor with a positive-definiteness guard."""
-    return require_positive_definite(fundamental_tensor(fn, dec, y)[None])[0]
-
-
-def a_u_of_u(fn, dec, u):
-    """A_u(u) = sum_i dL/dtheta_i * u_i, the metric operator applied to u itself."""
-    _, comps, theta = block_data(fn, dec, np.asarray(u, dtype=float)[None])
-    return apply_grad(fn.grad(theta), comps)[0]
+    """Metric operator A_y at one vector y: the fundamental tensor, checked
+    to be positive definite."""
+    _, comps, theta = block_data(fn, dec, np.asarray(y, dtype=float)[None])
+    a = fundamental_tensors(dec, fn.grad(theta), fn.hess(theta), comps)
+    return require_positive_definite(a)[0]
 
 
 def f_squared(fn, dec, y):
     """F(y)^2 = L(theta(y)); accepts y = 0."""
     y = np.asarray(y, dtype=float)
     return fn.value(dec.theta(y))
-
-
-def spray_vector(space, dec, fn, y):
-    """Spray vector eta(y): solves g_y(eta, .) = g_y(y, [., y]_m) on m."""
-    ys, comps, theta = block_data(fn, dec, np.asarray(y, dtype=float)[None])
-    g1 = fn.grad(theta)
-    a = fundamental_tensors(dec, g1, fn.hess(theta), comps)
-    return spray_rows(space, a, ys, apply_grad(g1, comps))[1][0]
 
 
 def admissible_faces(boundary_ok):

@@ -25,7 +25,7 @@ import numpy as np
 from . import _linalg
 from .errors import DimensionMismatchError, ZeroVectorError
 from .finsler import (PhiProfile, admissible_faces, apply_grad, block_data,
-                      fundamental_tensors, l_from_phi, l_linear,
+                      fundamental_tensors, l_from_phi,
                       require_positive_definite, spray_rows)
 from .homspace import centralizer_in_h, tilde_centralizer
 
@@ -145,8 +145,8 @@ def _scale(sh):
 
 def _operator(space, sh):
     *_, auu, bh, bm = sh
-    w, resid = _linalg.lstsq_min_norm(space.hm_columns(auu), -bm)
-    return np.hypot(_norm(resid), _norm(bh)) / _scale(sh), w
+    _, resid = _linalg.lstsq_min_norm(space.hm_columns(auu), -bm)
+    return np.hypot(_norm(resid), _norm(bh)) / _scale(sh)
 
 
 def _spray(space, dec, fn, sh):
@@ -169,14 +169,14 @@ def residuals(space, dec, fn, plan, go=True):
     """Residual arrays (operator, spray, nr) over the rows of ``plan`` (N, n).
 
     Works in chunks of CHUNK rows and computes A_u(u) and [u, A_u(u)] once
-    per direction; the per-direction functions below are its N = 1 calls.
+    per direction; a single direction u is the plan ``u[None]``.
     ``go=False`` computes only the NR residual, and None for the others.
     """
     parts = ([], [], [])
     for start in range(0, len(plan), CHUNK):
         sh = _shared(space, dec, fn, plan[start:start + CHUNK])
         if go:
-            parts[0].append(_operator(space, sh)[0])
+            parts[0].append(_operator(space, sh))
             parts[1].append(_spray(space, dec, fn, sh))
         parts[2].append(_nr(sh))
     return tuple(np.concatenate(p) if p else None for p in parts)
@@ -184,28 +184,6 @@ def residuals(space, dec, fn, plan, go=True):
 
 def _single(space, dec, fn, u):
     return _shared(space, dec, fn, np.asarray(u, dtype=float)[None])
-
-
-def nr_residual(space, dec, fn, u):
-    """|[u, A_u(u)]| / (|u| |A_u(u)|), using the full bracket (h and m parts)."""
-    return float(_nr(_single(space, dec, fn, u))[0])
-
-
-def go_residual_operator(space, dec, fn, u):
-    """Normalized least-squares residual of the operator criterion at u."""
-    return go_check_operator(space, dec, fn, u)[0]
-
-
-def go_check_operator(space, dec, fn, u, tol=1e-8):
-    """(residual, minimizer w) for the operator criterion; w is None above tol."""
-    resid, w = _operator(space, _single(space, dec, fn, u))
-    return float(resid[0]), (w[0] if resid[0] <= tol else None)
-
-
-def go_check_spray(space, dec, fn, u):
-    """Spray-route residual: distance of eta(u) from span{[w, u]} in the
-    metric-operator norm, on the shared scale D(u)."""
-    return float(_spray(space, dec, fn, _single(space, dec, fn, u))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -266,16 +244,6 @@ def verdicts(space, dec, fn, samples=200, seed=42, tol=1e-8):
     return go, _nr_report(plan, r_nr, tol, seed)
 
 
-def riemann_two_param_check(space, dec, lam, mu, samples=200, seed=42, tol=1e-8):
-    """go_verdict for the diagonal two-block Riemannian metric (lam, mu)."""
-    if dec.arity != 2:
-        raise DimensionMismatchError("two-parameter check needs a two-summand splitting")
-    fn = l_linear([float(lam), float(mu)])
-    rep = go_verdict(space, dec, fn, samples=samples, seed=seed, tol=tol)
-    rep.extras.update({"lambda": float(lam), "mu": float(mu)})
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # structure-specific replays
 
@@ -287,7 +255,7 @@ def two_summand_phi_check(space, dec, phi, u1, u2):
     ``-(phi'/t)[u1,u2]_m = (phi - t phi')[w,u1] + (phi - (t-1/t) phi')[w,u2]``
     with t = |u2|/|u|, adds the w-independent h-part of the cross bracket,
     and rescales by phi(t) onto the operator-criterion scale, so the result
-    agrees with :func:`go_residual_operator` to machine precision.
+    agrees with the operator residual of :func:`residuals` to machine precision.
     """
     if dec.arity != 2:
         raise DimensionMismatchError("phi-form check needs a two-summand splitting")

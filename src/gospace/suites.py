@@ -23,9 +23,6 @@ BATTERY_TWO_BLOCK = ("linear:1,1", "linear:1,2", "linear:3,0.5",
 BATTERY_THREE_BLOCK = ("linear:1,1,1", "linear:1,1,2", "linear:1,2,3",
                        "pert3:1,1,1,0.5")
 
-TWO_PARAM_PAIRS = ((1.0, 2.0), (2.0, 1.0), (3.0, 0.5), (1.0, 10.0),
-                   (0.1, 1.0), (5.0, 7.0))
-
 SUITE_NAMES = ("thm1-converse", "thm2-wallach", "cor-wallach-normal",
                "type1-nr", "crossval", "invariants")
 

@@ -27,6 +27,10 @@ TWO_SUMMAND_GO = [row[0] for row in catalog.list_catalog()
 THREE_SUMMAND = [row[0] for row in catalog.list_catalog()
                  if "three-summand" in row[2]]
 
+# (lambda, mu) coefficient pairs of the two-block Riemannian replay
+LINEAR_PAIRS = ((1.0, 2.0), (2.0, 1.0), (3.0, 0.5), (1.0, 10.0),
+                (0.1, 1.0), (5.0, 7.0))
+
 
 def test_01_algebra_foundations(capsys):
     worst_jac = worst_inv = 0.0
@@ -109,7 +113,8 @@ def test_03_metric_operator_correctness(capsys):
                 worst_hess = max(worst_hess,
                                  float(np.max(np.abs(h_fd - a))
                                        / np.max(np.abs(a))))
-                auu = finsler.a_u_of_u(fn, dec, u)
+                _, comps, theta = finsler.block_data(fn, dec, u[None])
+                auu = finsler.apply_grad(fn.grad(theta), comps)[0]
                 worst_auu = max(worst_auu,
                                 float(np.linalg.norm(auu - a @ u)
                                       / np.linalg.norm(auu)))
@@ -122,7 +127,7 @@ def test_03_metric_operator_correctness(capsys):
                                            / max(1.0, np.linalg.norm(rhs))))
     ok = worst_hess <= 1e-5 and worst_auu <= 1e-9 and worst_comm <= 1e-8
     report(capsys, "metric operator correctness", ok,
-           f"fd_hessian<={worst_hess:.2e} a_u_of_u<={worst_auu:.2e} "
+           f"fd_hessian<={worst_hess:.2e} A_u(u)<={worst_auu:.2e} "
            f"isotropy_commutation<={worst_comm:.2e} (450 vectors)")
 
 
@@ -182,22 +187,22 @@ def test_08_two_parameter_riemannian_replay(capsys):
     ok = True
     for rid in TWO_SUMMAND_GO:
         space, dec, _ = catalog.make_space(rid)
-        for lam, mu in suites.TWO_PARAM_PAIRS:
-            rep = gocheck.riemann_two_param_check(space, dec, lam, mu,
-                                                  samples=40, seed=7)
+        for lam, mu in LINEAR_PAIRS:
+            rep = gocheck.go_verdict(space, dec, finsler.l_linear([lam, mu]),
+                                     samples=40, seed=7)
             ok &= rep.verdict == gocheck.GO
     space, dec, _ = catalog.make_space("so6/so3irr")
-    for lam, mu in suites.TWO_PARAM_PAIRS:
-        rep = gocheck.riemann_two_param_check(space, dec, lam, mu,
-                                              samples=40, seed=7)
+    for lam, mu in LINEAR_PAIRS:
+        rep = gocheck.go_verdict(space, dec, finsler.l_linear([lam, mu]),
+                                 samples=40, seed=7)
         ok &= rep.verdict == (gocheck.GO if lam == mu else gocheck.NOT_GO)
     for lam in (1.0, 2.0, 0.5):
-        rep = gocheck.riemann_two_param_check(space, dec, lam, lam,
-                                              samples=40, seed=7)
+        rep = gocheck.go_verdict(space, dec, finsler.l_linear([lam, lam]),
+                                 samples=40, seed=7)
         ok &= rep.verdict == gocheck.GO
     report(capsys, "two-parameter metrics: GO at all pairs on the special "
            "family, only at equal pairs on the control", ok,
-           f"{len(TWO_SUMMAND_GO)} spaces x {len(suites.TWO_PARAM_PAIRS)} "
+           f"{len(TWO_SUMMAND_GO)} spaces x {len(LINEAR_PAIRS)} "
            "pairs + control")
 
 

@@ -222,6 +222,19 @@ def test_meta_fields():
     assert "wallach-type-ii" in meta["tags"]
 
 
+@pytest.mark.parametrize("rid", list(EXPECTED_SHAPES))
+def test_list_tags_equal_make_space_tags(rid):
+    listed = {r[0]: r[2] for r in catalog.list_catalog()}
+    assert listed[rid] == catalog.make_space(rid)[2]["tags"]
+
+
+@pytest.mark.parametrize("rid", list(EXPECTED_SHAPES) + [
+    "wallach-so/1,1,1", "wallach-so/1,2,2", "wallach-so/2,2,3", "wallach-so/1,2,3"])
+def test_equivalent_summands_tag_follows_non_unique(rid):
+    _, dec, meta = catalog.make_space(rid)
+    assert ("equivalent-summands" in meta["tags"]) == dec.non_unique
+
+
 def test_summand_rows_outside_m_are_rejected():
     space, _, _ = catalog.make_space("product-sym/3xS2")
     rows = np.eye(9)

@@ -122,6 +122,14 @@ def test_boundary_matches_interior_limit():
 # fundamental tensor on catalog spaces
 
 
+def tensors(fn, dec, ys):
+    """Fundamental tensors and A_y(y) at the rows ``ys``, from the batched kernels."""
+    _, comps, theta = finsler.block_data(fn, dec, ys)
+    g1 = fn.grad(theta)
+    return (finsler.fundamental_tensors(dec, g1, fn.hess(theta), comps),
+            finsler.apply_grad(g1, comps))
+
+
 @pytest.mark.parametrize("spec,mtext", [
     ("so5/u2", "linear:1,2"),
     ("so5/u2", "phi:1,0,0.25"),
@@ -134,30 +142,27 @@ def test_fundamental_tensor_is_hessian_of_half_f_squared(spec, mtext, rng):
     def half_f2(y):
         return 0.5 * finsler.f_squared(fn, dec, y)
 
-    for _ in range(5):
-        y = rng.standard_normal(space.dim_m)
-        y /= np.linalg.norm(y)
-        got = finsler.fundamental_tensor(fn, dec, y)
-        want = fd_hessian(half_f2, y)
-        npt.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+    ys = rng.standard_normal((5, space.dim_m))
+    ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+    for y, got in zip(ys, tensors(fn, dec, ys)[0]):
+        npt.assert_allclose(got, fd_hessian(half_f2, y), rtol=1e-5, atol=1e-6)
+        npt.assert_allclose(finsler.metric_operator(fn, dec, y), got, rtol=0, atol=1e-14)
 
 
 def test_a_u_of_u_matches_operator(rng):
     space, dec, _ = catalog.make_space("su3/t2")
     fn = finsler.parse_metric("pert3:1,1,1,0.5")
-    for _ in range(10):
-        u = rng.standard_normal(space.dim_m)
+    us = rng.standard_normal((10, space.dim_m))
+    for u, auu in zip(us, tensors(fn, dec, us)[1]):
         a = finsler.metric_operator(fn, dec, u)
-        npt.assert_allclose(finsler.a_u_of_u(fn, dec, u), a @ u,
-                            rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(auu, a @ u, rtol=1e-12, atol=1e-12)
 
 
 def test_tensor_zero_homogeneity(rng):
     space, dec, _ = catalog.make_space("so5/u2")
     fn = finsler.parse_metric("phi:1,0,0.25")
     y = rng.standard_normal(space.dim_m)
-    a1 = finsler.fundamental_tensor(fn, dec, y)
-    a2 = finsler.fundamental_tensor(fn, dec, 4.2 * y)
+    a1, a2 = tensors(fn, dec, np.array([y, 4.2 * y]))[0]
     npt.assert_allclose(a1, a2, atol=1e-12)
 
 
@@ -165,19 +170,18 @@ def test_f_squared_euler_identity(rng):
     space, dec, _ = catalog.make_space("so5/u2")
     fn = finsler.parse_metric("phi:1,0,0.25")
     y = rng.standard_normal(space.dim_m)
-    g = finsler.fundamental_tensor(fn, dec, y)
+    g = finsler.metric_operator(fn, dec, y)
     assert float(y @ g @ y) == pytest.approx(finsler.f_squared(fn, dec, y))
 
 
 def test_spray_vector_solves_metric_equation(rng):
     space, dec, _ = catalog.make_space("su3/t2")
     fn = finsler.parse_metric("linear:1,2,3")
-    y = rng.standard_normal(space.dim_m)
-    eta = finsler.spray_vector(space, dec, fn, y)
-    a = finsler.fundamental_tensor(fn, dec, y)
-    auu = finsler.a_u_of_u(fn, dec, y)
-    rhs = np.einsum("ibk,b,k->i", space.bracket_mm_m, y, auu)
-    npt.assert_allclose(a @ eta, rhs, atol=1e-10)
+    ys = rng.standard_normal((1, space.dim_m))
+    a, auu = tensors(fn, dec, ys)
+    _, eta = finsler.spray_rows(space, a, ys, auu)
+    rhs = np.einsum("ibk,b,k->i", space.bracket_mm_m, ys[0], auu[0])
+    npt.assert_allclose(a[0] @ eta[0], rhs, atol=1e-10)
 
 
 def test_zero_vector_guards():
@@ -185,7 +189,7 @@ def test_zero_vector_guards():
     fn = finsler.parse_metric("linear:1,2")
     assert finsler.f_squared(fn, dec, np.zeros(space.dim_m)) == 0.0
     with pytest.raises(ZeroVectorError):
-        finsler.fundamental_tensor(fn, dec, np.zeros(space.dim_m))
+        finsler.metric_operator(fn, dec, np.zeros(space.dim_m))
 
 
 @pytest.mark.parametrize("fn", [
@@ -208,7 +212,7 @@ def test_strong_convexity_screen_matches_loop(fn):
         u = np.concatenate([rng.standard_normal(2) if keep else np.zeros(2)
                             for keep in patterns[it % len(patterns)]])
         u /= np.linalg.norm(u)
-        mins.append(np.linalg.eigvalsh(finsler.fundamental_tensor(fn, dec, u))[0])
+        mins.append(np.linalg.eigvalsh(tensors(fn, dec, u[None])[0][0])[0])
     report = finsler.strong_convexity_check(fn, dims)
     assert report.samples == 64
     assert report.min_eigenvalue == pytest.approx(min(mins), rel=1e-12, abs=1e-14)

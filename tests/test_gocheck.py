@@ -28,21 +28,20 @@ def unit(rng, n):
 def test_operator_vs_spray_agreement(spec, mtext, rng):
     space, dec, _ = catalog.make_space(spec)
     fn = finsler.parse_metric(mtext)
-    for _ in range(25):
-        u = unit(rng, space.dim_m)
-        r_op = gocheck.go_residual_operator(space, dec, fn, u)
-        r_sp = gocheck.go_check_spray(space, dec, fn, u)
-        assert abs(r_op - r_sp) < 1e-9
+    plan = np.array([unit(rng, space.dim_m) for _ in range(25)])
+    r_op, r_sp, _ = gocheck.residuals(space, dec, fn, plan)
+    assert np.max(np.abs(r_op - r_sp)) < 1e-9
 
 
 def test_operator_minimizer_solves_equation(rng):
     space, dec, _ = catalog.make_space("so5/u2")
     fn = finsler.parse_metric("linear:1,2")
     u = unit(rng, space.dim_m)
-    resid, w = gocheck.go_check_operator(space, dec, fn, u, tol=1e-8)
-    assert resid < 1e-12 and w is not None
-    auu = finsler.a_u_of_u(fn, dec, u)
+    assert gocheck.residuals(space, dec, fn, u[None])[0][0] < 1e-12
+    _, comps, theta = finsler.block_data(fn, dec, u[None])
+    auu = finsler.apply_grad(fn.grad(theta), comps)[0]
     bh, bm = space.bracket_mm(u, auu)
+    w = np.linalg.lstsq(space.hm_columns(auu), -bm, rcond=None)[0]
     lhs = space.bracket_hm_vec(w, auu) + bm
     npt.assert_allclose(lhs, np.zeros_like(lhs), atol=1e-10)
     npt.assert_allclose(bh, np.zeros_like(bh), atol=1e-10)
@@ -52,8 +51,7 @@ def test_operator_residual_scale_invariant(rng):
     space, dec, _ = catalog.make_space("su3/t2")
     fn = finsler.parse_metric("linear:1,2,3")
     u = unit(rng, space.dim_m)
-    r1 = gocheck.go_residual_operator(space, dec, fn, u)
-    r2 = gocheck.go_residual_operator(space, dec, fn, 11.0 * u)
+    r1, r2 = gocheck.residuals(space, dec, fn, np.array([u, 11.0 * u]))[0]
     assert abs(r1 - r2) < 1e-10
 
 
@@ -61,10 +59,10 @@ def test_single_summand_directions_always_pass(rng):
     # a direction lying in one summand brackets to zero with its own image
     space, dec, _ = catalog.make_space("su3/t2")
     fn = finsler.parse_metric("linear:1,2,3")
-    for i in range(3):
-        u = dec.summands[i].T @ rng.standard_normal(dec.dims[i])
-        assert gocheck.go_residual_operator(space, dec, fn, u) < 1e-12
-        assert gocheck.nr_residual(space, dec, fn, u) < 1e-12
+    plan = np.array([dec.summands[i].T @ rng.standard_normal(dec.dims[i])
+                     for i in range(3)])
+    r_op, _, r_nr = gocheck.residuals(space, dec, fn, plan)
+    assert np.all(r_op < 1e-12) and np.all(r_nr < 1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -239,12 +237,9 @@ def test_engine_matches_per_direction_formulas(spec, mtext):
     got = np.array(gocheck.residuals(space, dec, fn, plan))
     want = np.array([_ref_residuals(space, dec, fn, u) for u in plan]).T
     npt.assert_allclose(got, want, rtol=0, atol=1e-12)
-    # the per-direction functions are single-row calls of the same engine
+    # a single direction is a one-row plan
     for i in (0, 40, 76):
-        u = plan[i]
-        single = (gocheck.go_residual_operator(space, dec, fn, u),
-                  gocheck.go_check_spray(space, dec, fn, u),
-                  gocheck.nr_residual(space, dec, fn, u))
+        single = np.array(gocheck.residuals(space, dec, fn, plan[i][None]))[:, 0]
         npt.assert_allclose(single, got[:, i], rtol=0, atol=1e-12)
     _, _, nr_only = gocheck.residuals(space, dec, fn, plan, go=False)
     npt.assert_array_equal(nr_only, got[2])
@@ -261,25 +256,22 @@ def test_engine_errors_keep_their_messages():
     n = space.dim_m
     odd = finsler.parse_metric("phi:1,0.1")            # theta_2 = 0 face not C^2
     u1 = dec.summands[0][0]
-    per_direction = (finsler.a_u_of_u, finsler.fundamental_tensor,
-                     finsler.metric_operator)
-    residual_funcs = (gocheck.go_residual_operator, gocheck.go_check_spray,
-                      gocheck.nr_residual)
     face = "block 2 vanishes but that face is not C^2 for this norm"
     zero = "norm data requested at the zero vector"
     length = f"expected m-coords vector of length {n}"
-    for func in per_direction:
-        _raises(BoundaryNondifferentiableError, face, func, odd, dec, u1)
-        _raises(ZeroVectorError, zero, func, odd, dec, np.zeros(n))
-        _raises(DimensionMismatchError, length, func, odd, dec, np.ones(n + 1))
-        _raises(DimensionMismatchError, length, func, odd, dec, np.ones((2, n)))
-    for func in residual_funcs:
-        _raises(BoundaryNondifferentiableError, face, func, space, dec, odd, u1)
-        _raises(ZeroVectorError, zero, func, space, dec, odd, np.zeros(n))
-        _raises(DimensionMismatchError, length, func, space, dec, odd, np.ones(n + 1))
+
+    def one_row(go):
+        return lambda u: gocheck.residuals(space, dec, odd, u[None], go=go)
+
+    for func in (lambda u: finsler.metric_operator(odd, dec, u),
+                 one_row(True), one_row(False)):
+        _raises(BoundaryNondifferentiableError, face, func, u1)
+        _raises(ZeroVectorError, zero, func, np.zeros(n))
+        _raises(DimensionMismatchError, length, func, np.ones(n + 1))
+        _raises(DimensionMismatchError, length, func, np.ones((2, n)))
     three = finsler.parse_metric("linear:1,2,3")
     _raises(DimensionMismatchError, "norm has 3 blocks but decomposition has 2",
-            gocheck.go_residual_operator, space, dec, three, u1)
+            gocheck.residuals, space, dec, three, u1[None])
     # the first bad row of a plan decides the error
     plan = np.array([dec.summands[1][0], np.zeros(n), u1])
     _raises(ZeroVectorError, zero, gocheck.residuals, space, dec, odd, plan)
@@ -294,11 +286,15 @@ def test_engine_positive_definite_and_singular_errors():
     dec = homspace.Decomposition.from_dims((4, 2))
     flat = finsler.l_from_phi(finsler.PhiProfile((1.0, 0.0, 1.0)), check=False)
     u = np.eye(6)[5]
+    ys, comps, theta = finsler.block_data(flat, dec, u[None])
+    g1 = flat.grad(theta)
+    a = finsler.fundamental_tensors(dec, g1, flat.hess(theta), comps)
     _raises(SingularOperatorError, "metric operator is singular at this vector: "
-            "Singular matrix", finsler.spray_vector, space, dec, flat, u)
+            "Singular matrix", finsler.spray_rows, space, a, ys,
+            finsler.apply_grad(g1, comps))
     pd = "fundamental tensor not positive definite (min eigenvalue 0.000e+00)"
     _raises(NotPositiveDefiniteError, pd, finsler.metric_operator, flat, dec, u)
-    _raises(NotPositiveDefiniteError, pd, gocheck.go_check_spray, space, dec, flat, u)
+    _raises(NotPositiveDefiniteError, pd, gocheck.residuals, space, dec, flat, u[None])
     # a convexity-violating profile: the first failing direction of the plan
     bad = finsler.l_from_phi(finsler.PhiProfile((1.0, 0.0, 5.0)), check=False)
     space, dec, _ = catalog.make_space("so5/u2")
@@ -322,23 +318,21 @@ def test_two_summand_phi_check_matches_operator(rng):
     space, dec, _ = catalog.make_space("sp2/sp1u1")
     phi = finsler.PhiProfile((1.0, 0.0, 0.25))
     fn = finsler.parse_metric("phi:1,0,0.25")
-    for _ in range(15):
-        u = unit(rng, space.dim_m)
-        u1, u2 = dec.split(u)
-        a = gocheck.two_summand_phi_check(space, dec, phi, u1, u2)
-        b = gocheck.go_residual_operator(space, dec, fn, u)
+    plan = np.array([unit(rng, space.dim_m) for _ in range(15)])
+    op = gocheck.residuals(space, dec, fn, plan)[0]
+    for u, b in zip(plan, op):
+        a = gocheck.two_summand_phi_check(space, dec, phi, *dec.split(u))
         assert abs(a - b) < 1e-12
 
 
 def test_wallach_system_matches_operator(rng):
     space, dec, _ = catalog.make_space("ledger-obata/su2")
     fn = finsler.parse_metric("pert3:1,1,1,0.5")
-    for _ in range(15):
-        u = unit(rng, space.dim_m)
+    plan = np.array([unit(rng, space.dim_m) for _ in range(15)])
+    for u, op in zip(plan, gocheck.residuals(space, dec, fn, plan)[0]):
         blocks = gocheck.wallach_system_check(space, dec, fn, u)
         assert blocks.shape == (3,)
         joint = float(np.sqrt(np.sum(blocks ** 2)))
-        op = gocheck.go_residual_operator(space, dec, fn, u)
         assert abs(joint - op) < 1e-12
 
 
@@ -348,15 +342,6 @@ def test_wallach_system_flags_unequal_partials(rng):
     u = sum(dec.summands[i].T @ unit(rng, dec.dims[i]) for i in range(3))
     blocks = gocheck.wallach_system_check(space, dec, fn, u)
     assert np.max(blocks) > 1e-3
-
-
-def test_riemann_two_param_check():
-    space, dec, _ = catalog.make_space("so6/so3irr")
-    rep = gocheck.riemann_two_param_check(space, dec, 1.0, 2.0, samples=40, seed=5)
-    assert rep.verdict == gocheck.NOT_GO
-    assert rep.extras["lambda"] == 1.0 and rep.extras["mu"] == 2.0
-    rep = gocheck.riemann_two_param_check(space, dec, 2.0, 2.0, samples=40, seed=5)
-    assert rep.verdict == gocheck.GO
 
 
 # --------------------------------------------------------------------------

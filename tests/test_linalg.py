@@ -46,15 +46,6 @@ def test_null_space_tall_square_wide(shape, rank):
         npt.assert_allclose(b @ x.T, 0.0, atol=1e-12 * np.linalg.norm(a) + 1e3 * noise)
 
 
-def test_orth_rows_rank():
-    rng = np.random.default_rng(1)
-    base = rng.standard_normal((2, 6))
-    rows = np.vstack([base, base.sum(axis=0, keepdims=True)])
-    out = _linalg.orth_rows(rows)
-    assert out.shape == (2, 6)
-    npt.assert_allclose(out @ out.T, np.eye(2), atol=1e-12)
-
-
 def test_gram_schmidt_plain_and_weighted(rng):
     rows = rng.standard_normal((4, 7))
     out = _linalg.gram_schmidt(rows)

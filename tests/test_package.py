@@ -8,6 +8,12 @@ def test_all_names_are_unique_and_resolve():
     assert missing == []
 
 
+def test_engine_entry_points_are_exported():
+    assert {"residuals", "verdicts"} <= set(gospace.__all__)
+    assert gospace.residuals is gospace.gocheck.residuals
+    assert gospace.verdicts is gospace.gocheck.verdicts
+
+
 def test_star_import_binds_exactly_all():
     namespace = {}
     exec("from gospace import *", namespace)
