@@ -102,8 +102,10 @@ def _resolve_tol(args):
             tol = float(env) if env else DEFAULT_TOL
         except ValueError:
             raise _UsageError(f"GOSPACE_TOL is not a number: {env!r}")
-    if tol <= 0.0:
+    if not tol > 0.0:                   # NaN fails this test too
         raise _UsageError("tolerance must be positive")
+    if tol == float("inf"):
+        raise _UsageError("tolerance must be finite")
     return tol
 
 

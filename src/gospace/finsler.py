@@ -92,10 +92,10 @@ def l_linear(lambdas):
 class PhiProfile:
     """Polynomial profile phi(theta) = c0 + c1 theta + ... on [0, 1].
 
-    Validation samples a dense grid and requires phi > 0 together with the
-    two coefficient-positivity conditions phi - theta phi' > 0 and
-    phi - (theta - 1/theta) phi' > 0; these are exactly positivity of the
-    L-gradient for the induced two-block norm.
+    Validation samples 2001 evenly spaced points and requires phi > 0
+    together with the two coefficient-positivity conditions
+    phi - theta phi' > 0 and phi - (theta - 1/theta) phi' > 0; these are
+    exactly positivity of the L-gradient for the induced two-block norm.
     """
 
     coeffs: tuple
@@ -112,8 +112,8 @@ class PhiProfile:
     def d1(self, theta):
         return npoly.polyval(theta, npoly.polyder(self.coeffs))
 
-    def validate(self, grid=2001):
-        t = np.linspace(0.0, 1.0, grid)
+    def validate(self):
+        t = np.linspace(0.0, 1.0, 2001)
         v = self.value(t)
         if np.any(v <= 0.0):
             bad = t[int(np.argmin(v))]
@@ -356,9 +356,9 @@ class ConvexityReport:
     samples: int
 
 
-def strong_convexity_check(fn, dims, samples=64, seed=0):
-    """Scan unit vectors (interior plus admissible degenerate-block patterns)
-    for the smallest fundamental-tensor eigenvalue.
+def strong_convexity_check(fn, dims):
+    """Scan 64 seeded unit vectors (interior plus admissible degenerate-block
+    patterns) for the smallest fundamental-tensor eigenvalue.
 
     Returns a :class:`ConvexityReport`; ``ok`` means every sampled tensor was
     positive definite.  This is a sampled certificate of failure, not a proof
@@ -369,7 +369,8 @@ def strong_convexity_check(fn, dims, samples=64, seed=0):
         raise DimensionMismatchError(
             f"norm has {fn.arity} blocks but {len(dims)} dims were given")
     dec = Decomposition.from_dims(dims)
-    rng = np.random.default_rng(seed)
+    samples = 64
+    rng = np.random.default_rng(0)
     patterns = [tuple(True for _ in dims)] + admissible_faces(fn.boundary_ok)
     us = np.zeros((samples, sum(dims)))
     for it, u in enumerate(us):
@@ -418,9 +419,12 @@ def parse_metric(text, arity=None, check=True):
     col = len(kind) + 2
     for tok in args.split(","):
         try:
-            vals.append(float(tok))
+            val = float(tok)
         except ValueError:
+            val = None
+        if val is None or not np.isfinite(val):
             raise SpecFormatError(f"bad number {tok.strip()!r} in metric", column=col)
+        vals.append(val)
         col += len(tok) + 1
     if kind == "linear":
         if len(vals) < 2:

@@ -305,23 +305,21 @@ def wallach_system_check(space, dec, fn, u):
     return np.array([np.linalg.norm(b) for b in blocks]) / _scale(sh)[0]
 
 
-def centralizer_condition_check(space, dec, x, y, tol=1e-8):
+def centralizer_condition_check(space, dec, x, y):
     """Feasibility and uniqueness of the two-block centralizer equation.
 
     Looks for z_x in C~(x+y) centralizing x and z_y in C~(x+y) centralizing
-    y with [x, y] = [z_y, x] + [z_x, y].  Returns a dict with feasibility,
-    uniqueness (trivial kernel of the stacked column map), the relative
-    residual, and the minimizers.
+    y with [x, y] = [z_y, x] + [z_x, y].  Returns a dict with feasibility
+    (relative residual at most 1e-8), uniqueness (trivial kernel of the
+    stacked column map), the relative residual, and the minimizers.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     u = x + y
     tilde = (tilde_centralizer(space, u) if np.linalg.norm(u) > 0
              else np.eye(space.dim_h))
-    cx = centralizer_in_h(space, x) if np.linalg.norm(x) > 0 else np.eye(space.dim_h)
-    cy = centralizer_in_h(space, y) if np.linalg.norm(y) > 0 else np.eye(space.dim_h)
-    sx = _linalg.subspace_intersection(tilde, cx)
-    sy = _linalg.subspace_intersection(tilde, cy)
+    sx = centralizer_in_h(space, x, within=tilde)
+    sy = centralizer_in_h(space, y, within=tilde)
     _, target = space.bracket_mm(x, y)
     mat = np.hstack([space.hm_columns(x) @ sy.T, space.hm_columns(y) @ sx.T])
     coef, resid_vec = _linalg.lstsq_min_norm(mat, target)
@@ -337,7 +335,7 @@ def centralizer_condition_check(space, dec, x, y, tol=1e-8):
     z_y = coef[:n_sy] @ sy if n_sy else np.zeros(space.dim_h)
     z_x = coef[n_sy:] @ sx if sx.shape[0] else np.zeros(space.dim_h)
     return {
-        "feasible": bool(residual <= tol),
+        "feasible": bool(residual <= 1e-8),
         "unique": unique,
         "residual": residual,
         "z_x": z_x,

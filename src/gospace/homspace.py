@@ -15,7 +15,7 @@ h-coords the inner product Q is the Euclidean dot product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,14 +109,16 @@ class HomogeneousSpace:
         return f"HomogeneousSpace(dim_g={self.g.dim}, dim_h={self.dim_h}, dim_m={self.dim_m})"
 
 
-def build(g, h_span, tol=1e-8):
+def build(g, h_span):
     """Construct the reductive structure for the subalgebra spanned by ``h_span``.
 
-    ``h_span`` holds spanning vectors of h in g-coords (rows).  Raises
-    :class:`NotSubalgebraError` if the span is not bracket-closed and
-    :class:`ReductivityError` if the complement fails invariance (both with
-    relative residual above ``tol``).
+    ``h_span`` holds spanning vectors of h in g-coords (rows).  The brackets
+    are tabulated in Q-orthonormal bases of h and m, so their entries have
+    unit scale.  Raises :class:`NotSubalgebraError` if some [h, h] has an
+    m-component above 1e-8 and :class:`ReductivityError` if some [h, m] has
+    an h-component above 1e-8.
     """
+    tol = 1e-8
     if not isinstance(g, LieAlgebra):
         raise DimensionMismatchError("first argument must be a LieAlgebra")
     h_span = np.atleast_2d(np.asarray(h_span, dtype=float))
@@ -268,12 +270,13 @@ def symmetric_commutant_dim(space):
     return symmetric_commutant(space).shape[0]
 
 
-def isotropy_decompose(space, seed=0, cluster_rtol=1e-6):
+def isotropy_decompose(space, seed=0):
     """Split m into invariant summands via the symmetric commutant.
 
     Solves for all symmetric matrices commuting with every ad(h)|_m, draws a
     seeded random element of that space, and groups its eigenvectors by
-    eigenvalue clusters (relative gap ``cluster_rtol``).  Summand order
+    eigenvalue clusters (a new cluster starts at a gap above 1e-6 times
+    max(1, the largest |eigenvalue|)).  Summand order
     follows ascending eigenvalue of the sampled element; the multiset of
     dimensions is seed-independent.
     """
@@ -287,7 +290,7 @@ def isotropy_decompose(space, seed=0, cluster_rtol=1e-6):
     scale = max(1.0, float(np.max(np.abs(w))))
     groups, start = [], 0
     for i in range(1, n + 1):
-        if i == n or w[i] - w[i - 1] > cluster_rtol * scale:
+        if i == n or w[i] - w[i - 1] > 1e-6 * scale:
             groups.append(v[:, start:i].T.copy())
             start = i
     return Decomposition(summands=tuple(groups), commutant_dim=len(basis))
@@ -297,18 +300,26 @@ def isotropy_decompose(space, seed=0, cluster_rtol=1e-6):
 # centralizer subspaces in h
 
 
-def centralizer_in_h(space, u, rtol=None):
-    """Orthonormal h-coords rows spanning {w in h : [w, u] = 0}, u in m-coords."""
+def centralizer_in_h(space, u, within=None):
+    """Orthonormal h-coords rows spanning {w in span(within) : [w, u] = 0}.
+
+    ``u`` is in m-coords; ``within`` holds orthonormal h-coords rows and
+    defaults to all of h.  The result is the kernel of alpha ->
+    [alpha @ within, u], one null space of a (dim_m, len(within)) matrix,
+    mapped back to h; u = 0 gives all of span(within).
+    """
     u = np.asarray(u, dtype=float)
     cols = space.hm_columns(u)                # (dim_m, dim_h)
+    if within is not None:
+        cols = cols @ within.T
     # absolute floor: [w, u] that is rounding noise on the scale of |u| times
     # the bracket table must count as zero, or C(u) shrinks spuriously
     scale = float(np.linalg.norm(u)) * float(np.linalg.norm(space.bracket_hm.ravel()))
-    atol = max(cols.shape, default=1) * _linalg.EPS * scale
-    return _linalg.null_space(cols, rtol, atol)
+    kernel = _linalg.null_space(cols, atol=max(cols.shape) * _linalg.EPS * scale)
+    return kernel if within is None else kernel @ within
 
 
-def normalizer_of_in_h(space, c_rows, rtol=None):
+def normalizer_of_in_h(space, c_rows):
     """Orthonormal rows spanning {w in h : [w, C] in C} for a subalgebra C of h."""
     c_rows = np.atleast_2d(np.asarray(c_rows, dtype=float))
     nh = space.dim_h
@@ -322,23 +333,23 @@ def normalizer_of_in_h(space, c_rows, rtol=None):
         blocks.append(off_c @ adj)
     stacked = np.vstack(blocks)
     atol = max(stacked.shape) * _linalg.EPS * float(np.linalg.norm(space.bracket_hh.ravel()))
-    return _linalg.null_space(stacked, rtol, atol)
+    return _linalg.null_space(stacked, atol)
 
 
-def tilde_centralizer(space, u, rtol=None):
+def tilde_centralizer(space, u):
     """Q-orthocomplement of the centralizer of u inside its normalizer in h.
 
     Returns orthonormal h-coords rows.  Equals all of h when the centralizer
     is trivial and is empty when the centralizer is all of h.
     """
-    c = centralizer_in_h(space, u, rtol)
+    c = centralizer_in_h(space, u)
     if c.shape[0] == 0:
         return np.eye(space.dim_h)
     if c.shape[0] == space.dim_h:
         return np.zeros((0, space.dim_h))
-    n = normalizer_of_in_h(space, c, rtol)
+    n = normalizer_of_in_h(space, c)
     # vectors in N orthogonal to C: solve (C @ N^T) alpha = 0 within N;
     # both factors have orthonormal rows so unit scale sets the noise floor
     mat = c @ n.T
-    alpha = _linalg.null_space(mat, rtol, atol=max(mat.shape, default=1) * _linalg.EPS)
+    alpha = _linalg.null_space(mat, atol=max(mat.shape, default=1) * _linalg.EPS)
     return alpha @ n if alpha.size else np.zeros((0, space.dim_h))

@@ -97,13 +97,14 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim})"
 
 
-def from_matrices(matrices, tol=1e-8, check_compact=True):
+def from_matrices(matrices):
     """Build a :class:`LieAlgebra` from a list of matrices closed under commutators.
 
     Complex matrices are converted to their real form first (see
     :func:`realify`).  Raises :class:`DependentBasisError` if the matrices are
-    linearly dependent and :class:`NonClosedError` if some commutator leaves
-    their span (relative residual above ``tol``).
+    linearly dependent, :class:`NonClosedError` if some commutator leaves
+    their span (relative residual above 1e-8) and :class:`NonCompactError`
+    if the algebra is not compact.
     """
     mats = [np.asarray(m) for m in matrices]
     if any(np.iscomplexobj(m) for m in mats):
@@ -129,7 +130,7 @@ def from_matrices(matrices, tol=1e-8, check_compact=True):
     resid = np.linalg.norm(a @ flat - comm, axis=1)
     norms = np.linalg.norm(flat, axis=1)
     rel = resid / np.maximum(norms[iu] * norms[ju], 1.0)
-    bad = np.flatnonzero(rel > tol)
+    bad = np.flatnonzero(rel > 1e-8)
     if bad.size:
         i = bad[0]
         raise NonClosedError(
@@ -138,14 +139,16 @@ def from_matrices(matrices, tol=1e-8, check_compact=True):
     c = np.zeros((n, n, n))
     c[iu, ju] = a
     c[ju, iu] = -a
-    return LieAlgebra(c, check_compact=check_compact)
+    return LieAlgebra(c)
 
 
-def matrix_coords(matrices, target, tol=1e-8):
+def matrix_coords(matrices, target):
     """Coordinates of ``target`` in the span of ``matrices`` (complex allowed).
 
     ``target`` may also be a stack of matrices (leading axis); the result
     then holds one coordinate row per target, from one least-squares solve.
+    Raises :class:`DimensionMismatchError` when some target leaves the span
+    (relative residual above 1e-8).
     """
     mats = np.asarray(matrices)
     tgt = np.asarray(target)
@@ -157,7 +160,7 @@ def matrix_coords(matrices, target, tol=1e-8):
     w = tgt.astype(float).reshape(-1, flat.shape[1]).T          # one column per target
     a, resid = _linalg.lstsq_min_norm(flat.T, w)
     rel = np.linalg.norm(resid, axis=0) / np.maximum(np.linalg.norm(w, axis=0), 1.0)
-    if np.any(rel > tol):
+    if np.any(rel > 1e-8):
         raise DimensionMismatchError(
             "target matrix is not in the span of the basis "
             f"(relative residual {np.max(rel):.3e})")

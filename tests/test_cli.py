@@ -128,6 +128,10 @@ def test_bad_spec_exit_four(capsys, argv):
 
 @pytest.mark.parametrize("space, metric, line", [
     ("so5/u2", "linear:1,x", "bad spec: bad number 'x' in metric (column 10)\n"),
+    ("so5/u2", "linear:1,nan", "bad spec: bad number 'nan' in metric (column 10)\n"),
+    ("so5/u2", "linear:1,inf", "bad spec: bad number 'inf' in metric (column 10)\n"),
+    ("so5/u2", "phi:1,0,nan", "bad spec: bad number 'nan' in metric (column 9)\n"),
+    ("so5/u2", "phi:inf", "bad spec: bad number 'inf' in metric (column 5)\n"),
     ("wallach-so/2,a,2", "linear:1,1,1",
      "bad spec: bad integer 'a' in 'wallach-so/2,a,2' (column 14)\n"),
 ])
@@ -220,6 +224,22 @@ def test_tol_env_override(capsys, monkeypatch):
     code, _, _ = run(capsys, "check", "--space", "su3/t2",
                      "--metric", "linear:1,1,2", "--samples", "40")
     assert code == cli.EXIT_BAD_SPEC
+
+
+@pytest.mark.parametrize("tol, message", [
+    ("nan", "tolerance must be positive"),
+    ("0", "tolerance must be positive"),
+    ("-1", "tolerance must be positive"),
+    ("inf", "tolerance must be finite"),
+])
+@pytest.mark.parametrize("argv", [("check", "--space", "so5/u2", "--metric", "linear:1,2"),
+                                  ("verify", "crossval")])
+def test_tol_must_be_positive_and_finite(capsys, monkeypatch, tol, message, argv):
+    code, out, err = run(capsys, *argv, "--tol", tol)
+    assert (code, out, err) == (cli.EXIT_BAD_SPEC, "", f"usage error: {message}\n")
+    monkeypatch.setenv("GOSPACE_TOL", tol)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (cli.EXIT_BAD_SPEC, "", f"usage error: {message}\n")
 
 
 def test_tol_flag_beats_env(capsys, monkeypatch):

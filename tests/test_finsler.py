@@ -6,8 +6,7 @@ from conftest import fd_gradient, fd_hessian
 from gospace import catalog, finsler, homspace
 from gospace.errors import (BoundaryNondifferentiableError,
                             DimensionMismatchError, InvalidProfileError,
-                            NonPositiveCoefficientError,
-                            NotStronglyConvexError, SpecFormatError,
+                            NonPositiveCoefficientError, SpecFormatError,
                             ZeroVectorError)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gospace import catalog, finsler, gocheck, homspace, suites
+from gospace import _linalg, catalog, finsler, gocheck, homspace, suites
 from gospace.errors import (BoundaryNondifferentiableError,
                             DimensionMismatchError, NotPositiveDefiniteError,
                             SingularOperatorError, ZeroVectorError)
@@ -378,3 +378,53 @@ def test_centralizer_condition_fails_on_control(rng):
     out = gocheck.centralizer_condition_check(space, dec, x, y)
     assert not out["feasible"]
     assert out["residual"] > 1e-3
+
+
+def _intersection(rows_a, rows_b):
+    # reference: kernel of the stacked projector complements of two
+    # orthonormal row spaces; projector entries have unit scale
+    n = rows_a.shape[1]
+    off = np.vstack([np.eye(n) - r.T @ r for r in (rows_a, rows_b)])
+    return _linalg.null_space(off, atol=2 * n * _linalg.EPS)
+
+
+def _reference_condition(space, x, y):
+    # the centralizer equation with C~(u) ∩ C(x) and C~(u) ∩ C(y) taken as
+    # intersections of full subspaces of h
+    full = np.eye(space.dim_h)
+    u = x + y
+    tilde = homspace.tilde_centralizer(space, u) if np.linalg.norm(u) > 0 else full
+    cx = homspace.centralizer_in_h(space, x) if np.linalg.norm(x) > 0 else full
+    cy = homspace.centralizer_in_h(space, y) if np.linalg.norm(y) > 0 else full
+    sx, sy = _intersection(tilde, cx), _intersection(tilde, cy)
+    mat = np.hstack([space.hm_columns(x) @ sy.T, space.hm_columns(y) @ sx.T])
+    _, target = space.bracket_mm(x, y)
+    _, resid = _linalg.lstsq_min_norm(mat, target)
+    scale = max(np.linalg.norm(target), np.linalg.norm(x) * np.linalg.norm(y), _linalg.EPS)
+    residual = float(np.linalg.norm(resid)) / scale
+    unique = (not mat.shape[1] or _linalg.svd_rank(
+        np.linalg.svd(mat, compute_uv=False), mat.shape) == mat.shape[1])
+    return {"feasible": residual <= 1e-8, "unique": unique, "residual": residual,
+            "tilde": tilde, "sx": sx, "sy": sy}
+
+
+@pytest.mark.parametrize("spec", ["so5/u2", "su3/su2", "sp2/sp1u1", "spin8/g2",
+                                  "so6/so3irr"])
+def test_centralizer_condition_matches_intersection_reference(spec):
+    space, dec, _ = catalog.make_space(spec)
+    rng = np.random.default_rng(7)
+    pairs = [(dec.summands[0].T @ rng.standard_normal(dec.dims[0]),
+              dec.summands[1].T @ rng.standard_normal(dec.dims[1])) for _ in range(20)]
+    x, y = pairs[0]
+    pairs += [(np.zeros_like(x), y), (x, np.zeros_like(y))]
+    for x, y in pairs:
+        got = gocheck.centralizer_condition_check(space, dec, x, y)
+        want = _reference_condition(space, x, y)
+        assert (got["feasible"], got["unique"]) == (want["feasible"], want["unique"])
+        assert abs(got["residual"] - want["residual"]) <= 1e-14
+        for v, ref in ((x, want["sx"]), (y, want["sy"])):
+            s = homspace.centralizer_in_h(space, v, within=want["tilde"])
+            assert s.shape == ref.shape
+            npt.assert_allclose(s @ s.T, np.eye(len(s)), atol=1e-12)
+            npt.assert_allclose(s - s @ want["tilde"].T @ want["tilde"], 0.0, atol=1e-12)
+            npt.assert_allclose(space.hm_columns(v) @ s.T, 0.0, atol=1e-12)

@@ -100,14 +100,6 @@ def test_lstsq_min_norm_empty_columns():
     npt.assert_allclose(res, -b)
 
 
-def test_subspace_intersection():
-    a = np.eye(4)[:2]                     # span{e1, e2}
-    b = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-    inter = _linalg.subspace_intersection(a, b)
-    assert inter.shape == (1, 4)
-    npt.assert_allclose(np.abs(inter[0]), [0.0, 1.0, 0.0, 0.0], atol=1e-12)
-
-
 def test_subspace_distance():
     a = np.eye(3)[:1]
     b = np.array([[0.0, 1.0, 0.0]])

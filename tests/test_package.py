@@ -1,4 +1,9 @@
+import ast
+from pathlib import Path
+
 import gospace
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_all_names_are_unique_and_resolve():
@@ -19,3 +24,24 @@ def test_star_import_binds_exactly_all():
     exec("from gospace import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(gospace.__all__)
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    files = sorted(p for p in (ROOT / "src" / "gospace").glob("*.py")
+                   if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+    assert [hit for path in files for hit in _unused_imports(path)] == []
