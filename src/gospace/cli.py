@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import time
 
@@ -44,6 +45,14 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-8" or "-inf" for an option flag and stops with
+        # "expected one argument"; read every negative float literal as a
+        # value, so "--tol -1e-8" reaches the tolerance check like "--tol=-1e-8"
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
     # argparse exits with status 2 on usage errors, which collides with the
     # INCONCLUSIVE exit code; route them to 4 instead
     def error(self, message):

@@ -67,40 +67,45 @@ def sample_plan(dec, boundary_ok, samples, seed):
     Half the quota is uniform on the unit sphere; the rest are structured
     combinations of per-summand unit vectors over a logarithmic weight grid,
     starting with admissible degenerate patterns (some blocks exactly zero).
+    The random stream is drawn in that order: the uniform rows, then each
+    pattern's kept blocks, then one draw of every block per round of the grid.
     """
     rng = np.random.default_rng(seed)
     n = int(sum(dec.dims))
     s = dec.arity
-    out = []
-
-    def unit_in_summand(i):
-        v = dec.summands[i].T @ rng.standard_normal(dec.dims[i])
-        nv = np.linalg.norm(v)
-        return v / nv if nv > 0 else v
-
     n_uniform = samples // 2
     n_struct = samples - n_uniform
-    for _ in range(n_uniform):
-        v = rng.standard_normal(n)
-        out.append(v / np.linalg.norm(v))
+    plan = np.zeros((samples, n))
+    rng.standard_normal(out=plan[:n_uniform])
 
-    count = 0
-    for keep in admissible_faces(boundary_ok):
-        if count >= n_struct:
-            break
-        v = sum(unit_in_summand(i) for i in range(s) if keep[i])
-        out.append(v / np.linalg.norm(v))
-        count += 1
-    grid = np.logspace(-1.5, 1.5, 7) if s == 2 else np.logspace(-1.0, 1.0, 5)
-    while count < n_struct:
-        parts = [unit_in_summand(i) for i in range(s)]
-        for combo in _weight_combos(s, grid):
-            if count >= n_struct:
-                break
-            v = sum(t * p for t, p in zip(combo, parts))
-            out.append(v / np.linalg.norm(v))
-            count += 1
-    return np.array(out)
+    faces = np.array(admissible_faces(boundary_ok)[:n_struct], dtype=bool).reshape(-1, s)
+    kept = np.repeat(faces, dec.dims, axis=1)
+    z = np.zeros(kept.shape)
+    z[kept] = rng.standard_normal(np.count_nonzero(kept))   # row-major: kept blocks in order
+    start = n_uniform + len(faces)          # first weighted row
+    plan[n_uniform:start] = _block_units(dec, z).sum(axis=1)
+
+    if start < samples:
+        grid = np.logspace(-1.5, 1.5, 7) if s == 2 else np.logspace(-1.0, 1.0, 5)
+        combos = np.array(list(itertools.islice(_weight_combos(s, grid), samples - start)))
+        rnd, k = np.divmod(np.arange(samples - start), len(combos))
+        parts = _block_units(dec, rng.standard_normal((rnd[-1] + 1, n)))
+        for i in range(s):
+            term = parts[rnd, i]
+            term *= combos[k, i, None]
+            plan[start:] += term
+
+    plan /= np.sqrt(np.einsum("ij,ij->i", plan, plan))[:, None]
+    return plan
+
+
+def _block_units(dec, z):
+    """Per-summand unit vectors (N, s, n) in m-coords from summand coords z (N, n);
+    a block of z that is all zero gives a zero vector."""
+    blocks = np.split(z, np.cumsum(dec.dims)[:-1], axis=1)
+    v = np.stack([b @ p for b, p in zip(blocks, dec.summands)], axis=1)
+    nv = np.linalg.norm(v, axis=2, keepdims=True)
+    return np.divide(v, nv, out=np.zeros_like(v), where=nv > 0)
 
 
 def _weight_combos(s, grid):
@@ -122,7 +127,7 @@ def _weight_combos(s, grid):
 # ---------------------------------------------------------------------------
 # the residual engine: every residual takes a stack of directions u (N, n)
 
-CHUNK = 32        # rows per array pass; bounds the (CHUNK, n, n) intermediates and peak memory
+BUDGET = 2 ** 17  # floats (1 MiB) per (rows, n, n) intermediate; sets the rows per array pass
 
 
 def _shared(space, dec, fn, u):
@@ -168,13 +173,16 @@ def _nr(sh):
 def residuals(space, dec, fn, plan, go=True):
     """Residual arrays (operator, spray, nr) over the rows of ``plan`` (N, n).
 
-    Works in chunks of CHUNK rows and computes A_u(u) and [u, A_u(u)] once
-    per direction; a single direction u is the plan ``u[None]``.
+    Works in chunks of max(1, BUDGET // n**2) rows, n = dim m, so every
+    plan of a few hundred directions is one array pass and a long plan runs
+    in bounded memory; A_u(u) and [u, A_u(u)] are computed once per
+    direction. A single direction u is the plan ``u[None]``.
     ``go=False`` computes only the NR residual, and None for the others.
     """
+    rows = max(1, BUDGET // space.dim_m ** 2)
     parts = ([], [], [])
-    for start in range(0, len(plan), CHUNK):
-        sh = _shared(space, dec, fn, plan[start:start + CHUNK])
+    for start in range(0, len(plan), rows):
+        sh = _shared(space, dec, fn, plan[start:start + rows])
         if go:
             parts[0].append(_operator(space, sh))
             parts[1].append(_spray(space, dec, fn, sh))
@@ -305,7 +313,7 @@ def wallach_system_check(space, dec, fn, u):
     return np.array([np.linalg.norm(b) for b in blocks]) / _scale(sh)[0]
 
 
-def centralizer_condition_check(space, dec, x, y):
+def centralizer_condition_check(space, x, y):
     """Feasibility and uniqueness of the two-block centralizer equation.
 
     Looks for z_x in C~(x+y) centralizing x and z_y in C~(x+y) centralizing

@@ -92,7 +92,7 @@ def suite_thm1_converse(samples=200, seed=42, tol=1e-8):
         for _ in range(100):
             x = dec.summands[0].T @ rng.standard_normal(dec.dims[0])
             y = dec.summands[1].T @ rng.standard_normal(dec.dims[1])
-            res = gocheck.centralizer_condition_check(space, dec, x, y)
+            res = gocheck.centralizer_condition_check(space, x, y)
             worst = max(worst, res["residual"])
             if not (res["feasible"] and res["unique"]):
                 bad += 1
@@ -223,7 +223,7 @@ def suite_invariants(samples=40, seed=42, tol=1e-8):
         for _ in range(30):
             x = dec.summands[0].T @ rng.standard_normal(dec.dims[0])
             y = dec.summands[1].T @ rng.standard_normal(dec.dims[1])
-            res = gocheck.centralizer_condition_check(space, dec, x, y)
+            res = gocheck.centralizer_condition_check(space, x, y)
             if res["feasible"] and not res["unique"]:
                 bad += 1
         out.add(f"{spec} centralizer uniqueness when feasible", bad == 0,

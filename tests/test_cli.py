@@ -230,6 +230,9 @@ def test_tol_env_override(capsys, monkeypatch):
     ("nan", "tolerance must be positive"),
     ("0", "tolerance must be positive"),
     ("-1", "tolerance must be positive"),
+    ("-1e-8", "tolerance must be positive"),
+    ("-1E-8", "tolerance must be positive"),
+    ("-inf", "tolerance must be positive"),
     ("inf", "tolerance must be finite"),
 ])
 @pytest.mark.parametrize("argv", [("check", "--space", "so5/u2", "--metric", "linear:1,2"),

@@ -142,6 +142,62 @@ def test_sample_plan_deterministic_and_boundary_aware():
     assert all(dec.theta(u)[1] > 0 for u in plan)
 
 
+def _per_sample_plan(dec, boundary_ok, samples, seed):
+    # the generator before the plan was drawn as arrays: one direction at a
+    # time, one norm per direction, the same random stream
+    rng = np.random.default_rng(seed)
+    n, s = int(sum(dec.dims)), dec.arity
+    out = []
+
+    def unit_in_summand(i):
+        v = dec.summands[i].T @ rng.standard_normal(dec.dims[i])
+        nv = np.linalg.norm(v)
+        return v / nv if nv > 0 else v
+
+    n_uniform = samples // 2
+    n_struct = samples - n_uniform
+    for _ in range(n_uniform):
+        v = rng.standard_normal(n)
+        out.append(v / np.linalg.norm(v))
+    count = 0
+    for keep in finsler.admissible_faces(boundary_ok):
+        if count >= n_struct:
+            break
+        v = sum(unit_in_summand(i) for i in range(s) if keep[i])
+        out.append(v / np.linalg.norm(v))
+        count += 1
+    grid = np.logspace(-1.5, 1.5, 7) if s == 2 else np.logspace(-1.0, 1.0, 5)
+    while count < n_struct:
+        parts = [unit_in_summand(i) for i in range(s)]
+        for combo in gocheck._weight_combos(s, grid):
+            if count >= n_struct:
+                break
+            v = sum(t * p for t, p in zip(combo, parts))
+            out.append(v / np.linalg.norm(v))
+            count += 1
+    return np.array(out)
+
+
+def _plan_cases():
+    for spec, _, _ in catalog.list_catalog():
+        dec = catalog.make_space(spec)[1]
+        for mtext in suites.battery_for(dec.arity):
+            yield pytest.param(dec, finsler.parse_metric(mtext).boundary_ok,
+                               id=f"{spec}-{mtext}")
+    space = catalog.make_space("wallach-so/2,2,2")[0]
+    yield pytest.param(homspace.isotropy_decompose(space), (False,) * 6,
+                       id="wallach-so/2,2,2-six-summands")
+
+
+@pytest.mark.parametrize("dec,boundary_ok", _plan_cases())
+def test_sample_plan_matches_per_sample_generator(dec, boundary_ok):
+    for samples, seed in itertools.product((1, 2, 3, 7, 77, 200), (0, 5, 42)):
+        plan = gocheck.sample_plan(dec, boundary_ok, samples, seed)
+        ref = _per_sample_plan(dec, boundary_ok, samples, seed)
+        assert plan.shape == ref.shape == (samples, sum(dec.dims))
+        assert np.max(np.abs(plan - ref)) <= 1e-15
+
+
 def _lex_weight_combos(s, grid):
     # the generator before every block was spread: last block fastest
     for rest in itertools.product(grid, repeat=s - 1):
@@ -224,25 +280,57 @@ def _ref_residuals(space, dec, fn, u):
     return r_op, r_sp, r_nr
 
 
+def _count_solves(monkeypatch):
+    # rows of every batched least-squares solve, in call order
+    rows, solve = [], _linalg.lstsq_min_norm
+
+    def counted(a, b):
+        rows.append(len(a))
+        return solve(a, b)
+    monkeypatch.setattr(_linalg, "lstsq_min_norm", counted)
+    return rows
+
+
 ENGINE_CASES = [(spec, mtext)
                 for spec, _, _ in catalog.list_catalog()
                 for mtext in suites.battery_for(catalog.make_space(spec)[1].arity)]
 
 
 @pytest.mark.parametrize("spec,mtext", ENGINE_CASES)
-def test_engine_matches_per_direction_formulas(spec, mtext):
+def test_engine_matches_per_direction_formulas(spec, mtext, monkeypatch):
     space, dec, _ = catalog.make_space(spec)
     fn = finsler.parse_metric(mtext)
-    plan = gocheck.sample_plan(dec, fn.boundary_ok, 77, seed=11)   # 32 + 32 + 13
+    plan = gocheck.sample_plan(dec, fn.boundary_ok, 77, seed=11)
     got = np.array(gocheck.residuals(space, dec, fn, plan))
     want = np.array([_ref_residuals(space, dec, fn, u) for u in plan]).T
     npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # a budget of 32 rows runs the plan as 32 + 32 + 13 rows
+    with monkeypatch.context() as m:
+        m.setattr(gocheck, "BUDGET", 32 * space.dim_m ** 2 + space.dim_m)
+        rows = _count_solves(m)
+        chunked = np.array(gocheck.residuals(space, dec, fn, plan))
+    assert rows == [32, 32, 32, 32, 13, 13]
+    npt.assert_allclose(chunked, got, rtol=0, atol=1e-15)
     # a single direction is a one-row plan
     for i in (0, 40, 76):
         single = np.array(gocheck.residuals(space, dec, fn, plan[i][None]))[:, 0]
         npt.assert_allclose(single, got[:, i], rtol=0, atol=1e-12)
     _, _, nr_only = gocheck.residuals(space, dec, fn, plan, go=False)
     npt.assert_array_equal(nr_only, got[2])
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _, _ in catalog.list_catalog()])
+def test_one_array_pass_per_plan(spec, monkeypatch):
+    # the operator and the spray residual each take one batched solve over
+    # the whole 200-row plan; the NR residual takes none
+    space, dec, _ = catalog.make_space(spec)
+    fn = finsler.parse_metric(suites.equal_linear_for(dec.arity))
+    rows = _count_solves(monkeypatch)
+    gocheck.verdicts(space, dec, fn, samples=200, seed=1)
+    assert rows == [200, 200]
+    rows.clear()
+    gocheck.nr_check(space, dec, fn, samples=200, seed=1)
+    assert rows == []
 
 
 def _raises(exc, message, func, *args):
@@ -308,6 +396,19 @@ def test_engine_positive_definite_and_singular_errors():
     assert str(info.value) == ("fundamental tensor not positive definite "
                                f"(min eigenvalue {first:.3e})")
     assert gocheck.nr_check(space, dec, bad, samples=100, seed=2).samples == 100
+    # past the first 32 rows, the first failing row still names the error;
+    # a zero row anywhere in the pass is reported before it
+    plan = gocheck.sample_plan(dec, bad.boundary_ok, 400, seed=2)
+    spectra = np.array([np.linalg.eigvalsh(_ref_tensor(bad, dec, u)) for u in plan])
+    fails = spectra[:, 0] <= 6 * eps * np.maximum(np.abs(spectra[:, -1]), 1.0)
+    good, failing = plan[~fails], plan[fails]
+    assert len(good) >= 40 and len(failing) >= 2
+    plan = np.vstack([good[:40], failing[1:], failing[:1]])
+    _raises(NotPositiveDefiniteError, "fundamental tensor not positive definite "
+            f"(min eigenvalue {spectra[fails][1, 0]:.3e})",
+            gocheck.residuals, space, dec, bad, plan)
+    _raises(ZeroVectorError, "norm data requested at the zero vector",
+            gocheck.residuals, space, dec, bad, np.vstack([plan, np.zeros(6)]))
 
 
 # --------------------------------------------------------------------------
@@ -353,7 +454,7 @@ def test_centralizer_condition_feasible_unique(rng):
     for _ in range(20):
         x = dec.summands[0].T @ rng.standard_normal(dec.dims[0])
         y = dec.summands[1].T @ rng.standard_normal(dec.dims[1])
-        out = gocheck.centralizer_condition_check(space, dec, x, y)
+        out = gocheck.centralizer_condition_check(space, x, y)
         assert out["feasible"] and out["unique"]
         # the minimizers actually solve the equation
         _, target = space.bracket_mm(x, y)
@@ -366,7 +467,7 @@ def test_centralizer_condition_zero_inputs():
     space, dec, _ = catalog.make_space("so5/u2")
     x = np.zeros(space.dim_m)
     y = dec.summands[1][0]
-    out = gocheck.centralizer_condition_check(space, dec, x, y)
+    out = gocheck.centralizer_condition_check(space, x, y)
     assert out["feasible"]
     npt.assert_allclose(out["z_x"], 0.0, atol=1e-10)
 
@@ -375,7 +476,7 @@ def test_centralizer_condition_fails_on_control(rng):
     space, dec, _ = catalog.make_space("so6/so3irr")
     x = dec.summands[0].T @ rng.standard_normal(dec.dims[0])
     y = dec.summands[1].T @ rng.standard_normal(dec.dims[1])
-    out = gocheck.centralizer_condition_check(space, dec, x, y)
+    out = gocheck.centralizer_condition_check(space, x, y)
     assert not out["feasible"]
     assert out["residual"] > 1e-3
 
@@ -418,7 +519,7 @@ def test_centralizer_condition_matches_intersection_reference(spec):
     x, y = pairs[0]
     pairs += [(np.zeros_like(x), y), (x, np.zeros_like(y))]
     for x, y in pairs:
-        got = gocheck.centralizer_condition_check(space, dec, x, y)
+        got = gocheck.centralizer_condition_check(space, x, y)
         want = _reference_condition(space, x, y)
         assert (got["feasible"], got["unique"]) == (want["feasible"], want["unique"])
         assert abs(got["residual"] - want["residual"]) <= 1e-14
