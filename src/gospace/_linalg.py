@@ -85,15 +85,3 @@ def lstsq_min_norm(a, b):
     x = np.einsum("...ki,...k->...i", vh, inv * np.einsum("...mk,...m->...k", u, b))
     return x, np.einsum("...mk,...k->...m", a, x) - b
 
-
-def subspace_distance(rows_a, rows_b):
-    """Largest principal-angle sine between two row spaces (orthonormal rows)."""
-    rows_a = np.atleast_2d(np.asarray(rows_a, dtype=float))
-    rows_b = np.atleast_2d(np.asarray(rows_b, dtype=float))
-    if rows_a.shape[0] != rows_b.shape[0]:
-        return 1.0
-    if rows_a.shape[0] == 0:
-        return 0.0
-    pa = rows_a.T @ rows_a
-    pb = rows_b.T @ rows_b
-    return float(np.linalg.norm(pa - pb, 2))

@@ -19,7 +19,8 @@ Tags used:
 * ``equivalent-summands``: the isotropy splitting is not unique
   (``Decomposition.non_unique``: the symmetric commutant is larger than
   the number of summands).  ``make_space`` derives it from the built
-  decomposition; the listed rows carry it without building anything.
+  decomposition, and ``list_catalog`` reads every row's tags from
+  ``make_space``, so listing builds the listed entries (once per process).
 """
 
 from __future__ import annotations
@@ -50,26 +51,23 @@ def _embed(mat, n, offset=0):
     return out
 
 
-def _two_block_split(space, k_rows):
-    """Split m into (tangent beyond k, k minus h) for a chain h < k < g."""
-    m2 = gram_schmidt(np.array([space.proj_m(v) for v in k_rows]))
-    m1 = null_space(m2)
-    return homspace.Decomposition(
-        summands=(m1, m2),
-        commutant_dim=homspace.symmetric_commutant_dim(space))
+def _chain(basis, h_mats, k_mats):
+    """Space g/h over the matrix basis of g, for a chain h < k < g of matrix
+    algebras, with summands (tangent beyond k, k minus h)."""
+    space = homspace.build(from_matrices(basis), matrix_coords(basis, h_mats))
+    m2 = gram_schmidt(np.array([space.proj_m(v) for v in matrix_coords(basis, k_mats)]))
+    return space, (null_space(m2), m2)
 
 
-def _dec_from_rows(space, groups):
-    """Decomposition whose i-th summand is spanned by the g-coords rows ``groups[i]``."""
+def _row_summands(space, groups):
+    """Summands spanned by the g-coords rows ``groups[i]``, as orthonormal m-coords."""
     v = np.vstack(groups)
     vm = np.array([space.proj_m(x) for x in v])
     off = np.linalg.norm(space.lift_m(vm) - v, axis=1)
     if np.any(off > 1e-8 * np.maximum(1.0, np.linalg.norm(v, axis=1))):
         raise UnsupportedRankError("summand matrix is not inside m")
     ends = np.cumsum([len(rows) for rows in groups])[:-1]
-    return homspace.Decomposition(
-        summands=tuple(gram_schmidt(rows) for rows in np.split(vm, ends)),
-        commutant_dim=homspace.symmetric_commutant_dim(space))
+    return tuple(gram_schmidt(rows) for rows in np.split(vm, ends))
 
 
 # ---------------------------------------------------------------------------
@@ -77,26 +75,17 @@ def _dec_from_rows(space, groups):
 
 
 def _build_so5_u2():
-    gm = so_matrices(5)
-    g = from_matrices(gm)
     u2 = [np.diag([1j, 0.0]), np.diag([0.0, 1j]),
           np.array([[0.0, 1j], [1j, 0.0]]), np.array([[0.0, 1.0], [-1.0, 0.0]],
                                                      dtype=complex)]
-    h_mats = [_embed(realify(m), 5) for m in u2]
-    k_mats = [_embed(m, 5) for m in so_matrices(4)]
-    space = homspace.build(g, matrix_coords(gm, h_mats))
-    dec = _two_block_split(space, matrix_coords(gm, k_mats))
-    return space, dec
+    return _chain(so_matrices(5), [_embed(realify(m), 5) for m in u2],
+                  [_embed(m, 5) for m in so_matrices(4)])
 
 
 def _build_su3_su2():
-    gm = su_matrices(3)
-    g = from_matrices(gm)
     h_mats = [_embed(m, 3) for m in su_matrices(2)]
-    k_mats = h_mats + [1j * np.diag([1.0, 1.0, -2.0]).astype(complex)]
-    space = homspace.build(g, matrix_coords(gm, h_mats))
-    dec = _two_block_split(space, matrix_coords(gm, k_mats))
-    return space, dec
+    return _chain(su_matrices(3), h_mats,
+                  h_mats + [1j * np.diag([1.0, 1.0, -2.0]).astype(complex)])
 
 
 def _sp_slot(n, idx):
@@ -111,15 +100,10 @@ def _sp_slot(n, idx):
 
 
 def _build_sp2_sp1u1():
-    gm = sp_matrices(2)
-    g = from_matrices(gm)
     a_u1 = np.zeros((2, 2), dtype=complex)
     a_u1[1, 1] = 1j
     h_mats = _sp_slot(2, 0) + [quaternionify(a_u1, np.zeros((2, 2), dtype=complex))]
-    k_mats = _sp_slot(2, 0) + _sp_slot(2, 1)
-    space = homspace.build(g, matrix_coords(gm, h_mats))
-    dec = _two_block_split(space, matrix_coords(gm, k_mats))
-    return space, dec
+    return _chain(sp_matrices(2), h_mats, _sp_slot(2, 0) + _sp_slot(2, 1))
 
 
 def _sym_traceless_basis3():
@@ -135,8 +119,6 @@ def _sym_traceless_basis3():
 
 
 def _build_so6_so3irr():
-    gm = so_matrices(6)
-    g = from_matrices(gm)
     sym = _sym_traceless_basis3()
     rho = []
     for lmat in so_matrices(3):
@@ -146,10 +128,7 @@ def _build_so6_so3irr():
             for alpha, sa in enumerate(sym):
                 r[alpha, beta] = np.trace(sa @ img)
         rho.append(_embed(0.5 * (r - r.T), 6))
-    k_mats = [_embed(m, 6) for m in so_matrices(5)]
-    space = homspace.build(g, matrix_coords(gm, rho))
-    dec = _two_block_split(space, matrix_coords(gm, k_mats))
-    return space, dec
+    return _chain(so_matrices(6), rho, [_embed(m, 6) for m in so_matrices(5)])
 
 
 def _quat_table():
@@ -201,12 +180,7 @@ def _build_spin8_g2():
         if np.max(np.abs(dm + dm.T)) > 1e-10:
             raise UnsupportedRankError("derivation is not antisymmetric")
         der.append(0.5 * (dm - dm.T))
-    gm = so_matrices(8)
-    g = from_matrices(gm)
-    k_mats = [_embed(m, 8, offset=1) for m in so_matrices(7)]
-    space = homspace.build(g, matrix_coords(gm, der))
-    dec = _two_block_split(space, matrix_coords(gm, k_mats))
-    return space, dec
+    return _chain(so_matrices(8), der, [_embed(m, 8, offset=1) for m in so_matrices(7)])
 
 
 # ---------------------------------------------------------------------------
@@ -238,54 +212,29 @@ def _build_wallach(kind, k, l, m):
         pairs.append(None if np.all(r == c) else (r.min(), r.max()))
     rows = np.eye(len(gm))
     space = homspace.build(from_matrices(gm), rows[[p is None for p in pairs]])
-    dec = _dec_from_rows(space, [rows[[p == q for p in pairs]]
-                                 for q in ((0, 1), (0, 2), (1, 2))])
-    return space, dec
+    return space, _row_summands(space, [rows[[p == q for p in pairs]]
+                                         for q in ((0, 1), (0, 2), (1, 2))])
 
 
 _LO_SIGNS = ((1.0, 1.0, -1.0, -1.0), (1.0, -1.0, 1.0, -1.0), (1.0, -1.0, -1.0, 1.0))
 
 
-def _build_ledger_obata(which):
-    if which == "su2":
-        factor = from_matrices(su_matrices(2))
-    elif which == "so3":
-        factor = from_matrices(so_matrices(3))
-    else:
-        raise UnknownSpecError(f"ledger-obata/{which} is not in the catalog")
+def _build_ledger_obata(factor_basis):
+    """The fourth power of the factor over its diagonal, with sign-pattern summands."""
+    factor = from_matrices(factor_basis)
     d = factor.dim
-    g = direct_sum(factor, factor, factor, factor)
-    h_rows = np.zeros((d, 4 * d))
-    for a in range(d):
-        for blk in range(4):
-            h_rows[a, blk * d + a] = 1.0
-    groups = []
-    for signs in _LO_SIGNS:
-        rows = np.zeros((d, 4 * d))
-        for a in range(d):
-            for blk in range(4):
-                rows[a, blk * d + a] = signs[blk]
-        groups.append(rows)
-    space = homspace.build(g, h_rows)
-    dec = _dec_from_rows(space, groups)
-    return space, dec
+    h_rows = np.tile(np.eye(d), 4)
+    space = homspace.build(direct_sum(factor, factor, factor, factor), h_rows)
+    return space, _row_summands(space, [np.where(h_rows, np.repeat(signs, d), 0.0)
+                                        for signs in _LO_SIGNS])
 
 
 def _build_product_sym():
     so3 = from_matrices(so_matrices(3))
-    g = direct_sum(so3, so3, so3)
-    h_rows = np.zeros((3, 9))
-    for f in range(3):
-        h_rows[f, 3 * f] = 1.0          # rotation fixing the last axis of factor f
-    groups = []
-    for f in range(3):
-        rows = np.zeros((2, 9))
-        rows[0, 3 * f + 1] = 1.0
-        rows[1, 3 * f + 2] = 1.0
-        groups.append(rows)
-    space = homspace.build(g, h_rows)
-    dec = _dec_from_rows(space, groups)
-    return space, dec
+    # factor f has coords 3f (the rotation fixing its last axis), 3f+1, 3f+2
+    rows = np.eye(9)
+    space = homspace.build(direct_sum(so3, so3, so3), rows[::3])
+    return space, _row_summands(space, [rows[[3 * f + 1, 3 * f + 2]] for f in range(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +267,13 @@ _FIXED = {
         ("wallach-type-ii", "three-summand"),
     ),
     "ledger-obata/su2": (
-        lambda: _build_ledger_obata("su2"),
+        lambda: _build_ledger_obata(su_matrices(2)),
         "fourth power of the 3-dimensional compact algebra su2 over its "
         "diagonal; three sign-pattern summands",
         ("wallach-type-iii", "three-summand"),
     ),
     "ledger-obata/so3": (
-        lambda: _build_ledger_obata("so3"),
+        lambda: _build_ledger_obata(so_matrices(3)),
         "fourth power of the 3-dimensional rotation algebra over its "
         "diagonal; three sign-pattern summands",
         ("wallach-type-iii", "three-summand"),
@@ -371,38 +320,24 @@ _FAMILIES = {
     ),
 }
 
-_LISTED_FAMILY_DEFAULTS = (
-    ("wallach-so/2,2,2", "wallach-so"),
-    ("wallach-su/1,1,1", "wallach-su"),
-    ("wallach-sp/1,1,1", "wallach-sp"),
-)
-
-
-# listed ids whose decomposition is non_unique; the tests hold this set to
-# the tags that make_space derives
-_LISTED_NON_UNIQUE = frozenset(
-    ("wallach-so/2,2,2", "ledger-obata/su2", "ledger-obata/so3", "spin8/g2"))
-
-
-def _tagged(tags, non_unique):
-    return tuple(tags) + (("equivalent-summands",) if non_unique else ())
+# listing order; family defaults stand for their family
+_LISTED = ("so5/u2", "su3/su2", "sp2/sp1u1", "su3/t2", "wallach-so/2,2,2",
+           "wallach-su/1,1,1", "wallach-sp/1,1,1", "ledger-obata/su2",
+           "ledger-obata/so3", "product-sym/3xS2", "so6/so3irr", "spin8/g2")
 
 
 def list_catalog():
-    """Catalog rows as (id, description, tags), stable order."""
+    """Catalog rows as (id, description, tags), stable order.
+
+    Descriptions and tags come from ``make_space``, so the first listing in
+    a process builds every listed entry.
+    """
     rows = []
-    for key in ("so5/u2", "su3/su2", "sp2/sp1u1", "su3/t2"):
-        builder, desc, tags = _FIXED[key]
-        rows.append((key, desc, tags))
-    for key, fam in _LISTED_FAMILY_DEFAULTS:
-        builder, desc, tags = _FAMILIES[fam]
-        rows.append((key, desc + " (parameters k,l,m adjustable)", tags))
-    for key in ("ledger-obata/su2", "ledger-obata/so3", "product-sym/3xS2",
-                "so6/so3irr", "spin8/g2"):
-        builder, desc, tags = _FIXED[key]
-        rows.append((key, desc, tags))
-    return [(key, desc, _tagged(tags, key in _LISTED_NON_UNIQUE))
-            for key, desc, tags in rows]
+    for key in _LISTED:
+        meta = make_space(key)[2]
+        suffix = "" if key in _FIXED else " (parameters k,l,m adjustable)"
+        rows.append((key, meta["description"] + suffix, meta["tags"]))
+    return rows
 
 
 def _parse_family_params(spec, params_text):
@@ -424,24 +359,23 @@ def _parse_family_params(spec, params_text):
 
 @functools.lru_cache(maxsize=None)
 def _make_space_cached(spec):
+    family, _, params_text = spec.partition("/")
     if spec in _FIXED:
         builder, desc, tags = _FIXED[spec]
-        space, dec = builder()
-        family = spec.split("/")[0]
+        space, summands = builder()
+    elif family in _FAMILIES and params_text:
+        builder, desc, tags = _FAMILIES[family]
+        space, summands = builder(*_parse_family_params(spec, params_text))
     else:
-        family, _, params_text = spec.partition("/")
-        if family in _FAMILIES and params_text:
-            builder, desc, tags = _FAMILIES[family]
-            k, l, m = _parse_family_params(spec, params_text)
-            space, dec = builder(k, l, m)
-        else:
-            raise UnknownSpecError(
-                f"unknown space {spec!r}; run the list command for available ids")
+        raise UnknownSpecError(
+            f"unknown space {spec!r}; run the list command for available ids")
+    dec = homspace.Decomposition(
+        summands=summands, commutant_dim=homspace.symmetric_commutant_dim(space))
     meta = {
         "id": spec,
         "family": family,
         "description": desc,
-        "tags": _tagged(tags, dec.non_unique),
+        "tags": tuple(tags) + (("equivalent-summands",) if dec.non_unique else ()),
         "dim_g": space.g.dim,
         "dim_h": space.dim_h,
         "dims": dec.dims,

@@ -23,9 +23,6 @@ BATTERY_TWO_BLOCK = ("linear:1,1", "linear:1,2", "linear:3,0.5",
 BATTERY_THREE_BLOCK = ("linear:1,1,1", "linear:1,1,2", "linear:1,2,3",
                        "pert3:1,1,1,0.5")
 
-SUITE_NAMES = ("thm1-converse", "thm2-wallach", "cor-wallach-normal",
-               "type1-nr", "crossval", "invariants")
-
 
 def battery_for(arity):
     if arity == 2:
@@ -239,6 +236,7 @@ _SUITES = {
     "crossval": suite_crossval,
     "invariants": suite_invariants,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name, samples=None, seed=42, tol=1e-8):

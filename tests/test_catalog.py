@@ -227,6 +227,13 @@ def test_list_tags_equal_make_space_tags(rid):
     assert listed[rid] == catalog.make_space(rid)[2]["tags"]
 
 
+def test_listed_equivalent_summands():
+    tagged = {rid for rid, _, tags in catalog.list_catalog()
+              if "equivalent-summands" in tags}
+    assert tagged == {"wallach-so/2,2,2", "ledger-obata/su2", "ledger-obata/so3",
+                      "spin8/g2"}
+
+
 @pytest.mark.parametrize("rid", list(EXPECTED_SHAPES) + [
     "wallach-so/1,1,1", "wallach-so/1,2,2", "wallach-so/2,2,3", "wallach-so/1,2,3"])
 def test_equivalent_summands_tag_follows_non_unique(rid):
@@ -238,4 +245,4 @@ def test_summand_rows_outside_m_are_rejected():
     space, _, _ = catalog.make_space("product-sym/3xS2")
     rows = np.eye(9)
     with pytest.raises(UnsupportedRankError, match="^summand matrix is not inside m$"):
-        catalog._dec_from_rows(space, [rows[[1, 2]], rows[[0]]])     # e_0 spans h
+        catalog._row_summands(space, [rows[[1, 2]], rows[[0]]])     # e_0 spans h

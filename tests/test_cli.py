@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +170,31 @@ def test_check_report_schema(capsys):
     assert rep["witness"]["nr"]["residual"] > 1e-3
     # wallclock is informational and always the trailing key
     assert list(rep)[-1] == "wallclock"
+
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "report.example.json"
+
+
+def _key_tree(obj):
+    return {k: _key_tree(v) for k, v in obj.items()} if isinstance(obj, dict) else None
+
+
+def test_report_example_matches_fresh_run(capsys):
+    # the README's example report is the output of this command; the GO
+    # residuals and witness sit at rounding level and are not compared
+    example = json.loads(EXAMPLE.read_text())
+    code, out, _ = run(capsys, "check", "--space", "so5/u2",
+                       "--metric", "phi:1,0,0.25", "--samples", "100")
+    assert code == cli.EXIT_OK
+    rep = json.loads(out)
+    assert _key_tree(rep) == _key_tree(example)
+    for key in ("schema_version", "command", "space", "metric", "samples",
+                "seed", "tol", "verdicts"):
+        assert rep[key] == example[key], key
+    assert rep["max_residuals"]["nr"] == pytest.approx(
+        example["max_residuals"]["nr"], rel=1e-12, abs=0.0)
+    assert rep["witness"]["nr"]["residual"] == pytest.approx(
+        example["witness"]["nr"]["residual"], rel=1e-12, abs=0.0)
 
 
 def test_check_deterministic_modulo_wallclock(capsys):

@@ -99,9 +99,3 @@ def test_lstsq_min_norm_empty_columns():
     assert x.size == 0
     npt.assert_allclose(res, -b)
 
-
-def test_subspace_distance():
-    a = np.eye(3)[:1]
-    b = np.array([[0.0, 1.0, 0.0]])
-    assert _linalg.subspace_distance(a, a) < 1e-14
-    assert _linalg.subspace_distance(a, b) == pytest.approx(1.0)

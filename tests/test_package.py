@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import gospace
@@ -45,3 +46,37 @@ def test_no_unused_imports():
     files = sorted(p for p in (ROOT / "src" / "gospace").glob("*.py")
                    if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
     assert [hit for path in files for hit in _unused_imports(path)] == []
+
+
+def _references(node):
+    return Counter([n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+                   + [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)])
+
+
+def _private_definitions(tree):
+    """(name, node) of every top-level private function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def test_no_orphaned_private_names():
+    # a private helper that nothing in the package uses outside its own
+    # definition is dead code, whatever the tests still call
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted((ROOT / "src" / "gospace").glob("*.py"))}
+    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    orphans = [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+               for path, tree in trees.items()
+               for name, node in _private_definitions(tree)
+               if refs[name] == _references(node)[name]]
+    assert orphans == []
