@@ -36,32 +36,27 @@ def null_space(a, atol=0.0):
 def gram_schmidt(rows, inner=None):
     """Orthonormalize rows against the inner product matrix ``inner``.
 
-    Modified Gram-Schmidt with a second sweep; a row whose remainder falls
-    to 1e-10 of max(1, its original norm) or below is dropped.  The leading
-    vectors stay aligned with the input, which matters for canonical summand
-    bases.
+    Each row is projected against all kept rows at once, in two sweeps; a
+    row whose remainder falls to 1e-10 of max(1, its original norm) or
+    below is dropped.  The leading vectors stay aligned with the input,
+    which matters for canonical summand bases.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    n = rows.shape[1]
-
-    def dot(a, b):
-        return float(a @ b) if inner is None else float(a @ inner @ b)
-
-    out = []
-    for v in rows:
-        w = v.astype(float).copy()
-        scale = np.sqrt(max(dot(v, v), 0.0))
+    q = np.eye(rows.shape[1]) if inner is None else np.asarray(inner, dtype=float)
+    out, out_q, k = np.empty_like(rows), np.empty_like(rows), 0   # kept rows, kept @ q
+    for v, vq in zip(rows, rows @ q):
+        scale = np.sqrt(max(float(vq @ v), 0.0))
         if scale == 0.0:
             continue
+        w = v
         for _ in range(2):
-            for b in out:
-                w = w - dot(b, w) * b
-        nw = np.sqrt(max(dot(w, w), 0.0))
+            w = w - (out_q[:k] @ w) @ out[:k]
+        wq = w @ q
+        nw = np.sqrt(max(float(wq @ w), 0.0))
         if nw > 1e-10 * max(scale, 1.0):
-            out.append(w / nw)
-    if not out:
-        return np.zeros((0, n))
-    return np.array(out)
+            out[k], out_q[k] = w / nw, wq / nw
+            k += 1
+    return out[:k]
 
 
 def lstsq_min_norm(a, b):

@@ -55,14 +55,14 @@ def _chain(basis, h_mats, k_mats):
     """Space g/h over the matrix basis of g, for a chain h < k < g of matrix
     algebras, with summands (tangent beyond k, k minus h)."""
     space = homspace.build(from_matrices(basis), matrix_coords(basis, h_mats))
-    m2 = gram_schmidt(np.array([space.proj_m(v) for v in matrix_coords(basis, k_mats)]))
+    m2 = gram_schmidt(space.proj_m(matrix_coords(basis, k_mats)))
     return space, (null_space(m2), m2)
 
 
 def _row_summands(space, groups):
     """Summands spanned by the g-coords rows ``groups[i]``, as orthonormal m-coords."""
     v = np.vstack(groups)
-    vm = np.array([space.proj_m(x) for x in v])
+    vm = space.proj_m(v)
     off = np.linalg.norm(space.lift_m(vm) - v, axis=1)
     if np.any(off > 1e-8 * np.maximum(1.0, np.linalg.norm(v, axis=1))):
         raise UnsupportedRankError("summand matrix is not inside m")

@@ -129,8 +129,11 @@ def _validate_numbers(args):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out_path}: {exc.strerror}") from exc
         sys.stdout.write(f"wrote {out_path}\n")
     else:
         sys.stdout.write(text)

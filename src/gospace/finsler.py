@@ -197,7 +197,7 @@ def l_from_phi(phi, check=True):
     return _screened(fn, (2, 2)) if check else fn
 
 
-def l_pert3(lambdas, eps, check=True):
+def l_pert3(lambdas, eps):
     """Three-block kind L = sum(lambda_i theta_i) + eps * theta_1 theta_2 theta_3 / sum^2."""
     lam = np.asarray(lambdas, dtype=float)
     if lam.shape != (3,):
@@ -244,7 +244,7 @@ def l_pert3(lambdas, eps, check=True):
     fn = LFunction(arity=3, kind="pert3", value=value, grad=grad, hess=hess,
                    boundary_ok=(True, True, True),
                    spec_string=f"pert3:{_format_floats(lam)},{format(eps, 'g')}")
-    return _screened(fn, (2, 2, 2)) if check and eps != 0.0 else fn
+    return _screened(fn, (2, 2, 2)) if eps != 0.0 else fn
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +402,7 @@ def _screened(fn, dims):
 # metric grammar
 
 
-def parse_metric(text, arity=None, check=True):
+def parse_metric(text, arity=None):
     """Parse ``linear:...``, ``phi:...`` or ``pert3:...`` into an LFunction.
 
     ``arity`` (when given) must match the block count of the parsed norm.
@@ -432,12 +432,12 @@ def parse_metric(text, arity=None, check=True):
                                   column=len(kind) + 2)
         fn = l_linear(vals)
     elif kind == "phi":
-        fn = l_from_phi(PhiProfile(tuple(vals)), check=check)
+        fn = l_from_phi(PhiProfile(tuple(vals)))
     elif kind == "pert3":
         if len(vals) != 4:
             raise SpecFormatError("pert3 needs lambda1,lambda2,lambda3,eps",
                                   column=len(kind) + 2)
-        fn = l_pert3(vals[:3], vals[3], check=check)
+        fn = l_pert3(vals[:3], vals[3])
     else:
         raise SpecFormatError(f"unknown metric kind {kind!r}", column=1)
     if arity is not None and fn.arity != arity:

@@ -58,21 +58,19 @@ class HomogeneousSpace:
         return self.m_basis.shape[0]
 
     def lift_m(self, u):
-        """g-coords of an m-coords vector."""
-        return np.asarray(u, dtype=float) @ self.m_basis
-
-    def lift_h(self, w):
-        return np.asarray(w, dtype=float) @ self.h_basis
+        """g-coords of an m-coords vector or of a stack of rows (N, dim_m)."""
+        return self._vec(u, self.dim_m, "m") @ self.m_basis
 
     def proj_m(self, x):
-        """m-coords of the m-component of a g-coords vector."""
-        return self.m_basis @ (self.g.q_form @ np.asarray(x, dtype=float))
+        """m-coords of the m-component of a g-coords vector or of a stack of
+        rows (N, dim_g)."""
+        return self._vec(x, self.g.dim, "g") @ self.g.q_form @ self.m_basis.T
 
-    def _vec(self, v, size, name, rows=False):
+    def _vec(self, v, size, name):
         v = np.asarray(v, dtype=float)
-        if v.shape[-1:] != (size,) or v.ndim > (2 if rows else 1):
+        if v.shape[-1:] != (size,) or v.ndim > 2:
             raise DimensionMismatchError(
-                f"expected {name}-coords vector of length {size}, got {v.shape}")
+                f"expected {name}-coords vector or rows of length {size}, got {v.shape}")
         return v
 
     def bracket_mm(self, x, y):
@@ -80,29 +78,18 @@ class HomogeneousSpace:
 
         Also takes two stacks of rows (N, dim_m) and brackets them row by row.
         """
-        x = self._vec(x, self.dim_m, "m", rows=True)
-        y = self._vec(y, self.dim_m, "m", rows=True)
+        x = self._vec(x, self.dim_m, "m")
+        y = self._vec(y, self.dim_m, "m")
         out = []
         for table in (self.bracket_mm_h, self.bracket_mm_m):
             xt = (x @ table.reshape(self.dim_m, -1)).reshape(x.shape + table.shape[2:])
             out.append(np.einsum("...bk,...b->...k", xt, y))
         return tuple(out)
 
-    def bracket_hm_vec(self, w, x):
-        """[w, x] in m-coords for w in h-coords, x in m-coords."""
-        w = self._vec(w, self.dim_h, "h")
-        x = self._vec(x, self.dim_m, "m")
-        return np.einsum("iab,i,a->b", self.bracket_hm, w, x)
-
-    def ad_h_on_m(self, w):
-        """Matrix of x -> [w, x] acting on m-coords."""
-        w = self._vec(w, self.dim_h, "h")
-        return np.einsum("iab,i->ba", self.bracket_hm, w)
-
     def hm_columns(self, x):
         """Matrix whose j-th column is [h_j, x] in m-coords; a stack of rows
         (N, dim_m) gives a stack of matrices (N, dim_m, dim_h)."""
-        x = self._vec(x, self.dim_m, "m", rows=True)
+        x = self._vec(x, self.dim_m, "m")
         return np.moveaxis(x @ self.bracket_hm, 0, -1)
 
     def __repr__(self):
@@ -218,15 +205,11 @@ class Decomposition:
 def invariance_residual(space, dec):
     """Max leakage of [h, m_i] outside m_i over the h basis (orthonormal rows)."""
     worst = 0.0
-    for i in range(space.dim_h):
-        w = np.zeros(space.dim_h)
-        w[i] = 1.0
-        a = space.ad_h_on_m(w)
-        for s in dec.summands:
-            img = a @ s.T
-            out = img - s.T @ (s @ img)
-            if out.size:
-                worst = max(worst, float(np.max(np.abs(out))))
+    for s in dec.summands:
+        img = s @ space.bracket_hm                 # [h_w, s_k] in m-coords, (dim_h, d, dim_m)
+        out = img - (img @ s.T) @ s
+        if out.size:
+            worst = max(worst, float(np.max(np.abs(out))))
     return worst
 
 

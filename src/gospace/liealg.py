@@ -5,7 +5,8 @@ An algebra of dimension n is stored as the tensor ``c`` with
 ``B(x, y) = tr(ad x . ad y)`` and the bi-invariant inner product
 ``Q = -B`` are computed once at construction; Q must be positive
 definite, which restricts the class to compact semisimple algebras.
-All vectors are 1-d coordinate arrays in the defining basis.
+Vectors are coordinate arrays in the defining basis: one vector of length
+n or a stack of rows (N, n).
 """
 
 from __future__ import annotations
@@ -70,28 +71,17 @@ class LieAlgebra:
 
     def _check_vec(self, x):
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
+        if x.shape[-1:] != (self.dim,) or x.ndim > 2:
             raise DimensionMismatchError(
-                f"expected vector of length {self.dim}, got shape {x.shape}")
+                f"expected vector or rows of length {self.dim}, got shape {x.shape}")
         return x
 
     def bracket(self, x, y):
-        """[x, y] in basis coordinates."""
+        """[x, y] in basis coordinates; two stacks of rows (N, dim) bracket
+        row by row."""
         x = self._check_vec(x)
         y = self._check_vec(y)
-        return np.einsum("ijk,i,j->k", self.structure, x, y)
-
-    def ad(self, x):
-        """Matrix of ad(x): y -> [x, y]."""
-        x = self._check_vec(x)
-        return np.einsum("ijk,i->kj", self.structure, x)
-
-    def q(self, x, y):
-        """Bi-invariant inner product Q(x, y) = -B(x, y)."""
-        return float(self._check_vec(x) @ self.q_form @ self._check_vec(y))
-
-    def q_norm(self, x):
-        return float(np.sqrt(max(self.q(x, x), 0.0)))
+        return np.einsum("...jk,...j->...k", np.tensordot(x, self.structure, 1), y)
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim})"
@@ -179,19 +169,20 @@ def direct_sum(*algebras):
     return LieAlgebra(c)
 
 
+def _unit_triples(g, trials, seed):
+    """Seeded random unit rows x, y, z, each of shape (trials, dim)."""
+    t = np.random.default_rng(seed).standard_normal((trials, 3, g.dim))
+    t /= np.linalg.norm(t, axis=-1, keepdims=True)
+    return np.moveaxis(t, 1, 0)
+
+
 def jacobi_residual(g, trials=100, seed=0):
     """Max norm of the Jacobi cyclic sum over seeded random unit triples."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x, y, z = rng.standard_normal((3, g.dim))
-        for v in (x, y, z):
-            v /= np.linalg.norm(v)
-        j = (g.bracket(x, g.bracket(y, z))
-             + g.bracket(y, g.bracket(z, x))
-             + g.bracket(z, g.bracket(x, y)))
-        worst = max(worst, float(np.linalg.norm(j)))
-    return worst
+    x, y, z = _unit_triples(g, trials, seed)
+    j = (g.bracket(x, g.bracket(y, z))
+         + g.bracket(y, g.bracket(z, x))
+         + g.bracket(z, g.bracket(x, y)))
+    return float(np.max(np.linalg.norm(j, axis=-1), initial=0.0))
 
 
 def q_invariance_residual(g, trials=100, seed=0):
@@ -199,15 +190,10 @@ def q_invariance_residual(g, trials=100, seed=0):
 
     Zero in exact arithmetic: Q is invariant under the adjoint action.
     """
-    rng = np.random.default_rng(seed)
-    scale = max(float(np.linalg.norm(g.q_form, 2)), 1.0)
-    worst = 0.0
-    for _ in range(trials):
-        x, y, z = rng.standard_normal((3, g.dim))
-        for v in (x, y, z):
-            v /= np.linalg.norm(v)
-        worst = max(worst, abs(g.q(g.bracket(x, y), z) + g.q(y, g.bracket(x, z))))
-    return worst / scale
+    x, y, z = _unit_triples(g, trials, seed)
+    q = g.q_form
+    sums = np.sum(g.bracket(x, y) @ q * z, axis=-1) + np.sum(y @ q * g.bracket(x, z), axis=-1)
+    return float(np.max(np.abs(sums), initial=0.0)) / max(float(np.linalg.norm(q, 2)), 1.0)
 
 
 # ---------------------------------------------------------------------------

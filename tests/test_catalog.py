@@ -221,12 +221,6 @@ def test_meta_fields():
     assert "wallach-type-ii" in meta["tags"]
 
 
-@pytest.mark.parametrize("rid", list(EXPECTED_SHAPES))
-def test_list_tags_equal_make_space_tags(rid):
-    listed = {r[0]: r[2] for r in catalog.list_catalog()}
-    assert listed[rid] == catalog.make_space(rid)[2]["tags"]
-
-
 def test_listed_equivalent_summands():
     tagged = {rid for rid, _, tags in catalog.list_catalog()
               if "equivalent-summands" in tags}

@@ -231,6 +231,19 @@ def test_check_out_file_and_csv(capsys, tmp_path):
     assert row[0] == "so5/u2" and row[2] == "GO"
 
 
+@pytest.mark.parametrize("argv", [
+    ("list",),
+    ("check", "--space", "so5/u2", "--metric", "linear:1,2", "--samples", "20"),
+    ("verify", "type1-nr", "--samples", "20"),
+])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == cli.EXIT_BAD_SPEC
+    assert err == f"usage error: cannot write {path}: No such file or directory\n"
+    assert out == "" and not path.parent.exists()
+
+
 def test_check_text_format(capsys):
     code, out, _ = run(capsys, "check", "--space", "so5/u2",
                        "--metric", "linear:1,1", "--samples", "30",

@@ -194,7 +194,7 @@ def test_zero_vector_guards():
 @pytest.mark.parametrize("fn", [
     finsler.l_from_phi(finsler.PhiProfile((1.0, 0.0, 5.0)), check=False),
     finsler.l_from_phi(finsler.PhiProfile((1.0, 0.1)), check=False),
-    finsler.l_pert3([1.0, 1.0, 1.0], 0.5, check=False),
+    finsler.l_pert3([1.0, 1.0, 1.0], 0.5),
 ])
 def test_strong_convexity_screen_matches_loop(fn):
     # the screen before batching: one tensor and one eigvalsh per direction

@@ -42,7 +42,7 @@ def test_operator_minimizer_solves_equation(rng):
     auu = finsler.apply_grad(fn.grad(theta), comps)[0]
     bh, bm = space.bracket_mm(u, auu)
     w = np.linalg.lstsq(space.hm_columns(auu), -bm, rcond=None)[0]
-    lhs = space.bracket_hm_vec(w, auu) + bm
+    lhs = space.hm_columns(auu) @ w + bm
     npt.assert_allclose(lhs, np.zeros_like(lhs), atol=1e-10)
     npt.assert_allclose(bh, np.zeros_like(bh), atol=1e-10)
 
@@ -458,8 +458,8 @@ def test_centralizer_condition_feasible_unique(rng):
         assert out["feasible"] and out["unique"]
         # the minimizers actually solve the equation
         _, target = space.bracket_mm(x, y)
-        lhs = (space.bracket_hm_vec(out["z_y"], x)
-               + space.bracket_hm_vec(out["z_x"], y))
+        lhs = (space.hm_columns(x) @ out["z_y"]
+               + space.hm_columns(y) @ out["z_x"])
         npt.assert_allclose(lhs, target, atol=1e-8)
 
 

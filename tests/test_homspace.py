@@ -11,7 +11,7 @@ from gospace.errors import (DimensionMismatchError, NotSubalgebraError,
 def circle_in_so3():
     g = liealg.from_matrices(liealg.so_matrices(3))
     h = np.zeros((1, 3))
-    h[0, 0] = 1.0 / g.q_norm(np.eye(3)[0])        # so(2) spanned by one rotation
+    h[0, 0] = 1.0 / np.sqrt(g.q_form[0, 0])       # so(2) spanned by one rotation
     return homspace.build(g, h)
 
 
@@ -29,23 +29,22 @@ def test_bracket_tables_match_full_bracket(circle_in_so3, rng):
     y = rng.standard_normal(space.dim_m)
     bh, bm = space.bracket_mm(x, y)
     full = g.bracket(space.lift_m(x), space.lift_m(y))
-    npt.assert_allclose(space.lift_h(bh) + space.lift_m(bm), full, atol=1e-12)
+    npt.assert_allclose(bh @ space.h_basis + space.lift_m(bm), full, atol=1e-12)
     w = rng.standard_normal(space.dim_h)
-    npt.assert_allclose(space.lift_m(space.bracket_hm_vec(w, x)),
-                        g.bracket(space.lift_h(w), space.lift_m(x)), atol=1e-12)
+    npt.assert_allclose(space.lift_m(space.hm_columns(x) @ w),
+                        g.bracket(w @ space.h_basis, space.lift_m(x)), atol=1e-12)
 
 
 def test_hm_columns_and_ad(circle_in_so3, rng):
     space = circle_in_so3
     w = rng.standard_normal(space.dim_h)
     x = rng.standard_normal(space.dim_m)
-    npt.assert_allclose(space.ad_h_on_m(w) @ x, space.bracket_hm_vec(w, x),
-                        atol=1e-12)
+    ad_w = np.tensordot(w, space.bracket_hm.transpose(0, 2, 1), 1)
+    npt.assert_allclose(ad_w @ x, space.hm_columns(x) @ w, atol=1e-12)
+    # column j is [h_j, x], against the structure constants on lifted rows
     cols = space.hm_columns(x)
-    for j in range(space.dim_h):
-        e = np.zeros(space.dim_h)
-        e[j] = 1.0
-        npt.assert_allclose(cols[:, j], space.bracket_hm_vec(e, x), atol=1e-12)
+    npt.assert_allclose(space.lift_m(cols.T),
+                        space.g.bracket(space.h_basis, space.lift_m(x)), atol=1e-12)
 
 
 def test_bracket_and_columns_take_stacks_of_rows(rng):
@@ -60,10 +59,19 @@ def test_bracket_and_columns_take_stacks_of_rows(rng):
         npt.assert_allclose(bh[i], one_h, atol=1e-14)
         npt.assert_allclose(bm[i], one_m, atol=1e-14)
         npt.assert_allclose(cols[i], space.hm_columns(x[i]), atol=1e-14)
+    lifted = space.lift_m(x)
+    projected = space.proj_m(lifted)
+    assert lifted.shape == (5, space.g.dim)
+    npt.assert_allclose(projected, x, atol=1e-12)
+    for i in range(5):
+        npt.assert_allclose(lifted[i], space.lift_m(x[i]), atol=1e-14)
+        npt.assert_allclose(projected[i], space.proj_m(lifted[i]), atol=1e-14)
     with pytest.raises(DimensionMismatchError):
         space.hm_columns(np.ones((2, 2, space.dim_m)))
     with pytest.raises(DimensionMismatchError):
-        space.bracket_hm_vec(np.ones((2, space.dim_h)), x[0])
+        space.proj_m(np.ones((2, 2, space.g.dim)))
+    with pytest.raises(DimensionMismatchError):
+        space.lift_m(np.ones((2, space.g.dim)))
 
 
 def test_build_rejects_non_subalgebra():
@@ -85,6 +93,39 @@ def test_isotropy_decompose_so5_u2():
     # the dims multiset is seed independent
     for seed in range(1, 5):
         assert sorted(homspace.isotropy_decompose(space, seed=seed).dims) == [2, 4]
+
+
+def invariance_residual_loop(space, dec):
+    """Leakage over unit vectors of h, one ad(h_i)|_m matrix at a time, kept
+    here as the reference for the contraction over all of h."""
+    worst = 0.0
+    for i in range(space.dim_h):
+        a = space.bracket_hm[i].T
+        for s in dec.summands:
+            img = a @ s.T
+            out = img - s.T @ (s @ img)
+            if out.size:
+                worst = max(worst, float(np.max(np.abs(out))))
+    return worst
+
+
+@pytest.mark.parametrize("rid", [rid for rid, _, _ in catalog.list_catalog()])
+def test_invariance_residual_matches_loop(rid):
+    space, dec, _ = catalog.make_space(rid)
+    got = homspace.invariance_residual(space, dec)
+    assert got < 1e-12
+    assert abs(got - invariance_residual_loop(space, dec)) <= 1e-15
+    blocks = homspace.Decomposition.from_dims(dec.dims)
+    assert abs(homspace.invariance_residual(space, blocks)
+               - invariance_residual_loop(space, blocks)) <= 1e-15
+
+
+@pytest.mark.parametrize("rid", ["so5/u2", "wallach-so/2,2,2", "product-sym/3xS2",
+                                 "spin8/g2"])
+def test_invariance_residual_detects_coordinate_blocks(rid):
+    # coordinate blocks of the canonical dims are not invariant on these spaces
+    space, dec, _ = catalog.make_space(rid)
+    assert homspace.invariance_residual(space, homspace.Decomposition.from_dims(dec.dims)) >= 0.1
 
 
 def test_isotropy_decompose_irreducible(circle_in_so3):
@@ -127,7 +168,7 @@ def dense_stack_commutant_dim(space):
     sym = np.array(sym)
     if space.dim_h == 0:
         return len(sym)
-    ads = np.array([space.ad_h_on_m(w) for w in np.eye(space.dim_h)])
+    ads = space.bracket_hm.transpose(0, 2, 1)
     comm = (np.einsum("wij,djk->dwik", ads, sym)
             - np.einsum("dij,wjk->dwik", sym, ads))
     mat = comm.reshape(len(sym), -1).T
@@ -165,8 +206,7 @@ def test_commutant_elements_are_symmetric_and_commute(rid):
     npt.assert_allclose(basis, basis.transpose(0, 2, 1), atol=1e-14)
     npt.assert_allclose(np.einsum("apq,bpq->ab", basis, basis),
                         np.eye(len(basis)), atol=1e-12)
-    for w in np.eye(space.dim_h):
-        a = space.ad_h_on_m(w)
+    for a in space.bracket_hm.transpose(0, 2, 1):
         npt.assert_allclose(a @ basis - basis @ a, 0.0, atol=1e-12)
 
 
@@ -196,7 +236,7 @@ def test_centralizer_actually_centralizes(rng):
     u = dec.summands[0].T @ rng.standard_normal(dec.dims[0])
     c = homspace.centralizer_in_h(space, u)
     for row in c:
-        assert np.linalg.norm(space.bracket_hm_vec(row, u)) < 1e-10
+        assert np.linalg.norm(space.hm_columns(u) @ row) < 1e-10
     # tilde rows are Q-orthogonal to the centralizer and normalize it
     t = homspace.tilde_centralizer(space, u)
     if c.shape[0] and t.shape[0]:

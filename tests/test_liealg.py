@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gospace import liealg
+from gospace import catalog, liealg
 from gospace.errors import (DependentBasisError, DimensionMismatchError,
                             NonClosedError, NonCompactError)
 
@@ -55,19 +55,64 @@ def test_jacobi_and_invariance(build):
     assert w[0] > 0
 
 
+def jacobi_and_invariance_loops(g, trials=100, seed=0):
+    """The probes as one (3, dim) draw and one bracket per vector each trial,
+    kept here as the reference for the batched ones."""
+    def bracket(x, y):
+        return np.einsum("ijk,i,j->k", g.structure, x, y)
+
+    rng = np.random.default_rng(seed)
+    jac = inv = 0.0
+    for _ in range(trials):
+        x, y, z = rng.standard_normal((3, g.dim))
+        for v in (x, y, z):
+            v /= np.linalg.norm(v)
+        j = bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + bracket(z, bracket(x, y))
+        jac = max(jac, float(np.linalg.norm(j)))
+        inv = max(inv, abs(float(bracket(x, y) @ g.q_form @ z + y @ g.q_form @ bracket(x, z))))
+    return jac, inv / max(float(np.linalg.norm(g.q_form, 2)), 1.0)
+
+
+@pytest.mark.parametrize("rid", [rid for rid, _, _ in catalog.list_catalog()])
+def test_probes_match_per_trial_loops(rid):
+    g = catalog.make_space(rid)[0].g
+    jac, inv = jacobi_and_invariance_loops(g)
+    assert abs(liealg.jacobi_residual(g) - jac) <= 1e-15
+    assert abs(liealg.q_invariance_residual(g) - inv) <= 1e-15
+
+
+def test_probes_detect_a_bracket_that_is_not_a_lie_algebra():
+    c = np.random.default_rng(0).standard_normal((6, 6, 6))
+    g = liealg.LieAlgebra(c - c.transpose(1, 0, 2), check_compact=False)
+    assert liealg.jacobi_residual(g, trials=50) > 0.1
+    assert liealg.q_invariance_residual(g, trials=50) > 0.1
+    jac, inv = jacobi_and_invariance_loops(g, trials=50)
+    assert liealg.jacobi_residual(g, trials=50) == pytest.approx(jac, rel=1e-12)
+    assert liealg.q_invariance_residual(g, trials=50) == pytest.approx(inv, rel=1e-12)
+
+
 def test_structure_tensor_antisymmetric_exactly():
     g = so_algebra(4)
     npt.assert_array_equal(g.structure, -np.swapaxes(g.structure, 0, 1))
 
 
 def test_bracket_ad_consistency(rng):
-    g = so_algebra(4)
-    x = rng.standard_normal(g.dim)
-    y = rng.standard_normal(g.dim)
-    npt.assert_allclose(g.bracket(x, y), g.ad(x) @ y, atol=1e-12)
+    mats = liealg.so_matrices(4)
+    g = liealg.from_matrices(mats)
+    x = rng.standard_normal((3, g.dim))
+    y = rng.standard_normal((3, g.dim))
+    # row by row, against the commutators of the matrix realizations
+    xm, ym = np.tensordot(x, mats, 1), np.tensordot(y, mats, 1)
+    npt.assert_allclose(g.bracket(x, y),
+                        liealg.matrix_coords(mats, xm @ ym - ym @ xm), atol=1e-12)
+    for i in range(3):
+        npt.assert_allclose(g.bracket(x, y)[i], g.bracket(x[i], y[i]), atol=1e-14)
+    with pytest.raises(DimensionMismatchError):
+        g.bracket(np.ones((2, 2, g.dim)), np.ones(g.dim))
     # Q-antisymmetry of ad
     z = rng.standard_normal(g.dim)
-    assert g.q(g.bracket(x, y), z) == pytest.approx(-g.q(y, g.bracket(x, z)))
+    q = g.q_form
+    assert g.bracket(x[0], y[0]) @ q @ z == pytest.approx(-(y[0] @ q @ g.bracket(x[0], z)))
 
 
 def test_noncompact_rejected():

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gospace import _linalg
+from gospace import _linalg, catalog, homspace
 
 
 def test_null_space_basic():
@@ -62,6 +62,63 @@ def test_gram_schmidt_drops_dependent_rows(rng):
     rows = np.vstack([a, 2.0 * a, rng.standard_normal(5)])
     out = _linalg.gram_schmidt(rows)
     assert out.shape[0] == 2
+
+
+def gram_schmidt_loop(rows, inner=None):
+    """The row-by-row modified Gram-Schmidt, one inner product per pair, that
+    the batched sweeps replaced; kept here as the reference."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+
+    def dot(a, b):
+        return float(a @ b) if inner is None else float(a @ inner @ b)
+
+    out = []
+    for v in rows:
+        w = v.copy()
+        scale = np.sqrt(max(dot(v, v), 0.0))
+        if scale == 0.0:
+            continue
+        for _ in range(2):
+            for b in out:
+                w = w - dot(b, w) * b
+        nw = np.sqrt(max(dot(w, w), 0.0))
+        if nw > 1e-10 * max(scale, 1.0):
+            out.append(w / nw)
+    return np.array(out) if out else np.zeros((0, rows.shape[1]))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_gram_schmidt_matches_row_loop(rng, weighted):
+    for n in (3, 7, 12):
+        a = rng.standard_normal((5, n))
+        # dependent, zero and negligible rows mixed in between independent ones
+        rows = np.vstack([a[:2], a[0] - 3.0 * a[1], a[2:4], np.zeros(n),
+                          1e-12 * a[3], a[4], a[1] + 0.5 * a[4], 40.0 * a[2]])
+        inner = None
+        if weighted:
+            w = rng.standard_normal((n, n))
+            inner = w @ w.T + n * np.eye(n)
+        out, ref = _linalg.gram_schmidt(rows, inner), gram_schmidt_loop(rows, inner)
+        assert out.shape == ref.shape == (min(n, 5), n)
+        npt.assert_allclose(out, ref, rtol=0.0, atol=1e-14)
+
+
+def test_gram_schmidt_matches_row_loop_on_catalog_h_spans(monkeypatch):
+    spans = []
+    build = homspace.build
+
+    def recording(g, h_span):
+        spans.append((g.q_form, np.asarray(h_span, dtype=float)))
+        return build(g, h_span)
+
+    monkeypatch.setattr(homspace, "build", recording)
+    catalog._make_space_cached.cache_clear()
+    catalog.list_catalog()
+    assert len(spans) == 12
+    for q, h_span in spans:
+        out, ref = _linalg.gram_schmidt(h_span, q), gram_schmidt_loop(h_span, q)
+        assert out.shape == ref.shape
+        npt.assert_allclose(out, ref, rtol=0.0, atol=1e-14)
 
 
 def test_lstsq_min_norm_residual_vector(rng):

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -80,3 +81,32 @@ def test_no_orphaned_private_names():
                for name, node in _private_definitions(tree)
                if refs[name] == _references(node)[name]]
     assert orphans == []
+
+
+def _public_methods(tree):
+    """(class name, node) of every public method or property in a class body."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield cls.name, node
+
+
+def test_no_unused_public_methods():
+    # a public method or property that neither the package nor the benchmark
+    # names outside its own definition is dead code; overrides of a base
+    # class attribute (argparse's error hook) are called from the base
+    paths = sorted((ROOT / "src" / "gospace").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for p in paths + sorted((ROOT / "bench").glob("*.py"))}
+    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = []
+    for path in paths:
+        module = importlib.import_module(f"gospace.{path.stem}")
+        for cls_name, node in _public_methods(trees[path]):
+            bases = getattr(module, cls_name).__mro__[1:]
+            if (refs[node.name] == _references(node)[node.name]
+                    and not any(hasattr(base, node.name) for base in bases)):
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} "
+                              f"{cls_name}.{node.name}")
+    assert unused == []
