@@ -21,8 +21,8 @@ from .gocheck import (GO, INCONCLUSIVE, NOT_GO, NOT_NR, NR, CheckReport,
                       wallach_system_check)
 from .homspace import (Decomposition, HomogeneousSpace, build,
                        centralizer_in_h, invariance_residual,
-                       isotropy_decompose, normalizer_of_in_h,
-                       symmetric_commutant_dim, tilde_centralizer)
+                       isotropy_decompose, symmetric_commutant_dim,
+                       tilde_centralizer)
 from .liealg import (LieAlgebra, direct_sum, from_matrices, jacobi_residual,
                      q_invariance_residual, quaternionify, realify,
                      so_matrices, sp_matrices, su_matrices)
@@ -42,8 +42,8 @@ __all__ = [
     "sample_plan", "two_summand_phi_check", "verdicts",
     "wallach_system_check",
     "Decomposition", "HomogeneousSpace", "build", "centralizer_in_h",
-    "invariance_residual", "isotropy_decompose", "normalizer_of_in_h",
-    "symmetric_commutant_dim", "tilde_centralizer",
+    "invariance_residual", "isotropy_decompose", "symmetric_commutant_dim",
+    "tilde_centralizer",
     "LieAlgebra", "direct_sum", "from_matrices", "jacobi_residual",
     "q_invariance_residual", "quaternionify", "realify", "so_matrices",
     "sp_matrices", "su_matrices",

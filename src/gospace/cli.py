@@ -25,7 +25,7 @@ from .errors import (GoSpaceError, InvalidProfileError,
                      SpecFormatError, UnknownSpecError, UnsupportedRankError)
 from .finsler import parse_metric
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 DEFAULT_TOL = 1e-8
 
 EXIT_OK = 0
@@ -86,8 +86,6 @@ def _build_parser():
                     default=None, help="exit 1 unless the verdict matches")
     pc.add_argument("--format", choices=("json", "csv", "text"), default="json")
     pc.add_argument("--out", default=None, help="write the report to a file")
-    pc.add_argument("--threads", type=int, default=1,
-                    help="accepted and echoed in the report; has no effect")
 
     pv = sub.add_parser("verify", help="run a named verification suite")
     pv.add_argument("suite", choices=suites.SUITE_NAMES)
@@ -97,8 +95,6 @@ def _build_parser():
     pv.add_argument("--tol", type=float, default=None)
     pv.add_argument("--format", choices=("json", "csv", "text"), default="text")
     pv.add_argument("--out", default=None)
-    pv.add_argument("--threads", type=int, default=1,
-                    help="accepted and echoed in the report; has no effect")
     return p
 
 
@@ -123,8 +119,6 @@ def _validate_numbers(args):
         raise _UsageError("--samples must be positive")
     if getattr(args, "seed", 0) < 0:
         raise _UsageError("--seed must be nonnegative")
-    if getattr(args, "threads", 1) < 1:
-        raise _UsageError("--threads must be at least 1")
 
 
 def _emit(text, out_path):
@@ -175,7 +169,6 @@ def _check_report(args, tol, fn, go, nr, wallclock):
         "samples": args.samples,
         "seed": args.seed,
         "tol": tol,
-        "threads": args.threads,
         "verdicts": {"go": go.verdict, "nr": nr.verdict},
         "max_residuals": {
             "go_operator": go.extras["max_residual_operator"],
@@ -268,7 +261,6 @@ def cmd_verify(args):
         "samples": args.samples,
         "seed": args.seed,
         "tol": tol,
-        "threads": args.threads,
         "passed": result.passed,
         "items": [it.to_dict() for it in result.items],
         "wallclock": round(time.time() - t0, 6),

@@ -170,24 +170,22 @@ def _nr(sh):
     return np.hypot(_norm(bh), _norm(bm)) / den
 
 
-def residuals(space, dec, fn, plan, go=True):
+def residuals(space, dec, fn, plan):
     """Residual arrays (operator, spray, nr) over the rows of ``plan`` (N, n).
 
     Works in chunks of max(1, BUDGET // n**2) rows, n = dim m, so every
     plan of a few hundred directions is one array pass and a long plan runs
     in bounded memory; A_u(u) and [u, A_u(u)] are computed once per
     direction. A single direction u is the plan ``u[None]``.
-    ``go=False`` computes only the NR residual, and None for the others.
     """
     rows = max(1, BUDGET // space.dim_m ** 2)
     parts = ([], [], [])
     for start in range(0, len(plan), rows):
         sh = _shared(space, dec, fn, plan[start:start + rows])
-        if go:
-            parts[0].append(_operator(space, sh))
-            parts[1].append(_spray(space, dec, fn, sh))
+        parts[0].append(_operator(space, sh))
+        parts[1].append(_spray(space, dec, fn, sh))
         parts[2].append(_nr(sh))
-    return tuple(np.concatenate(p) if p else None for p in parts)
+    return tuple(np.concatenate(p) for p in parts)
 
 
 def _single(space, dec, fn, u):
@@ -201,15 +199,6 @@ def _single(space, dec, fn, u):
 def _band(worst, proof, tol, yes, no):
     # yes when the worst sample passes; no when some proof sample fails by FAIL_FACTOR
     return yes if worst <= tol else no if proof > FAIL_FACTOR * tol else INCONCLUSIVE
-
-
-def _nr_report(plan, res, tol, seed):
-    worst = int(np.argmax(res))
-    witness = {"index": worst, "u": [float(x) for x in plan[worst]],
-               "residual": float(res[worst])}
-    return CheckReport(check="nr", verdict=_band(res[worst], res[worst], tol, NR, NOT_NR),
-                       samples=len(plan), max_residual=float(res[worst]), tol=tol,
-                       seed=seed, witness=witness)
 
 
 def go_verdict(space, dec, fn, samples=200, seed=42, tol=1e-8):
@@ -226,8 +215,7 @@ def go_verdict(space, dec, fn, samples=200, seed=42, tol=1e-8):
 def nr_check(space, dec, fn, samples=200, seed=42, tol=1e-8):
     """Sampled natural-reductivity verdict: NR iff every residual is <= tol,
     NOT_NR when some residual exceeds 1e3 * tol, INCONCLUSIVE otherwise."""
-    plan = sample_plan(dec, fn.boundary_ok, samples, seed)
-    return _nr_report(plan, residuals(space, dec, fn, plan, go=False)[2], tol, seed)
+    return verdicts(space, dec, fn, samples=samples, seed=seed, tol=tol)[1]
 
 
 def verdicts(space, dec, fn, samples=200, seed=42, tol=1e-8):
@@ -249,7 +237,12 @@ def verdicts(space, dec, fn, samples=200, seed=42, tol=1e-8):
             "max_criteria_gap": float(np.max(np.abs(r_op - r_sp))),
             "criteria_disagree": bool(np.any((lo <= tol) & (hi > FAIL_FACTOR * tol))),
         })
-    return go, _nr_report(plan, r_nr, tol, seed)
+    k = int(np.argmax(r_nr))
+    nr = CheckReport(check="nr", verdict=_band(r_nr[k], r_nr[k], tol, NR, NOT_NR),
+                     samples=len(plan), max_residual=float(r_nr[k]), tol=tol, seed=seed,
+                     witness={"index": k, "u": [float(x) for x in plan[k]],
+                              "residual": float(r_nr[k])})
+    return go, nr
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +311,9 @@ def centralizer_condition_check(space, x, y):
 
     Looks for z_x in C~(x+y) centralizing x and z_y in C~(x+y) centralizing
     y with [x, y] = [z_y, x] + [z_x, y].  Returns a dict with feasibility
-    (relative residual at most 1e-8), uniqueness (trivial kernel of the
-    stacked column map), the relative residual, and the minimizers.
+    (relative residual at most 1e-8), uniqueness (full column rank of the
+    stacked column map, read from the least-squares solve), the relative
+    residual, and the minimizers.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -330,22 +324,16 @@ def centralizer_condition_check(space, x, y):
     sy = centralizer_in_h(space, y, within=tilde)
     _, target = space.bracket_mm(x, y)
     mat = np.hstack([space.hm_columns(x) @ sy.T, space.hm_columns(y) @ sx.T])
-    coef, resid_vec = _linalg.lstsq_min_norm(mat, target)
+    # numpy's default cutoff is the one of _linalg.svd_rank
+    coef, _, rank, _ = np.linalg.lstsq(mat, target, rcond=None)
     scale = max(float(np.linalg.norm(target)),
                 float(np.linalg.norm(x) * np.linalg.norm(y)), _linalg.EPS)
-    residual = float(np.linalg.norm(resid_vec)) / scale
-    if mat.shape[1]:
-        rank = _linalg.svd_rank(np.linalg.svd(mat, compute_uv=False), mat.shape)
-        unique = bool(rank == mat.shape[1])
-    else:
-        unique = True
+    residual = float(np.linalg.norm(mat @ coef - target)) / scale
     n_sy = sy.shape[0]
-    z_y = coef[:n_sy] @ sy if n_sy else np.zeros(space.dim_h)
-    z_x = coef[n_sy:] @ sx if sx.shape[0] else np.zeros(space.dim_h)
     return {
         "feasible": bool(residual <= 1e-8),
-        "unique": unique,
+        "unique": bool(rank == mat.shape[1]),
         "residual": residual,
-        "z_x": z_x,
-        "z_y": z_y,
+        "z_x": coef[n_sy:] @ sx,
+        "z_y": coef[:n_sy] @ sy,
     }

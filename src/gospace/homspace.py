@@ -302,37 +302,18 @@ def centralizer_in_h(space, u, within=None):
     return kernel if within is None else kernel @ within
 
 
-def normalizer_of_in_h(space, c_rows):
-    """Orthonormal rows spanning {w in h : [w, C] in C} for a subalgebra C of h."""
-    c_rows = np.atleast_2d(np.asarray(c_rows, dtype=float))
-    nh = space.dim_h
-    if c_rows.shape[0] == 0 or c_rows.shape[0] == nh:
-        return np.eye(nh)
-    off_c = np.eye(nh) - c_rows.T @ c_rows
-    blocks = []
-    for cj in c_rows:
-        # row w ->  off_c @ [w, c_j]; [w, c_j]_k = sum_i w_i bracket_hh[i, j', k]
-        adj = np.einsum("ijk,j->ki", space.bracket_hh, cj)   # (nh, nh): col i = [h_i, c_j]
-        blocks.append(off_c @ adj)
-    stacked = np.vstack(blocks)
-    atol = max(stacked.shape) * _linalg.EPS * float(np.linalg.norm(space.bracket_hh.ravel()))
-    return _linalg.null_space(stacked, atol)
-
-
 def tilde_centralizer(space, u):
-    """Q-orthocomplement of the centralizer of u inside its normalizer in h.
+    """Q-orthocomplement of the centralizer C of u inside its normalizer in h.
 
-    Returns orthonormal h-coords rows.  Equals all of h when the centralizer
-    is trivial and is empty when the centralizer is all of h.
+    Returns orthonormal h-coords rows: the kernel of w -> ((I - C^T C)[w, c_j]
+    for each row c_j of C, C w), which is N(C) ∩ C-perp since C lies in
+    N(C).  C's rows are scaled to the norm of ``bracket_hh`` (1 for abelian
+    h), so both blocks share one cutoff.  A trivial C gives all of h and
+    C = h gives nothing.
     """
     c = centralizer_in_h(space, u)
-    if c.shape[0] == 0:
-        return np.eye(space.dim_h)
-    if c.shape[0] == space.dim_h:
-        return np.zeros((0, space.dim_h))
-    n = normalizer_of_in_h(space, c)
-    # vectors in N orthogonal to C: solve (C @ N^T) alpha = 0 within N;
-    # both factors have orthonormal rows so unit scale sets the noise floor
-    mat = c @ n.T
-    alpha = _linalg.null_space(mat, atol=max(mat.shape, default=1) * _linalg.EPS)
-    return alpha @ n if alpha.size else np.zeros((0, space.dim_h))
+    scale = float(np.linalg.norm(space.bracket_hh)) or 1.0
+    adj = np.einsum("ijk,cj->cki", space.bracket_hh, c)     # [:, :, i] = [h_i, c_j]
+    leak = (np.eye(space.dim_h) - c.T @ c) @ adj            # part of [w, c_j] off C
+    stacked = np.vstack([leak.reshape(-1, space.dim_h), scale * c])
+    return _linalg.null_space(stacked, atol=max(stacked.shape) * _linalg.EPS * scale)

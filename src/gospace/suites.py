@@ -67,6 +67,17 @@ def _spaces_with_tag(tag):
     return [rid for rid, _, tags in catalog.list_catalog() if tag in tags]
 
 
+def _centralizer_pairs(space, dec, rng, count):
+    """Centralizer-equation results for ``count`` pairs x in m1, y in m2,
+    drawn from ``rng`` in that order."""
+    out = []
+    for _ in range(count):
+        x = dec.summands[0].T @ rng.standard_normal(dec.dims[0])
+        y = dec.summands[1].T @ rng.standard_normal(dec.dims[1])
+        out.append(gocheck.centralizer_condition_check(space, x, y))
+    return out
+
+
 def suite_thm1_converse(samples=200, seed=42, tol=1e-8):
     """Two-summand entries: GO for the whole battery, NOT_NR off the normal
     metric, and the two-block centralizer equation solvable and unique."""
@@ -83,16 +94,9 @@ def suite_thm1_converse(samples=200, seed=42, tol=1e-8):
                 out.add(f"{spec} {mtext} nr", nr.verdict == NOT_NR
                         and nr.max_residual > 1e-3,
                         f"verdict={nr.verdict} max_residual={nr.max_residual:.3e}")
-        rng = np.random.default_rng(seed)
-        bad = 0
-        worst = 0.0
-        for _ in range(100):
-            x = dec.summands[0].T @ rng.standard_normal(dec.dims[0])
-            y = dec.summands[1].T @ rng.standard_normal(dec.dims[1])
-            res = gocheck.centralizer_condition_check(space, x, y)
-            worst = max(worst, res["residual"])
-            if not (res["feasible"] and res["unique"]):
-                bad += 1
+        res = _centralizer_pairs(space, dec, np.random.default_rng(seed), 100)
+        bad = sum(not (r["feasible"] and r["unique"]) for r in res)
+        worst = max(r["residual"] for r in res)
         out.add(f"{spec} centralizer-equation", bad == 0,
                 f"failures={bad}/100 worst_residual={worst:.3e}")
     return out
@@ -216,13 +220,8 @@ def suite_invariants(samples=40, seed=42, tol=1e-8):
 
     for spec in _spaces_with_tag("two-summand-go"):
         space, dec, _ = catalog.make_space(spec)
-        bad = 0
-        for _ in range(30):
-            x = dec.summands[0].T @ rng.standard_normal(dec.dims[0])
-            y = dec.summands[1].T @ rng.standard_normal(dec.dims[1])
-            res = gocheck.centralizer_condition_check(space, x, y)
-            if res["feasible"] and not res["unique"]:
-                bad += 1
+        bad = sum(r["feasible"] and not r["unique"]
+                  for r in _centralizer_pairs(space, dec, rng, 30))
         out.add(f"{spec} centralizer uniqueness when feasible", bad == 0,
                 f"feasible-but-nonunique={bad}/30")
     return out

@@ -207,15 +207,15 @@ def test_check_deterministic_modulo_wallclock(capsys):
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
-def test_threads_flag_has_no_effect(capsys):
-    args = ("check", "--space", "su3/t2", "--metric", "linear:1,2,3",
-            "--samples", "30", "--seed", "5")
-    _, out1, _ = run(capsys, *args, "--threads", "1")
-    _, out3, _ = run(capsys, *args, "--threads", "3")
-    r1, r3 = json.loads(out1), json.loads(out3)
-    assert (r1.pop("threads"), r3.pop("threads")) == (1, 3)    # echoed only
-    r1.pop("wallclock"), r3.pop("wallclock")
-    assert json.dumps(r1, sort_keys=True) == json.dumps(r3, sort_keys=True)
+@pytest.mark.parametrize("argv", [
+    ("check", "--space", "su3/t2", "--metric", "linear:1,2,3", "--samples", "30"),
+    ("verify", "invariants", "--samples", "5"),
+], ids=["check", "verify"])
+def test_threads_is_an_unknown_option(capsys, argv):
+    # --threads was a no-op and is gone; it fails like any unknown option
+    code, out, err = run(capsys, *argv, "--threads", "3")
+    assert (code, out, err) == (cli.EXIT_BAD_SPEC, "",
+                                "usage error: unrecognized arguments: --threads 3\n")
 
 
 def test_check_out_file_and_csv(capsys, tmp_path):

@@ -258,4 +258,4 @@ def test_zero_vector_guard():
     space, dec, _ = catalog.make_space("su3/t2")
     with pytest.raises(ZeroVectorError):
         gocheck.residuals(space, dec, finsler.l_linear([1.0, 1.0, 1.0]),
-                          np.zeros((1, space.dim_m)), go=False)
+                          np.zeros((1, space.dim_m)))
