@@ -14,12 +14,13 @@ def svd_rank(sigma, shape, atol=0.0):
 
     ``atol`` is an absolute floor for the cutoff; without it a matrix of
     pure rounding noise looks full rank because the cutoff scales with its
-    own (tiny) largest singular value.
+    own (tiny) largest singular value.  ``sigma`` may be a stack (..., k) of
+    descending singular values: the two entries of ``shape`` and ``atol``
+    then broadcast over the stack, so every matrix is cut at its own shape.
     """
-    if sigma.size == 0:
-        return 0
-    cut = max(max(shape) * EPS * float(sigma[0]), atol)
-    return int(np.sum(sigma > cut))
+    sigma = np.asarray(sigma)
+    cut = np.maximum(np.maximum(*shape) * EPS * np.max(sigma, axis=-1, initial=0.0), atol)
+    return np.count_nonzero(sigma > cut[..., None], axis=-1)
 
 
 def null_space(a, atol=0.0):
@@ -31,6 +32,22 @@ def null_space(a, atol=0.0):
     # needs the (rows x rows) U that full_matrices would build
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     return vh[svd_rank(s, a.shape, atol):]
+
+
+def null_spaces(a, rows, atol):
+    """Kernels of a stack of matrices ``a`` (N, M, K) by one batched SVD.
+
+    Matrix i has ``rows[i]`` real rows; its other rows are zero padding,
+    which changes no singular value, so it is cut as :func:`null_space`
+    cuts it at its real shape (rows[i], K), with the absolute floor
+    ``atol`` (a scalar or one per matrix).  Returns (basis, dims): basis
+    (N, K, K) holds orthonormal rows spanning kernel i in its first dims[i]
+    rows and zeros below them.
+    """
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[-2] < a.shape[-1])
+    dims = a.shape[-1] - svd_rank(s, (rows, a.shape[-1]), atol)
+    basis = vh[:, ::-1]                 # kernel rows first
+    return basis * (np.arange(a.shape[-1]) < dims[:, None])[..., None], dims
 
 
 def gram_schmidt(rows, inner=None):
@@ -74,9 +91,21 @@ def lstsq_min_norm(a, b):
     if a.ndim == 2:
         x = np.linalg.lstsq(a, b, rcond=None)[0]
         return x, a @ x - b
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    cut = max(a.shape[-2:]) * EPS * s[..., :1]
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
-    x = np.einsum("...ki,...k->...i", vh, inv * np.einsum("...mk,...m->...k", u, b))
-    return x, np.einsum("...mk,...k->...m", a, x) - b
+    return lstsq_stack(a, b, a.shape[-1])[:2]
 
+
+def lstsq_stack(a, b, cols):
+    """Minimum-norm least squares over a stack (..., M, K) by one batched SVD.
+
+    Matrix i has ``cols[i]`` real columns (``cols`` may be one int for
+    all); its other columns are zero padding, which changes no singular
+    value, so it is cut at numpy's cutoff for its real shape,
+    max(M, cols[i]) * eps * sigma_max.  Returns (x, residual, rank) with
+    residual = a x - b and the rank of each matrix.
+    """
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    rank = svd_rank(s, (a.shape[-2], cols))
+    inv = np.divide(1.0, s, out=np.zeros_like(s),
+                    where=np.arange(s.shape[-1]) < rank[..., None])
+    x = np.einsum("...ki,...k->...i", vh, inv * np.einsum("...mk,...m->...k", u, b))
+    return x, np.einsum("...mk,...k->...m", a, x) - b, rank

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -59,6 +60,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache   # parsing leaves the parser unchanged; build it once per process
 def _build_parser():
     p = _Parser(prog="gospace",
                 description="decide geodesic-orbit and naturally-reductive "

@@ -371,16 +371,11 @@ def strong_convexity_check(fn, dims):
     dec = Decomposition.from_dims(dims)
     samples = 64
     rng = np.random.default_rng(0)
-    patterns = [tuple(True for _ in dims)] + admissible_faces(fn.boundary_ok)
-    us = np.zeros((samples, sum(dims)))
-    for it, u in enumerate(us):
-        keep = patterns[it % len(patterns)]
-        off = 0
-        for i, d in enumerate(dims):
-            if keep[i]:
-                u[off:off + d] = rng.standard_normal(d)
-            off += d
-        u /= np.linalg.norm(u)
+    patterns = np.array([(True,) * len(dims)] + admissible_faces(fn.boundary_ok))
+    kept = np.repeat(patterns[np.arange(samples) % len(patterns)], dims, axis=1)
+    us = np.zeros(kept.shape)
+    us[kept] = rng.standard_normal(np.count_nonzero(kept))   # row-major: kept blocks in order
+    us /= np.linalg.norm(us, axis=1, keepdims=True)
     _, comps, theta = block_data(fn, dec, us)
     a = fundamental_tensors(dec, fn.grad(theta), fn.hess(theta), comps)
     w = np.linalg.eigvalsh(a)[:, 0]

@@ -188,10 +188,6 @@ def residuals(space, dec, fn, plan):
     return tuple(np.concatenate(p) for p in parts)
 
 
-def _single(space, dec, fn, u):
-    return _shared(space, dec, fn, np.asarray(u, dtype=float)[None])
-
-
 # ---------------------------------------------------------------------------
 # sampled verdicts
 
@@ -252,11 +248,13 @@ def verdicts(space, dec, fn, samples=200, seed=42, tol=1e-8):
 def two_summand_phi_check(space, dec, phi, u1, u2):
     """Two-summand geodesic-orbit equation assembled from the profile itself.
 
-    For u = u1 + u2 with u_i in the i-th summand, solves the coefficient form
+    For rows u = u1 + u2 of two stacks (N, dim_m), u_i in the i-th summand,
+    solves the coefficient form
     ``-(phi'/t)[u1,u2]_m = (phi - t phi')[w,u1] + (phi - (t-1/t) phi')[w,u2]``
-    with t = |u2|/|u|, adds the w-independent h-part of the cross bracket,
-    and rescales by phi(t) onto the operator-criterion scale, so the result
-    agrees with the operator residual of :func:`residuals` to machine precision.
+    with t = |u2|/|u| by one batched least squares, adds the w-independent
+    h-part of the cross bracket, and rescales by phi(t) onto the
+    operator-criterion scale, so the residuals (N,) agree with the operator
+    residuals of :func:`residuals` to machine precision.
     """
     if dec.arity != 2:
         raise DimensionMismatchError("phi-form check needs a two-summand splitting")
@@ -265,75 +263,105 @@ def two_summand_phi_check(space, dec, phi, u1, u2):
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
     u = u1 + u2
-    nrm = float(np.linalg.norm(u))
-    if nrm == 0.0:
+    nrm = _norm(u)
+    if np.any(nrm == 0.0):
         raise ZeroVectorError("phi-form check undefined at zero")
-    t = float(np.linalg.norm(u2) / nrm)
-    if t == 0.0:
+    t = _norm(u2) / nrm
+    if np.any(t == 0.0):
         raise ZeroVectorError("phi-form check needs a nonzero second component")
-    pv = float(phi.value(t))
-    pd = float(phi.d1(t))
+    pv = phi.value(t)
+    pd = phi.d1(t)
     c1 = pv - t * pd
     c2 = pv - (t - 1.0 / t) * pd
     bh, bm = space.bracket_mm(u1, u2)
-    cols = c1 * space.hm_columns(u1) + c2 * space.hm_columns(u2)
-    _, resid_vec = _linalg.lstsq_min_norm(cols, -(pd / t) * bm)
-    num = np.hypot(pv * float(np.linalg.norm(resid_vec)),
-                   pv * (pd / t) * float(np.linalg.norm(bh)))
-    return float(num) / float(_scale(_single(space, dec, l_from_phi(phi, check=False), u))[0])
+    cols = (c1[:, None, None] * space.hm_columns(u1)
+            + c2[:, None, None] * space.hm_columns(u2))
+    _, resid = _linalg.lstsq_min_norm(cols, -(pd / t)[:, None] * bm)
+    num = np.hypot(pv * _norm(resid), pv * (pd / t) * _norm(bh))
+    return num / _scale(_shared(space, dec, l_from_phi(phi, check=False), u))
 
 
 def wallach_system_check(space, dec, fn, u):
-    """Blockwise three-summand geodesic-orbit system; returns per-block residuals.
+    """Blockwise three-summand geodesic-orbit system; per-block residuals.
 
-    Solves the joint least squares over w of
-    ``L_i [w, u_i] + (L_k - L_j) [u_j, u_k] = 0`` projected to each summand
-    (indices j < k complementary to i) and splits the optimal residual by
-    block, all on the shared scale D(u).  The stacked norm of the returned
-    triple agrees with the operator-criterion residual.
+    For each row of ``u`` (N, dim_m), solves the joint least squares over w
+    of ``L_i [w, u_i] + (L_k - L_j) [u_j, u_k] = 0`` projected to each
+    summand (indices j < k complementary to i), one batched solve for the
+    stack, and splits the optimal residual by block, all on the shared
+    scale D(u).  Returns (N, 3); the norm of each row agrees with the
+    operator-criterion residual.
     """
     if dec.arity != 3:
         raise DimensionMismatchError("three-block system needs a three-summand splitting")
-    sh = _single(space, dec, fn, u)
-    _, comps, _, g1, *_ = (x[0] for x in sh)
+    sh = _shared(space, dec, fn, u)
+    _, comps, _, g1, *_ = sh
     pieces, rhs = [], []
     for i, (j, k) in enumerate(((1, 2), (0, 2), (0, 1))):
         p = dec.summands[i]
-        pieces.append(g1[i] * (p @ space.hm_columns(comps[i])))
-        rhs.append(-(g1[k] - g1[j]) * (p @ space.bracket_mm(comps[j], comps[k])[1]))
-    _, resid = _linalg.lstsq_min_norm(np.vstack(pieces), np.concatenate(rhs))
-    blocks = np.split(resid, np.cumsum(dec.dims)[:-1])
-    return np.array([np.linalg.norm(b) for b in blocks]) / _scale(sh)[0]
+        pieces.append(g1[:, i, None, None] * (p @ space.hm_columns(comps[:, i])))
+        rhs.append(-(g1[:, k] - g1[:, j])[:, None]
+                   * (space.bracket_mm(comps[:, j], comps[:, k])[1] @ p.T))
+    _, resid = _linalg.lstsq_min_norm(np.concatenate(pieces, axis=1),
+                                      np.concatenate(rhs, axis=1))
+    blocks = np.split(resid, np.cumsum(dec.dims)[:-1], axis=1)
+    return np.stack([_norm(b) for b in blocks], axis=1) / _scale(sh)[:, None]
+
+
+PAIR_BUDGET = 2 ** 15  # floats (256 KiB) per largest per-pair array; sets the pairs per chunk
 
 
 def centralizer_condition_check(space, x, y):
     """Feasibility and uniqueness of the two-block centralizer equation.
 
-    Looks for z_x in C~(x+y) centralizing x and z_y in C~(x+y) centralizing
-    y with [x, y] = [z_y, x] + [z_x, y].  Returns a dict with feasibility
-    (relative residual at most 1e-8), uniqueness (full column rank of the
-    stacked column map, read from the least-squares solve), the relative
-    residual, and the minimizers.
+    For each pair of rows of x, y (N, dim_m), looks for z_x in C~(x+y)
+    centralizing x and z_y in C~(x+y) centralizing y with
+    [x, y] = [z_y, x] + [z_x, y].  One pair is ``x[None], y[None]``.
+    Returns a dict of arrays over the pairs: feasibility (relative residual
+    at most 1e-8), uniqueness (full column rank of the stacked column map,
+    read from the least-squares solve), the relative residual, and the
+    minimizers z_x, z_y (N, dim_h).
+
+    Pairs run in chunks that keep the largest per-pair array, the C~ stack
+    of dim_h^2 (dim_h + 1) floats or the column map of 2 dim_m dim_h, within
+    PAIR_BUDGET floats.  Each stage is one batched SVD per chunk, and every
+    rank is cut at the pair's own shape.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    nh = space.dim_h
+    rows = max(1, PAIR_BUDGET // max(nh * nh * (nh + 1), 2 * space.dim_m * nh))
+    parts = [_centralizer_chunk(space, x[i:i + rows], y[i:i + rows])
+             for i in range(0, max(len(x), 1), rows)]
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+
+
+def _centralizer_chunk(space, x, y):
+    nh = space.dim_h
     u = x + y
-    tilde = (tilde_centralizer(space, u) if np.linalg.norm(u) > 0
-             else np.eye(space.dim_h))
-    sx = centralizer_in_h(space, x, within=tilde)
-    sy = centralizer_in_h(space, y, within=tilde)
+    tilde, t_dims = tilde_centralizer(space, u)
+    everything = _norm(u) == 0.0                  # u = 0 gives all of h
+    tilde[everything], t_dims[everything] = np.eye(nh), nh
+    # C~(u) ∩ C(x) and C~(u) ∩ C(y): one batched kernel per value of dim C~,
+    # because zero rows padding C~ would add their coordinates to the kernel
+    sx, sy = np.zeros((2, len(u), nh, nh))
+    dx, dy = np.zeros((2, len(u)), dtype=int)
+    for k in sorted(set(t_dims.tolist())):
+        idx = np.flatnonzero(t_dims == k)
+        t = tilde[idx, :k]
+        s, d = centralizer_in_h(space, np.concatenate([x[idx], y[idx]]),
+                                within=np.concatenate([t, t]))
+        sx[idx, :k], sy[idx, :k] = np.split(s, 2)
+        dx[idx], dy[idx] = np.split(d, 2)
     _, target = space.bracket_mm(x, y)
-    mat = np.hstack([space.hm_columns(x) @ sy.T, space.hm_columns(y) @ sx.T])
-    # numpy's default cutoff is the one of _linalg.svd_rank
-    coef, _, rank, _ = np.linalg.lstsq(mat, target, rcond=None)
-    scale = max(float(np.linalg.norm(target)),
-                float(np.linalg.norm(x) * np.linalg.norm(y)), _linalg.EPS)
-    residual = float(np.linalg.norm(mat @ coef - target)) / scale
-    n_sy = sy.shape[0]
+    mat = np.concatenate([space.hm_columns(x) @ sy.transpose(0, 2, 1),
+                          space.hm_columns(y) @ sx.transpose(0, 2, 1)], axis=2)
+    coef, resid, rank = _linalg.lstsq_stack(mat, target, dx + dy)
+    scale = np.maximum(np.maximum(_norm(target), _norm(x) * _norm(y)), _linalg.EPS)
+    residual = _norm(resid) / scale
     return {
-        "feasible": bool(residual <= 1e-8),
-        "unique": bool(rank == mat.shape[1]),
+        "feasible": residual <= 1e-8,
+        "unique": rank == dx + dy,
         "residual": residual,
-        "z_x": coef[n_sy:] @ sx,
-        "z_y": coef[:n_sy] @ sy,
+        "z_x": np.einsum("nk,nkh->nh", coef[:, nh:], sx),
+        "z_y": np.einsum("nk,nkh->nh", coef[:, :nh], sy),
     }

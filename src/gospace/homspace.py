@@ -187,9 +187,10 @@ class Decomposition:
         return cls(summands=tuple(out))
 
     def split(self, u):
-        """Components of an m-coords vector, each still in m-coords."""
+        """Components of an m-coords vector or of a stack of rows (N, n),
+        each still in m-coords."""
         u = np.asarray(u, dtype=float)
-        return [s.T @ (s @ u) for s in self.summands]
+        return [(u @ s.T) @ s for s in self.summands]
 
     def theta(self, u):
         """Squared component norms (theta_1, ..., theta_s)."""
@@ -284,36 +285,53 @@ def isotropy_decompose(space, seed=0):
 
 
 def centralizer_in_h(space, u, within=None):
-    """Orthonormal h-coords rows spanning {w in span(within) : [w, u] = 0}.
+    """Centralizers in h of a stack of m-coords rows u (N, dim_m).
 
-    ``u`` is in m-coords; ``within`` holds orthonormal h-coords rows and
-    defaults to all of h.  The result is the kernel of alpha ->
-    [alpha @ within, u], one null space of a (dim_m, len(within)) matrix,
-    mapped back to h; u = 0 gives all of span(within).
+    Returns (basis, dims): the orthonormal h-coords rows basis[i, :dims[i]]
+    span {w in span(within[i]) : [w, u_i] = 0}, and the rows below them are
+    zero.  ``within`` holds orthonormal h-coords rows per direction,
+    (N, k, dim_h) with one k for all, and defaults to all of h (k = dim_h);
+    basis has shape (N, k, dim_h).  Kernel i is the one of alpha ->
+    [alpha @ within[i], u_i], a (dim_m, k) matrix, and one batched SVD
+    gives them all; u_i = 0 gives all of span(within[i]).  One direction
+    is the stack ``u[None]``.
     """
     u = np.asarray(u, dtype=float)
-    cols = space.hm_columns(u)                # (dim_m, dim_h)
+    if u.ndim != 2 or u.shape[1] != space.dim_m:
+        raise DimensionMismatchError(
+            f"expected a stack of m-coords rows (N, {space.dim_m}), got {u.shape}")
+    cols = space.hm_columns(u)                # (N, dim_m, dim_h)
     if within is not None:
-        cols = cols @ within.T
+        cols = cols @ within.transpose(0, 2, 1)
     # absolute floor: [w, u] that is rounding noise on the scale of |u| times
     # the bracket table must count as zero, or C(u) shrinks spuriously
-    scale = float(np.linalg.norm(u)) * float(np.linalg.norm(space.bracket_hm.ravel()))
-    kernel = _linalg.null_space(cols, atol=max(cols.shape) * _linalg.EPS * scale)
-    return kernel if within is None else kernel @ within
+    scale = np.linalg.norm(u, axis=1) * float(np.linalg.norm(space.bracket_hm.ravel()))
+    basis, dims = _linalg.null_spaces(cols, cols.shape[1],
+                                      max(cols.shape[1:]) * _linalg.EPS * scale)
+    return (basis if within is None else basis @ within), dims
 
 
 def tilde_centralizer(space, u):
-    """Q-orthocomplement of the centralizer C of u inside its normalizer in h.
+    """Q-orthocomplement of the centralizer C of u inside its normalizer in
+    h, for a stack of m-coords rows u (N, dim_m); (basis, dims) as from
+    :func:`centralizer_in_h`, basis of shape (N, dim_h, dim_h).
 
-    Returns orthonormal h-coords rows: the kernel of w -> ((I - C^T C)[w, c_j]
-    for each row c_j of C, C w), which is N(C) ∩ C-perp since C lies in
-    N(C).  C's rows are scaled to the norm of ``bracket_hh`` (1 for abelian
-    h), so both blocks share one cutoff.  A trivial C gives all of h and
-    C = h gives nothing.
+    Space i is the kernel of w -> ((I - C^T C)[w, c_j] for each row c_j of
+    C, C w), which is N(C) ∩ C-perp since C lies in N(C).  C's rows are
+    scaled to the norm of ``bracket_hh`` (1 for abelian h), so both blocks
+    share one cutoff.  One batched SVD serves the stack: C is padded with
+    zero rows to the largest dim C, and kernel i is cut at its real shape
+    (dim C (dim_h + 1), dim_h).  A trivial C gives all of h and C = h gives
+    nothing.
     """
-    c = centralizer_in_h(space, u)
+    c, c_dims = centralizer_in_h(space, u)
+    c = c[:, :c_dims.max(initial=0)]
+    nh = space.dim_h
     scale = float(np.linalg.norm(space.bracket_hh)) or 1.0
-    adj = np.einsum("ijk,cj->cki", space.bracket_hh, c)     # [:, :, i] = [h_i, c_j]
-    leak = (np.eye(space.dim_h) - c.T @ c) @ adj            # part of [w, c_j] off C
-    stacked = np.vstack([leak.reshape(-1, space.dim_h), scale * c])
-    return _linalg.null_space(stacked, atol=max(stacked.shape) * _linalg.EPS * scale)
+    adj = np.einsum("ijk,ncj->ncki", space.bracket_hh, c)   # [..., i] = [h_i, c_j]
+    off_c = np.eye(nh) - c.transpose(0, 2, 1) @ c
+    leak = off_c[:, None] @ adj                            # part of [w, c_j] off C
+    stacked = np.concatenate([leak.reshape(len(c), c.shape[1] * nh, nh), scale * c],
+                             axis=1)
+    rows = c_dims * (nh + 1)
+    return _linalg.null_spaces(stacked, rows, np.maximum(rows, nh) * _linalg.EPS * scale)

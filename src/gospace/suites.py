@@ -68,14 +68,11 @@ def _spaces_with_tag(tag):
 
 
 def _centralizer_pairs(space, dec, rng, count):
-    """Centralizer-equation results for ``count`` pairs x in m1, y in m2,
-    drawn from ``rng`` in that order."""
-    out = []
-    for _ in range(count):
-        x = dec.summands[0].T @ rng.standard_normal(dec.dims[0])
-        y = dec.summands[1].T @ rng.standard_normal(dec.dims[1])
-        out.append(gocheck.centralizer_condition_check(space, x, y))
-    return out
+    """Centralizer-equation results (arrays over the pairs) for ``count``
+    pairs x in m1, y in m2, drawn from ``rng`` pair by pair, x first."""
+    z = rng.standard_normal((count, dec.dims[0] + dec.dims[1]))
+    x, y = z[:, :dec.dims[0]] @ dec.summands[0], z[:, dec.dims[0]:] @ dec.summands[1]
+    return gocheck.centralizer_condition_check(space, x, y)
 
 
 def suite_thm1_converse(samples=200, seed=42, tol=1e-8):
@@ -95,8 +92,8 @@ def suite_thm1_converse(samples=200, seed=42, tol=1e-8):
                         and nr.max_residual > 1e-3,
                         f"verdict={nr.verdict} max_residual={nr.max_residual:.3e}")
         res = _centralizer_pairs(space, dec, np.random.default_rng(seed), 100)
-        bad = sum(not (r["feasible"] and r["unique"]) for r in res)
-        worst = max(r["residual"] for r in res)
+        bad = np.count_nonzero(~(res["feasible"] & res["unique"]))
+        worst = np.max(res["residual"])
         out.add(f"{spec} centralizer-equation", bad == 0,
                 f"failures={bad}/100 worst_residual={worst:.3e}")
     return out
@@ -205,7 +202,7 @@ def suite_invariants(samples=40, seed=42, tol=1e-8):
 
     phi = PhiProfile((1.0, 0.0, 0.25))
     u = unit_rows(space.dim_m)
-    a = [gocheck.two_summand_phi_check(space, dec, phi, *dec.split(x)) for x in u]
+    a = gocheck.two_summand_phi_check(space, dec, phi, *dec.split(u))
     worst = float(np.max(np.abs(a - gocheck.residuals(space, dec, fn, u)[0])))
     out.add("so5/u2 profile-form specialization", worst <= 1e-10,
             f"max gap vs operator residual = {worst:.3e}")
@@ -213,15 +210,15 @@ def suite_invariants(samples=40, seed=42, tol=1e-8):
     space3, dec3, _ = catalog.make_space("su3/t2")
     fn3 = parse_metric("linear:1,2,3")
     u = unit_rows(space3.dim_m)
-    joint = [np.linalg.norm(gocheck.wallach_system_check(space3, dec3, fn3, x)) for x in u]
+    joint = np.linalg.norm(gocheck.wallach_system_check(space3, dec3, fn3, u), axis=1)
     worst = float(np.max(np.abs(joint - gocheck.residuals(space3, dec3, fn3, u)[0])))
     out.add("su3/t2 blockwise reassembly", worst <= 1e-10,
             f"max gap vs operator residual = {worst:.3e}")
 
     for spec in _spaces_with_tag("two-summand-go"):
         space, dec, _ = catalog.make_space(spec)
-        bad = sum(r["feasible"] and not r["unique"]
-                  for r in _centralizer_pairs(space, dec, rng, 30))
+        res = _centralizer_pairs(space, dec, rng, 30)
+        bad = np.count_nonzero(res["feasible"] & ~res["unique"])
         out.add(f"{spec} centralizer uniqueness when feasible", bad == 0,
                 f"feasible-but-nonunique={bad}/30")
     return out

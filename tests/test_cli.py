@@ -207,6 +207,30 @@ def test_check_deterministic_modulo_wallclock(capsys):
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
+def test_parser_built_once_per_process(capsys):
+    # the parser is kept across calls: a usage error and then a valid check
+    # in one process give what two fresh processes give
+    calls = [("check", "--space", "so5/u2", "--metric", "linear:1,2", "--bogus"),
+             ("check", "--space", "so5/u2", "--metric", "linear:1,2", "--samples", "30")]
+
+    def outcome(argv):
+        code, out, err = run(capsys, *argv)
+        return code, json.loads(out) if out else out, err
+
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert cli._build_parser() is cli._build_parser()
+    kept = [outcome(argv) for argv in calls]
+    for got in fresh + kept:
+        if got[1]:
+            got[1].pop("wallclock")
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [cli.EXIT_BAD_SPEC, cli.EXIT_OK]
+    assert kept[0][2] == "usage error: unrecognized arguments: --bogus\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "--space", "su3/t2", "--metric", "linear:1,2,3", "--samples", "30"),
     ("verify", "invariants", "--samples", "5"),

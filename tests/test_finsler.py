@@ -206,16 +206,18 @@ def test_strong_convexity_screen_matches_loop(fn):
         keep = tuple(bool(mask >> i & 1) for i in range(fn.arity))
         if all(fn.boundary_ok[i] for i, k in enumerate(keep) if not k):
             patterns.append(keep)
-    mins = []
+    mins, us = [], []
     for it in range(64):
         u = np.concatenate([rng.standard_normal(2) if keep else np.zeros(2)
                             for keep in patterns[it % len(patterns)]])
         u /= np.linalg.norm(u)
+        us.append(u)
         mins.append(np.linalg.eigvalsh(tensors(fn, dec, u[None])[0][0])[0])
     report = finsler.strong_convexity_check(fn, dims)
     assert report.samples == 64
     assert report.min_eigenvalue == pytest.approx(min(mins), rel=1e-12, abs=1e-14)
     assert report.ok == (min(mins) > 1e-10)
+    npt.assert_allclose(report.witness, us[int(np.argmin(mins))], rtol=0, atol=1e-15)
 
 
 def test_strong_convexity_report_fields():

@@ -416,27 +416,40 @@ def test_two_summand_phi_check_matches_operator(rng):
     fn = finsler.parse_metric("phi:1,0,0.25")
     plan = np.array([unit(rng, space.dim_m) for _ in range(15)])
     op = gocheck.residuals(space, dec, fn, plan)[0]
-    for u, b in zip(plan, op):
-        a = gocheck.two_summand_phi_check(space, dec, phi, *dec.split(u))
-        assert abs(a - b) < 1e-12
+    a = gocheck.two_summand_phi_check(space, dec, phi, *dec.split(plan))
+    assert a.shape == (15,)
+    assert np.max(np.abs(a - op)) < 1e-12
+    one = gocheck.two_summand_phi_check(space, dec, phi, *dec.split(plan[3:4]))
+    assert one.shape == (1,) and abs(one[0] - a[3]) < 1e-15
+
+
+def test_two_summand_phi_check_zero_rows(rng):
+    space, dec, _ = catalog.make_space("so5/u2")
+    phi = finsler.PhiProfile((1.0, 0.0, 0.25))
+    u1, u2 = dec.split(np.array([unit(rng, space.dim_m) for _ in range(3)]))
+    _raises(ZeroVectorError, "phi-form check undefined at zero",
+            gocheck.two_summand_phi_check, space, dec, phi,
+            np.vstack([u1, 0 * u1[:1]]), np.vstack([u2, 0 * u2[:1]]))
+    _raises(ZeroVectorError, "phi-form check needs a nonzero second component",
+            gocheck.two_summand_phi_check, space, dec, phi, u1, np.vstack([u2[:2], 0 * u2[:1]]))
 
 
 def test_wallach_system_matches_operator(rng):
     space, dec, _ = catalog.make_space("ledger-obata/su2")
     fn = finsler.parse_metric("pert3:1,1,1,0.5")
     plan = np.array([unit(rng, space.dim_m) for _ in range(15)])
-    for u, op in zip(plan, gocheck.residuals(space, dec, fn, plan)[0]):
-        blocks = gocheck.wallach_system_check(space, dec, fn, u)
-        assert blocks.shape == (3,)
-        joint = float(np.sqrt(np.sum(blocks ** 2)))
-        assert abs(joint - op) < 1e-12
+    blocks = gocheck.wallach_system_check(space, dec, fn, plan)
+    assert blocks.shape == (15, 3)
+    op = gocheck.residuals(space, dec, fn, plan)[0]
+    assert np.max(np.abs(np.linalg.norm(blocks, axis=1) - op)) < 1e-12
 
 
 def test_wallach_system_flags_unequal_partials(rng):
     space, dec, _ = catalog.make_space("su3/t2")
     fn = finsler.parse_metric("linear:1,1,2")
     u = sum(dec.summands[i].T @ unit(rng, dec.dims[i]) for i in range(3))
-    blocks = gocheck.wallach_system_check(space, dec, fn, u)
+    blocks = gocheck.wallach_system_check(space, dec, fn, u[None])
+    assert blocks.shape == (1, 3)
     assert np.max(blocks) > 1e-3
 
 
@@ -444,36 +457,65 @@ def test_wallach_system_flags_unequal_partials(rng):
 # centralizer equation
 
 
+def _pairs(space, dec, rng, count):
+    z = rng.standard_normal((count, space.dim_m))
+    return z[:, :dec.dims[0]] @ dec.summands[0], z[:, dec.dims[0]:] @ dec.summands[1]
+
+
+def _equation_gap(space, x, y, out):
+    # [x, y] - [z_y, x] - [z_x, y] per pair, with the hm_columns sign convention
+    _, target = space.bracket_mm(x, y)
+    lhs = (np.einsum("nmh,nh->nm", space.hm_columns(x), out["z_y"])
+           + np.einsum("nmh,nh->nm", space.hm_columns(y), out["z_x"]))
+    return lhs - target, target
+
+
 def test_centralizer_condition_feasible_unique(rng):
     space, dec, _ = catalog.make_space("so5/u2")
-    for _ in range(20):
-        x = dec.summands[0].T @ rng.standard_normal(dec.dims[0])
-        y = dec.summands[1].T @ rng.standard_normal(dec.dims[1])
-        out = gocheck.centralizer_condition_check(space, x, y)
-        assert out["feasible"] and out["unique"]
-        # the minimizers actually solve the equation
-        _, target = space.bracket_mm(x, y)
-        lhs = (space.hm_columns(x) @ out["z_y"]
-               + space.hm_columns(y) @ out["z_x"])
-        npt.assert_allclose(lhs, target, atol=1e-8)
+    x, y = _pairs(space, dec, rng, 20)
+    out = gocheck.centralizer_condition_check(space, x, y)
+    assert {key: v.shape[0] for key, v in out.items()} == dict.fromkeys(out, 20)
+    assert np.all(out["feasible"]) and np.all(out["unique"])
+    # the minimizers actually solve the equation
+    gap, _ = _equation_gap(space, x, y, out)
+    npt.assert_allclose(gap, 0.0, atol=1e-8)
 
 
 def test_centralizer_condition_zero_inputs():
     space, dec, _ = catalog.make_space("so5/u2")
-    x = np.zeros(space.dim_m)
-    y = dec.summands[1][0]
+    x = np.zeros((1, space.dim_m))
+    y = dec.summands[1][:1]
     out = gocheck.centralizer_condition_check(space, x, y)
-    assert out["feasible"]
+    assert out["feasible"][0]
     npt.assert_allclose(out["z_x"], 0.0, atol=1e-10)
 
 
 def test_centralizer_condition_fails_on_control(rng):
     space, dec, _ = catalog.make_space("so6/so3irr")
-    x = dec.summands[0].T @ rng.standard_normal(dec.dims[0])
-    y = dec.summands[1].T @ rng.standard_normal(dec.dims[1])
+    x, y = _pairs(space, dec, rng, 1)
     out = gocheck.centralizer_condition_check(space, x, y)
-    assert not out["feasible"]
-    assert out["residual"] > 1e-3
+    assert not out["feasible"][0]
+    assert out["residual"][0] > 1e-3
+
+
+def test_centralizer_stacks_shapes():
+    space, dec, _ = catalog.make_space("so5/u2")
+    u = dec.summands[0][0]
+    for call in (homspace.centralizer_in_h, homspace.tilde_centralizer):
+        _raises(DimensionMismatchError,
+                f"expected a stack of m-coords rows (N, 6), got {u.shape}", call, space, u)
+    empty = np.zeros((0, space.dim_m))
+    out = gocheck.centralizer_condition_check(space, empty, empty)
+    assert {key: v.shape for key, v in out.items()} == {
+        "feasible": (0,), "unique": (0,), "residual": (0,), "z_x": (0, 4), "z_y": (0, 4)}
+
+
+def _reference_centralizer(space, v):
+    # C(v) as one kernel of the (dim_m, dim_h) map w -> [w, v], with the
+    # |v| |bracket_hm| noise floor
+    cols = space.hm_columns(v)
+    scale = np.linalg.norm(v) * np.linalg.norm(space.bracket_hm)
+    return _linalg.null_space(cols, atol=max(cols.shape) * _linalg.EPS * scale)
 
 
 def _intersection(rows_a, rows_b):
@@ -487,7 +529,7 @@ def _intersection(rows_a, rows_b):
 def _two_step_tilde(space, u):
     # reference C~(u) in two steps: the normalizer N of C = C(u) in h as one
     # kernel, then the orthocomplement of C inside N
-    c = homspace.centralizer_in_h(space, u)
+    c = _reference_centralizer(space, u)
     nh = space.dim_h
     off_c = np.eye(nh) - c.T @ c
     stacked = np.vstack([np.zeros((0, nh))] + [
@@ -499,13 +541,13 @@ def _two_step_tilde(space, u):
 
 
 def _reference_condition(space, x, y):
-    # the centralizer equation with C~(u) ∩ C(x) and C~(u) ∩ C(y) taken as
-    # intersections of full subspaces of h
+    # the centralizer equation for one pair, with C~(u) ∩ C(x) and
+    # C~(u) ∩ C(y) taken as intersections of full subspaces of h
     full = np.eye(space.dim_h)
     u = x + y
     tilde = _two_step_tilde(space, u) if np.linalg.norm(u) > 0 else full
-    cx = homspace.centralizer_in_h(space, x) if np.linalg.norm(x) > 0 else full
-    cy = homspace.centralizer_in_h(space, y) if np.linalg.norm(y) > 0 else full
+    cx = _reference_centralizer(space, x) if np.linalg.norm(x) > 0 else full
+    cy = _reference_centralizer(space, y) if np.linalg.norm(y) > 0 else full
     sx, sy = _intersection(tilde, cx), _intersection(tilde, cy)
     mat = np.hstack([space.hm_columns(x) @ sy.T, space.hm_columns(y) @ sx.T])
     _, target = space.bracket_mm(x, y)
@@ -515,38 +557,94 @@ def _reference_condition(space, x, y):
     unique = (not mat.shape[1] or _linalg.svd_rank(
         np.linalg.svd(mat, compute_uv=False), mat.shape) == mat.shape[1])
     return {"feasible": residual <= 1e-8, "unique": unique, "residual": residual,
-            "tilde": tilde, "sx": sx, "sy": sy, "columns": mat.shape[1]}
+            "scale": scale, "tilde": tilde, "sx": sx, "sy": sy, "columns": mat.shape[1]}
 
 
 TWO_SUMMAND = ["so5/u2", "su3/su2", "sp2/sp1u1", "spin8/g2", "so6/so3irr"]
 
 
 @pytest.mark.parametrize("spec", TWO_SUMMAND)
-def test_centralizer_condition_matches_intersection_reference(spec):
+def test_centralizer_condition_matches_intersection_reference(spec, monkeypatch):
     space, dec, _ = catalog.make_space(spec)
-    rng = np.random.default_rng(7)
-    pairs = [(dec.summands[0].T @ rng.standard_normal(dec.dims[0]),
-              dec.summands[1].T @ rng.standard_normal(dec.dims[1])) for _ in range(20)]
-    x, y = pairs[0]
-    pairs += [(np.zeros_like(x), y), (x, np.zeros_like(y))]
+    # record the real shapes handed to the batched kernels and the solve
+    shapes = {"rows": [], "cols": []}
+    null_spaces, lstsq_stack = _linalg.null_spaces, _linalg.lstsq_stack
+    monkeypatch.setattr(_linalg, "null_spaces", lambda a, rows, atol: (
+        shapes["rows"].append(rows), null_spaces(a, rows, atol))[1])
+    monkeypatch.setattr(_linalg, "lstsq_stack", lambda a, b, cols: (
+        shapes["cols"].append(cols), lstsq_stack(a, b, cols))[1])
+    x, y = _pairs(space, dec, np.random.default_rng(7), 20)
+    zero = np.zeros((1, space.dim_m))
+    x, y = np.vstack([x, zero, x[:1]]), np.vstack([y, y[:1], zero])
+    if spec == "su3/su2":
+        # u = x has trivial C, and u = y in the 1-dim summand has C = h
+        x, y = np.vstack([x, x[:1], zero]), np.vstack([y, zero, dec.summands[1][:1]])
+    got = gocheck.centralizer_condition_check(space, x, y)
+    gap, _ = _equation_gap(space, x, y, got)
     columns = []
-    for x, y in pairs:
-        got = gocheck.centralizer_condition_check(space, x, y)
-        want = _reference_condition(space, x, y)
-        assert (got["feasible"], got["unique"]) == (want["feasible"], want["unique"])
-        assert abs(got["residual"] - want["residual"]) <= 1e-14
+    for i in range(len(x)):
+        want = _reference_condition(space, x[i], y[i])
+        assert (got["feasible"][i], got["unique"][i]) == (want["feasible"], want["unique"])
+        assert abs(got["residual"][i] - want["residual"]) <= 1e-14
+        # z_x, z_y solve the equation up to the reported residual
+        assert abs(np.linalg.norm(gap[i]) / want["scale"] - got["residual"][i]) <= 1e-14
+        for z, ref, v in ((got["z_x"][i], want["sx"], x[i]), (got["z_y"][i], want["sy"], y[i])):
+            npt.assert_allclose(z - ref.T @ (ref @ z), 0.0, atol=1e-10)   # z in C~ ∩ C(v)
         columns.append(want["columns"])
         if not want["columns"]:
-            npt.assert_array_equal(np.vstack([got["z_x"], got["z_y"]]), 0.0)
-        for v, ref in ((x, want["sx"]), (y, want["sy"])):
-            s = homspace.centralizer_in_h(space, v, within=want["tilde"])
+            npt.assert_array_equal(np.vstack([got["z_x"][i], got["z_y"][i]]), 0.0)
+        for v, ref in ((x[i], want["sx"]), (y[i], want["sy"])):
+            basis, dims = homspace.centralizer_in_h(space, v[None], within=want["tilde"][None])
+            s = basis[0, :dims[0]]
             assert s.shape == ref.shape
+            npt.assert_allclose(basis[0, dims[0]:], 0.0)
             npt.assert_allclose(s @ s.T, np.eye(len(s)), atol=1e-12)
             npt.assert_allclose(s - s @ want["tilde"].T @ want["tilde"], 0.0, atol=1e-12)
             npt.assert_allclose(space.hm_columns(v) @ s.T, 0.0, atol=1e-12)
     # both centralizer pieces are trivial for some pairs here: the column
     # map is empty, and uniqueness must still agree with the reference
     assert (0 in columns) == (spec in ("su3/su2", "spin8/g2", "so6/so3irr"))
+    # each cutoff comes from the pair's own shape: (dim C (dim_h + 1), dim_h)
+    # for C~(u), and the unpadded column count for the solve
+    c_dims = [len(_reference_centralizer(space, u)) for u in x + y]
+    tilde_rows = [r for r in shapes["rows"] if np.ndim(r)]      # one per chunk
+    assert np.concatenate(tilde_rows).tolist() == [c * (space.dim_h + 1) for c in c_dims]
+    assert np.concatenate(shapes["cols"]).tolist() == columns
+
+
+def test_centralizer_condition_chunks_agree(monkeypatch):
+    space, dec, _ = catalog.make_space("spin8/g2")
+    x, y = _pairs(space, dec, np.random.default_rng(11), 40)
+    whole = gocheck.centralizer_condition_check(space, x, y)
+    nh = space.dim_h
+    calls = []
+    real = gocheck.tilde_centralizer
+    monkeypatch.setattr(gocheck, "tilde_centralizer",
+                        lambda space, u: calls.append(len(u)) or real(space, u))
+    monkeypatch.setattr(gocheck, "PAIR_BUDGET", 3 * nh * nh * (nh + 1))
+    split = gocheck.centralizer_condition_check(space, x, y)
+    assert calls == [3] * 13 + [1]
+    for key in ("feasible", "unique"):
+        npt.assert_array_equal(split[key], whole[key])
+    npt.assert_allclose(split["residual"], whole["residual"], rtol=0, atol=1e-14)
+    for key in ("z_x", "z_y"):
+        npt.assert_allclose(split[key], whole[key], rtol=0, atol=1e-10)
+
+
+def test_centralizer_condition_svd_calls_per_stage(monkeypatch):
+    # C(u), C~(u), one restricted kernel per value of dim C~ and the final
+    # solve: the count follows the stages, not the 100 pairs
+    space, dec, _ = catalog.make_space("so5/u2")
+    x, y = _pairs(space, dec, np.random.default_rng(5), 100)
+    groups = len(set(homspace.tilde_centralizer(space, x + y)[1].tolist()))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, **kw: calls.append(a.shape) or svd(a, **kw))
+    out = gocheck.centralizer_condition_check(space, x, y)
+    assert np.all(out["feasible"] & out["unique"])
+    assert len(calls) == 3 + groups <= 4 * groups
+    assert all(shape[0] in (100, 200) for shape in calls)
 
 
 def _projector_gap(a, b):
@@ -555,16 +653,18 @@ def _projector_gap(a, b):
 
 @pytest.mark.parametrize("spec", TWO_SUMMAND + ["su3/t2"])
 def test_tilde_centralizer_matches_two_step_reference(spec):
-    # a generic u and a u inside each summand; on su3/su2 the 4-dim summand
-    # has trivial C and the 1-dim summand has C = h
+    # a generic u and a u inside each summand, all in one stack; on su3/su2
+    # the 4-dim summand has trivial C and the 1-dim summand has C = h
     space, dec, _ = catalog.make_space(spec)
     rng = np.random.default_rng(3)
-    us = [rng.standard_normal(space.dim_m)] + [
-        s.T @ rng.standard_normal(len(s)) for s in dec.summands]
-    for u in us:
-        got = homspace.tilde_centralizer(space, u)
+    us = np.array([rng.standard_normal(space.dim_m)] + [
+        s.T @ rng.standard_normal(len(s)) for s in dec.summands])
+    basis, dims = homspace.tilde_centralizer(space, us)
+    assert basis.shape == (len(us), space.dim_h, space.dim_h)
+    for u, b, d in zip(us, basis, dims):
+        got = b[:d]
         assert _projector_gap(got, _two_step_tilde(space, u)) <= 1e-10
-        npt.assert_allclose(got @ got.T, np.eye(len(got)), atol=1e-12)
+        npt.assert_allclose(got @ got.T, np.eye(d), atol=1e-12)
+        npt.assert_array_equal(b[d:], 0.0)
     if spec == "su3/su2":
-        dims = [len(homspace.centralizer_in_h(space, u)) for u in us[1:]]
-        assert dims == [0, space.dim_h]
+        assert homspace.centralizer_in_h(space, us[1:])[1].tolist() == [0, space.dim_h]

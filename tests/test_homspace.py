@@ -221,26 +221,32 @@ def test_non_unique_flags():
 
 def test_centralizer_full_and_trivial(rng):
     space, dec, _ = catalog.make_space("su3/su2")
-    # the 1-dim summand commutes with all of h
-    y = dec.summands[1][0]
-    assert homspace.centralizer_in_h(space, y).shape[0] == space.dim_h
-    assert homspace.tilde_centralizer(space, y).shape[0] == 0
-    # a generic vector of the 4-dim summand has trivial centralizer
-    x = dec.summands[0].T @ rng.standard_normal(4)
-    assert homspace.centralizer_in_h(space, x).shape[0] == 0
-    assert homspace.tilde_centralizer(space, x).shape[0] == space.dim_h
+    # the 1-dim summand commutes with all of h, and a generic vector of the
+    # 4-dim summand has trivial centralizer
+    us = np.vstack([dec.summands[1][:1], rng.standard_normal(4) @ dec.summands[0]])
+    basis, dims = homspace.centralizer_in_h(space, us)
+    assert dims.tolist() == [space.dim_h, 0]
+    npt.assert_array_equal(basis[1], 0.0)
+    assert homspace.tilde_centralizer(space, us)[1].tolist() == [0, space.dim_h]
 
 
 def test_centralizer_actually_centralizes(rng):
     space, dec, _ = catalog.make_space("so5/u2")
-    u = dec.summands[0].T @ rng.standard_normal(dec.dims[0])
-    c = homspace.centralizer_in_h(space, u)
-    for row in c:
-        assert np.linalg.norm(space.hm_columns(u) @ row) < 1e-10
-    # tilde rows are Q-orthogonal to the centralizer and normalize it
-    t = homspace.tilde_centralizer(space, u)
-    if c.shape[0] and t.shape[0]:
-        npt.assert_allclose(c @ t.T, 0.0, atol=1e-10)
+    u = rng.standard_normal((5, dec.dims[0])) @ dec.summands[0]
+    basis, dims = homspace.centralizer_in_h(space, u)
+    tilde, t_dims = homspace.tilde_centralizer(space, u)
+    for v, b, d, t, k in zip(u, basis, dims, tilde, t_dims):
+        c = b[:d]
+        assert np.linalg.norm(space.hm_columns(v) @ c.T) < 1e-10
+        # tilde rows are Q-orthogonal to the centralizer and normalize it
+        npt.assert_allclose(c @ t[:k].T, 0.0, atol=1e-10)
+
+
+def test_decomposition_split_stack(rng):
+    _, dec, _ = catalog.make_space("su3/t2")
+    u = rng.standard_normal((4, sum(dec.dims)))
+    for part, rows in zip(dec.split(u), zip(*map(dec.split, u))):
+        npt.assert_allclose(part, np.array(rows), atol=1e-15)
 
 
 def test_decomposition_split_theta(rng):

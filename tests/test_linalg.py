@@ -156,3 +156,53 @@ def test_lstsq_min_norm_empty_columns():
     assert x.size == 0
     npt.assert_allclose(res, -b)
 
+
+
+def test_svd_rank_stack_cuts_each_matrix_at_its_shape():
+    # 5e-16 lies between the cutoffs 2 * eps and 4 * eps of a unit matrix
+    sigma = np.array([[1.0, 5e-16]] * 3)
+    rows = np.array([2, 4, 1])
+    want = [_linalg.svd_rank(s, (r, 2)) for s, r in zip(sigma, rows)]
+    assert want == [2, 1, 2]
+    assert _linalg.svd_rank(sigma, (rows, 2)).tolist() == want
+    atol = np.array([0.0, 0.0, 1e-15])
+    assert _linalg.svd_rank(sigma, (rows, 2), atol=atol).tolist() == [2, 1, 1]
+    assert _linalg.svd_rank(np.zeros((3, 0)), (rows, 0)).tolist() == [0, 0, 0]
+
+
+def test_null_spaces_match_null_space_of_real_rows(rng):
+    # zero rows pad each matrix to a common height, in the middle and at the end
+    real = [rng.standard_normal((r, 2)) @ rng.standard_normal((2, 6)) for r in (1, 3, 5)]
+    real += [rng.standard_normal((4, 6)), np.zeros((0, 6))]
+    stack = np.zeros((len(real), 8, 6))
+    for a, m in zip(stack, real):
+        a[:len(m) // 2], a[4:4 + len(m) - len(m) // 2] = m[:len(m) // 2], m[len(m) // 2:]
+    rows = np.array([len(m) for m in real])
+    basis, dims = _linalg.null_spaces(stack, rows, 0.0)
+    assert basis.shape == (5, 6, 6)
+    assert dims.tolist() == [5, 4, 4, 2, 6]
+    for m, b, d in zip(real, basis, dims):
+        want = _linalg.null_space(m)
+        npt.assert_allclose(b[:d].T @ b[:d], want.T @ want, atol=1e-12)
+        npt.assert_array_equal(b[d:], 0.0)
+    # the absolute floor, one per matrix
+    noise = 1e-17 * rng.standard_normal((2, 5, 3))
+    assert _linalg.null_spaces(noise, 5, np.array([0.0, 1e-12]))[1][1] == 3
+
+
+def test_lstsq_stack_cuts_at_real_columns(rng):
+    # sigma = (1, 1e-15) lies above numpy's cutoff 3 eps for the (3, 2)
+    # matrix, below the 6 eps of the zero-padded (3, 6) one
+    a = np.zeros((2, 3, 6))
+    a[0, 0, 0], a[0, 1, 3] = 1.0, 1e-15
+    a[1, :, :4] = rng.standard_normal((3, 4))
+    b = np.array([[1.0, 1e-15, 0.5], rng.standard_normal(3)])
+    cols = np.array([2, 4])
+    x, res, rank = _linalg.lstsq_stack(a, b, cols)
+    assert rank.tolist() == [2, 3]
+    for i, keep in enumerate(([0, 3], [0, 1, 2, 3])):
+        want, _, want_rank, _ = np.linalg.lstsq(a[i][:, keep], b[i], rcond=None)
+        assert rank[i] == want_rank
+        npt.assert_allclose(x[i, keep], want, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(res[i], a[i][:, keep] @ want - b[i], atol=1e-12)
+    assert _linalg.lstsq_stack(a[:1], b[:1], 6)[2].tolist() == [1]
