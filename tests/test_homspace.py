@@ -242,18 +242,14 @@ def test_centralizer_actually_centralizes(rng):
         npt.assert_allclose(c @ t[:k].T, 0.0, atol=1e-10)
 
 
-def test_decomposition_split_stack(rng):
-    _, dec, _ = catalog.make_space("su3/t2")
-    u = rng.standard_normal((4, sum(dec.dims)))
-    for part, rows in zip(dec.split(u), zip(*map(dec.split, u))):
-        npt.assert_allclose(part, np.array(rows), atol=1e-15)
-
-
 def test_decomposition_split_theta(rng):
     space, dec, _ = catalog.make_space("su3/t2")
     u = rng.standard_normal(space.dim_m)
     parts = dec.split(u)
     npt.assert_allclose(sum(parts), u, atol=1e-12)
+    # a stack of rows splits row by row
+    for part, p in zip(dec.split(np.vstack([u, -2.0 * u])), parts):
+        npt.assert_allclose(part, [p, -2.0 * p], atol=1e-14)
     th = dec.theta(u)
     npt.assert_allclose([float(p @ p) for p in parts], th, atol=1e-12)
     assert th.shape == (3,)
