@@ -75,6 +75,3 @@ class BoundaryNondifferentiableError(GoSpaceError):
 class NotPositiveDefiniteError(GoSpaceError):
     """Computed fundamental tensor is not positive definite at this vector."""
 
-
-class SingularOperatorError(GoSpaceError):
-    """Metric operator could not be inverted."""

@@ -30,7 +30,6 @@ from .errors import (
     NonPositiveCoefficientError,
     NotPositiveDefiniteError,
     NotStronglyConvexError,
-    SingularOperatorError,
     SpecFormatError,
     ZeroVectorError,
 )
@@ -306,19 +305,6 @@ def require_positive_definite(a):
         raise NotPositiveDefiniteError(
             f"fundamental tensor not positive definite (min eigenvalue {w[bad[0], 0]:.3e})")
     return a
-
-
-def spray_rows(space, a, ys, auu):
-    """(rhs, eta) for each row: eta solves g_y(eta, .) = g_y(y, [., y]_m) = rhs,
-    given the tensors ``a`` at the rows ``ys`` and ``auu`` = A_y(y)."""
-    rhs = np.einsum("rib,rb->ri", np.tensordot(auu, space.bracket_mm_m, axes=(-1, 2)), ys)
-    try:
-        eta = np.linalg.solve(a, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularOperatorError(f"metric operator is singular at this vector: {exc}")
-    if not np.all(np.isfinite(eta)):
-        raise SingularOperatorError("metric operator solve produced non-finite values")
-    return rhs, eta
 
 
 def metric_operator(fn, dec, y):

@@ -5,11 +5,15 @@ Two independent per-direction residuals drive everything:
 * operator route: least-squares solve of [w + u, A_u(u)] = 0 over w in h,
   assembled from the L-gradient and the bracket tables;
 * spray route: membership of the spray vector eta(u) in the tangent space
-  of the isotropy orbit {[w, u] : w in h}, measured through the metric
-  operator (A_u-weighted least squares).
+  of the isotropy orbit {[w, u] : w in h}, in its A_u-weighted form
+  min_w |A_u [w, u] - [u, A_u(u)]_m|: by ad-invariance of Q,
+  A_u eta = g_u(u, [., u]_m) = [u, A_u(u)]_m, so A_u is never inverted.
 
-Both are normalized by D(u) = max(|[u, A_u(u)]|, |u|^2), which makes them
-equal in exact arithmetic; their numerical discrepancy is itself a check.
+Both share that right-hand side and the scale D(u) = max(|[u, A_u(u)]|,
+|u|^2).  Their column maps differ: [h_j, A_u(u)] from the L-gradient,
+A_u [h_j, u] from the full fundamental tensor.  The equivariance
+A_u [w, u] = [w, A_u(u)] makes them equal in exact arithmetic; their
+numerical discrepancy is itself a check.
 Verdicts are sampled certificates: NOT_GO is proved by a witness, GO is
 evidence at the sampled tolerance.
 """
@@ -26,7 +30,7 @@ from . import _linalg
 from .errors import DimensionMismatchError, ZeroVectorError
 from .finsler import (PhiProfile, admissible_faces, apply_grad, block_data,
                       fundamental_tensors, l_from_phi,
-                      require_positive_definite, spray_rows)
+                      require_positive_definite)
 from .homspace import centralizer_in_h, tilde_centralizer
 
 GO = "GO"
@@ -155,11 +159,10 @@ def _operator(space, sh):
 
 
 def _spray(space, dec, fn, sh):
-    u, comps, theta, g1, auu, _, _ = sh
+    u, comps, theta, g1, *_, bm = sh
     a = require_positive_definite(fundamental_tensors(dec, g1, fn.hess(theta), comps))
-    rhs, eta = spray_rows(space, a, u, auu)
-    _, resid = _linalg.lstsq_min_norm(a @ space.hm_columns(u), (a @ eta[..., None])[..., 0])
-    return _norm(resid) / np.maximum(_norm(rhs), _norm(u) ** 2)
+    _, resid = _linalg.lstsq_min_norm(a @ space.hm_columns(u), bm)
+    return _norm(resid) / _scale(sh)
 
 
 def _nr(sh):
@@ -180,7 +183,7 @@ def residuals(space, dec, fn, plan):
     """
     rows = max(1, BUDGET // space.dim_m ** 2)
     parts = ([], [], [])
-    for start in range(0, len(plan), rows):
+    for start in range(0, max(len(plan), 1), rows):
         sh = _shared(space, dec, fn, plan[start:start + rows])
         parts[0].append(_operator(space, sh))
         parts[1].append(_spray(space, dec, fn, sh))

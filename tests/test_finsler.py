@@ -173,16 +173,6 @@ def test_f_squared_euler_identity(rng):
     assert float(y @ g @ y) == pytest.approx(finsler.f_squared(fn, dec, y))
 
 
-def test_spray_vector_solves_metric_equation(rng):
-    space, dec, _ = catalog.make_space("su3/t2")
-    fn = finsler.parse_metric("linear:1,2,3")
-    ys = rng.standard_normal((1, space.dim_m))
-    a, auu = tensors(fn, dec, ys)
-    _, eta = finsler.spray_rows(space, a, ys, auu)
-    rhs = np.einsum("ibk,b,k->i", space.bracket_mm_m, ys[0], auu[0])
-    npt.assert_allclose(a[0] @ eta[0], rhs, atol=1e-10)
-
-
 def test_zero_vector_guards():
     space, dec, _ = catalog.make_space("so5/u2")
     fn = finsler.parse_metric("linear:1,2")

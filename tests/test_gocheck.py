@@ -7,7 +7,7 @@ import pytest
 from gospace import _linalg, catalog, finsler, gocheck, homspace, suites
 from gospace.errors import (BoundaryNondifferentiableError,
                             DimensionMismatchError, NotPositiveDefiniteError,
-                            SingularOperatorError, ZeroVectorError)
+                            ZeroVectorError)
 
 
 def unit(rng, n):
@@ -311,24 +311,34 @@ def test_engine_matches_per_direction_formulas(spec, mtext, monkeypatch):
         chunked = np.array(gocheck.residuals(space, dec, fn, plan))
     assert rows == [32, 32, 32, 32, 13, 13]
     npt.assert_allclose(chunked, got, rtol=0, atol=1e-15)
-    # a single direction is a one-row plan
+    # a single direction is a one-row plan, and a zero-row plan gives empty arrays
     for i in (0, 40, 76):
         single = np.array(gocheck.residuals(space, dec, fn, plan[i][None]))[:, 0]
         npt.assert_allclose(single, got[:, i], rtol=0, atol=1e-12)
+    empty = gocheck.residuals(space, dec, fn, plan[:0])
+    assert [r.shape for r in empty] == [(0,)] * 3
 
 
 @pytest.mark.parametrize("spec", [spec for spec, _, _ in catalog.list_catalog()])
 def test_one_array_pass_per_plan(spec, monkeypatch):
-    # the operator and the spray residual each take one batched solve over
-    # the whole 200-row plan; the NR residual takes none, and nr_check is
-    # the NR half of that same pass
+    # the operator and the spray residual each take one batched least
+    # squares over the whole 200-row plan; the NR residual takes none, and
+    # nr_check is the NR half of that same pass.  The spray never inverts
+    # A_u: no np.linalg.solve runs at all
     space, dec, _ = catalog.make_space(spec)
     fn = finsler.parse_metric(suites.equal_linear_for(dec.arity))
     rows = _count_solves(monkeypatch)
+    inverses, solve = [], np.linalg.solve
+
+    def counted(a, b):
+        inverses.append(len(a))
+        return solve(a, b)
+    monkeypatch.setattr(np.linalg, "solve", counted)
     for check in (gocheck.verdicts, gocheck.nr_check):
         rows.clear()
         check(space, dec, fn, samples=200, seed=1)
         assert rows == [200, 200]
+        assert inverses == []
 
 
 def _raises(exc, message, func, *args):
@@ -362,19 +372,13 @@ def test_engine_errors_keep_their_messages():
             odd, plan[[0, 2, 1]])
 
 
-def test_engine_positive_definite_and_singular_errors():
+def test_engine_positive_definite_errors():
     # phi = 1 + t^2 fails phi - t phi' > 0 at t = 1: there, on the second
     # block alone, the tensor vanishes on the first block
     space, _, _ = catalog.make_space("so5/u2")
     dec = homspace.Decomposition.from_dims((4, 2))
     flat = finsler.l_from_phi(finsler.PhiProfile((1.0, 0.0, 1.0)), check=False)
     u = np.eye(6)[5]
-    ys, comps, theta = finsler.block_data(flat, dec, u[None])
-    g1 = flat.grad(theta)
-    a = finsler.fundamental_tensors(dec, g1, flat.hess(theta), comps)
-    _raises(SingularOperatorError, "metric operator is singular at this vector: "
-            "Singular matrix", finsler.spray_rows, space, a, ys,
-            finsler.apply_grad(g1, comps))
     pd = "fundamental tensor not positive definite (min eigenvalue 0.000e+00)"
     _raises(NotPositiveDefiniteError, pd, finsler.metric_operator, flat, dec, u)
     _raises(NotPositiveDefiniteError, pd, gocheck.residuals, space, dec, flat, u[None])

@@ -6,6 +6,7 @@ from pathlib import Path
 import gospace
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gospace"
 
 
 def test_all_names_are_unique_and_resolve():
@@ -44,7 +45,7 @@ def _unused_imports(path):
 
 
 def test_no_unused_imports():
-    files = sorted(p for p in (ROOT / "src" / "gospace").glob("*.py")
+    files = sorted(p for p in SRC.glob("*.py")
                    if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
     assert [hit for path in files for hit in _unused_imports(path)] == []
 
@@ -70,11 +71,15 @@ def _private_definitions(tree):
                 yield name, node
 
 
+def _trees(*dirs):
+    return {p: ast.parse(p.read_text(), filename=str(p))
+            for d in dirs for p in sorted(d.glob("*.py"))}
+
+
 def test_no_orphaned_private_names():
     # a private helper that nothing in the package uses outside its own
     # definition is dead code, whatever the tests still call
-    trees = {p: ast.parse(p.read_text(), filename=str(p))
-             for p in sorted((ROOT / "src" / "gospace").glob("*.py"))}
+    trees = _trees(SRC)
     refs = sum((_references(tree) for tree in trees.values()), Counter())
     orphans = [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
                for path, tree in trees.items()
@@ -96,12 +101,10 @@ def test_no_unused_public_methods():
     # a public method or property that neither the package nor the benchmark
     # names outside its own definition is dead code; overrides of a base
     # class attribute (argparse's error hook) are called from the base
-    paths = sorted((ROOT / "src" / "gospace").glob("*.py"))
-    trees = {p: ast.parse(p.read_text(), filename=str(p))
-             for p in paths + sorted((ROOT / "bench").glob("*.py"))}
+    trees = _trees(SRC, ROOT / "bench")
     refs = sum((_references(tree) for tree in trees.values()), Counter())
     unused = []
-    for path in paths:
+    for path in sorted(SRC.glob("*.py")):
         module = importlib.import_module(f"gospace.{path.stem}")
         for cls_name, node in _public_methods(trees[path]):
             bases = getattr(module, cls_name).__mro__[1:]
@@ -109,4 +112,19 @@ def test_no_unused_public_methods():
                     and not any(hasattr(base, node.name) for base in bases)):
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} "
                               f"{cls_name}.{node.name}")
+    assert unused == []
+
+
+def test_no_unused_public_definitions():
+    # a public top-level function or class, exception classes included,
+    # that no other code in the package, no benchmark file and not
+    # gospace.__all__ names is dead code, whatever the tests still call
+    trees = _trees(SRC, ROOT / "bench")
+    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = [f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+              for path in sorted(SRC.glob("*.py")) for node in trees[path].body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and node.name not in gospace.__all__
+              and refs[node.name] == _references(node)[node.name]]
     assert unused == []
