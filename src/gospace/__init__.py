@@ -17,8 +17,8 @@ from .finsler import (ConvexityReport, LFunction, PhiProfile, f_squared,
                       parse_metric, strong_convexity_check)
 from .gocheck import (GO, INCONCLUSIVE, NOT_GO, NOT_NR, NR, CheckReport,
                       centralizer_condition_check, go_verdict, nr_check,
-                      residuals, sample_plan, two_summand_phi_check, verdicts,
-                      wallach_system_check)
+                      reports, residuals, sample_plan, two_summand_phi_check,
+                      verdicts, wallach_system_check)
 from .homspace import (Decomposition, HomogeneousSpace, build,
                        centralizer_in_h, invariance_residual,
                        isotropy_decompose, symmetric_commutant_dim,
@@ -38,8 +38,8 @@ __all__ = [
     "l_linear", "l_pert3", "metric_operator", "parse_metric",
     "strong_convexity_check",
     "GO", "INCONCLUSIVE", "NOT_GO", "NOT_NR", "NR", "CheckReport",
-    "centralizer_condition_check", "go_verdict", "nr_check", "residuals",
-    "sample_plan", "two_summand_phi_check", "verdicts",
+    "centralizer_condition_check", "go_verdict", "nr_check", "reports",
+    "residuals", "sample_plan", "two_summand_phi_check", "verdicts",
     "wallach_system_check",
     "Decomposition", "HomogeneousSpace", "build", "centralizer_in_h",
     "invariance_residual", "isotropy_decompose", "symmetric_commutant_dim",

@@ -263,7 +263,8 @@ def block_data(fn, dec, ys):
             f"norm has {fn.arity} blocks but decomposition has {dec.arity}")
     n = int(sum(dec.dims))
     if ys.ndim != 2 or ys.shape[1] != n:
-        raise DimensionMismatchError(f"expected m-coords vector of length {n}")
+        raise DimensionMismatchError(
+            f"expected a stack of m-coords rows (N, {n}), got {ys.shape}")
     coords = [ys @ s.T for s in dec.summands]
     theta = np.stack([np.einsum("ij,ij->i", c, c) for c in coords], axis=1)
     zero = np.einsum("ij,ij->i", ys, ys) == 0.0
@@ -310,7 +311,11 @@ def require_positive_definite(a):
 def metric_operator(fn, dec, y):
     """Metric operator A_y at one vector y: the fundamental tensor, checked
     to be positive definite."""
-    _, comps, theta = block_data(fn, dec, np.asarray(y, dtype=float)[None])
+    y = np.asarray(y, dtype=float)
+    n = int(sum(dec.dims))
+    if y.shape != (n,):
+        raise DimensionMismatchError(f"expected m-coords vector of length {n}")
+    _, comps, theta = block_data(fn, dec, y[None])
     a = fundamental_tensors(dec, fn.grad(theta), fn.hess(theta), comps)
     return require_positive_definite(a)[0]
 

@@ -74,6 +74,8 @@ def sample_plan(dec, boundary_ok, samples, seed):
     The random stream is drawn in that order: the uniform rows, then each
     pattern's kept blocks, then one draw of every block per round of the grid.
     """
+    if samples < 0:
+        raise DimensionMismatchError(f"sample count must be non-negative, got {samples}")
     rng = np.random.default_rng(seed)
     n = int(sum(dec.dims))
     s = dec.arity
@@ -220,7 +222,19 @@ def nr_check(space, dec, fn, samples=200, seed=42, tol=1e-8):
 def verdicts(space, dec, fn, samples=200, seed=42, tol=1e-8):
     """(go_verdict, nr_check) reports from one sample plan and one engine pass."""
     plan = sample_plan(dec, fn.boundary_ok, samples, seed)
-    r_op, r_sp, r_nr = residuals(space, dec, fn, plan)
+    return reports(plan, residuals(space, dec, fn, plan), tol, seed)
+
+
+def reports(plan, residuals, tol, seed):
+    """(go, nr) CheckReports from a plan (N, n) and its residual arrays
+    (operator, spray, nr), as :func:`residuals` returns them.
+
+    The verdict rules live here: the bands, the worst-sample witnesses and
+    the agreement of the two GO criteria.  ``seed`` is only recorded.
+    """
+    if len(plan) == 0:
+        raise DimensionMismatchError("a verdict needs at least one sample, got an empty plan")
+    r_op, r_sp, r_nr = residuals
     lo, hi = np.minimum(r_op, r_sp), np.maximum(r_op, r_sp)
     worst = int(np.argmax(hi))
     witness = {"index": worst, "u": [float(x) for x in plan[worst]],

@@ -58,13 +58,27 @@ class SuiteResult:
     def add(self, name, passed, detail):
         self.items.append(SuiteItem(name, bool(passed), detail))
 
-    def to_dict(self):
-        return {"suite": self.suite, "passed": self.passed,
-                "items": [it.to_dict() for it in self.items]}
-
 
 def _spaces_with_tag(tag):
     return [rid for rid, _, tags in catalog.list_catalog() if tag in tags]
+
+
+def _battery(specs, samples, seed, tol):
+    """(spec, space, dec, [(metric, go, nr), ...]) per space of ``specs``,
+    over its default battery; each space is built once, and the metrics that
+    share a boundary pattern share one sample plan."""
+    for spec in specs:
+        space, dec, _ = catalog.make_space(spec)
+        plans, rows = {}, []
+        for mtext in battery_for(dec.arity):
+            fn = parse_metric(mtext)
+            pattern = fn.boundary_ok
+            if pattern not in plans:
+                plans[pattern] = gocheck.sample_plan(dec, pattern, samples, seed)
+            plan = plans[pattern]
+            rows.append((mtext, *gocheck.reports(
+                plan, gocheck.residuals(space, dec, fn, plan), tol, seed)))
+        yield spec, space, dec, rows
 
 
 def _centralizer_pairs(space, dec, rng, count):
@@ -79,14 +93,11 @@ def suite_thm1_converse(samples=200, seed=42, tol=1e-8):
     """Two-summand entries: GO for the whole battery, NOT_NR off the normal
     metric, and the two-block centralizer equation solvable and unique."""
     out = SuiteResult("thm1-converse")
-    for spec in _spaces_with_tag("two-summand-go"):
-        space, dec, _ = catalog.make_space(spec)
-        for mtext in battery_for(dec.arity):
-            fn = parse_metric(mtext)
-            rep, nr = gocheck.verdicts(space, dec, fn, samples=samples,
-                                       seed=seed, tol=tol)
-            out.add(f"{spec} {mtext} go", rep.verdict == GO,
-                    f"verdict={rep.verdict} max_residual={rep.max_residual:.3e}")
+    for spec, space, dec, rows in _battery(_spaces_with_tag("two-summand-go"),
+                                           samples, seed, tol):
+        for mtext, go, nr in rows:
+            out.add(f"{spec} {mtext} go", go.verdict == GO,
+                    f"verdict={go.verdict} max_residual={go.max_residual:.3e}")
             if mtext.startswith("phi:"):
                 out.add(f"{spec} {mtext} nr", nr.verdict == NOT_NR
                         and nr.max_residual > 1e-3,
@@ -99,49 +110,42 @@ def suite_thm1_converse(samples=200, seed=42, tol=1e-8):
     return out
 
 
-def _wallach_battery_items(out, spec, samples, seed, tol):
-    space, dec, _ = catalog.make_space(spec)
-    for mtext in battery_for(dec.arity):
-        fn = parse_metric(mtext)
-        rep = gocheck.go_verdict(space, dec, fn, samples=samples, seed=seed,
-                                 tol=tol)
-        equal = mtext == equal_linear_for(dec.arity)
-        want = GO if equal else NOT_GO
-        ok = rep.verdict == want
-        if not equal:
-            w = rep.witness
-            ok = ok and min(w["operator_residual"], w["spray_residual"]) > 1e-3
-        out.add(f"{spec} {mtext} go={want}", ok,
-                f"verdict={rep.verdict} max_residual={rep.max_residual:.3e}")
+def _equal_only_go(suite, specs, samples, seed, tol):
+    """GO for the equal-coefficient linear metric, NOT_GO with a witness
+    failing both criteria by 1e-3 for every other battery metric."""
+    out = SuiteResult(suite)
+    for spec, _, dec, rows in _battery(specs, samples, seed, tol):
+        for mtext, go, _ in rows:
+            equal = mtext == equal_linear_for(dec.arity)
+            want = GO if equal else NOT_GO
+            w = go.witness
+            ok = go.verdict == want and (
+                equal or min(w["operator_residual"], w["spray_residual"]) > 1e-3)
+            out.add(f"{spec} {mtext} go={want}", ok,
+                    f"verdict={go.verdict} max_residual={go.max_residual:.3e}")
+    return out
 
 
 def suite_thm2_wallach(samples=200, seed=42, tol=1e-8):
     """Three-summand entries with all cross brackets nonzero: GO exactly for
     the equal-coefficient linear metric within the battery."""
-    out = SuiteResult("thm2-wallach")
-    for spec in _spaces_with_tag("wallach-type-ii") + _spaces_with_tag("wallach-type-iii"):
-        _wallach_battery_items(out, spec, samples, seed, tol)
-    return out
+    specs = _spaces_with_tag("wallach-type-ii") + _spaces_with_tag("wallach-type-iii")
+    return _equal_only_go("thm2-wallach", specs, samples, seed, tol)
 
 
 def suite_cor_wallach_normal(samples=200, seed=42, tol=1e-8):
     """Normal (equal-coefficient) metrics on su3/t2 and wallach-sp/1,1,1
     are GO; the battery confirms the equal-only-GO pattern on both."""
-    out = SuiteResult("cor-wallach-normal")
-    for spec in ("su3/t2", "wallach-sp/1,1,1"):
-        _wallach_battery_items(out, spec, samples, seed, tol)
-    return out
+    return _equal_only_go("cor-wallach-normal", ("su3/t2", "wallach-sp/1,1,1"),
+                          samples, seed, tol)
 
 
 def suite_type1_nr(samples=200, seed=42, tol=1e-8):
     """Product-of-rank-one entry: every battery metric naturally reductive."""
     out = SuiteResult("type1-nr")
-    for spec in _spaces_with_tag("wallach-type-i"):
-        space, dec, _ = catalog.make_space(spec)
-        for mtext in battery_for(dec.arity):
-            fn = parse_metric(mtext)
-            go, nr = gocheck.verdicts(space, dec, fn, samples=samples, seed=seed,
-                                      tol=tol)
+    for spec, _, _, rows in _battery(_spaces_with_tag("wallach-type-i"),
+                                     samples, seed, tol):
+        for mtext, go, nr in rows:
             out.add(f"{spec} {mtext} nr", nr.verdict == NR
                     and nr.max_residual <= 1e-10 and go.verdict == GO,
                     f"nr={nr.verdict} residual={nr.max_residual:.3e} go={go.verdict}")
@@ -156,18 +160,13 @@ def suite_crossval(samples=60, seed=42, tol=1e-8):
     1000 (space, metric, direction) triples."""
     out = SuiteResult("crossval")
     triples = 0
-    for spec in CROSSVAL_SPACES:
-        space, dec, _ = catalog.make_space(spec)
-        for mtext in battery_for(dec.arity):
-            fn = parse_metric(mtext)
-            plan = gocheck.sample_plan(dec, fn.boundary_ok, samples, seed)
-            r_op, r_sp, _ = gocheck.residuals(space, dec, fn, plan)
-            gap = float(np.max(np.abs(r_op - r_sp)))
-            agree = not np.any(((r_op <= tol) != (r_sp <= tol))
-                               & (np.maximum(r_op, r_sp) > gocheck.FAIL_FACTOR * tol))
-            triples += len(plan)
-            out.add(f"{spec} {mtext} agreement", agree and gap <= 1e-6,
-                    f"samples={len(plan)} max_gap={gap:.3e}")
+    for spec, _, _, rows in _battery(CROSSVAL_SPACES, samples, seed, tol):
+        for mtext, go, _ in rows:
+            gap = go.extras["max_criteria_gap"]
+            triples += go.samples
+            out.add(f"{spec} {mtext} agreement",
+                    not go.extras["criteria_disagree"] and gap <= 1e-6,
+                    f"samples={go.samples} max_gap={gap:.3e}")
     out.add("total triples >= 1000", triples >= 1000, f"triples={triples}")
     return out
 

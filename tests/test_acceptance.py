@@ -210,21 +210,20 @@ def _strip_wallclock(text):
 
 
 def test_09_report_determinism(capsys, tmp_path):
-    pairs = []
-    for tag, argv in [
-        ("check", ["check", "--space", "sp2/sp1u1", "--metric", "phi:1,0,0.25",
-                   "--samples", "60", "--seed", "11"]),
-        ("verify", ["verify", "cor-wallach-normal", "--samples", "40",
-                    "--format", "json"]),
-    ]:
+    runs = {"check": ["check", "--space", "sp2/sp1u1", "--metric", "phi:1,0,0.25",
+                      "--samples", "60", "--seed", "11"]}
+    for name in suites.SUITE_NAMES:
+        runs[name] = ["verify", name, "--seed", "5", "--format", "json"]
+    same = {}
+    for tag, argv in runs.items():
         texts = []
         for run in (1, 2):
             out = tmp_path / f"{tag}{run}.json"
             code = cli.main(argv + ["--out", str(out)])
             assert code == cli.EXIT_OK
             texts.append(out.read_bytes().decode())
-        pairs.append(_strip_wallclock(texts[0]) == _strip_wallclock(texts[1]))
+        same[tag] = _strip_wallclock(texts[0]) == _strip_wallclock(texts[1])
         json.loads(texts[0])  # still a valid report
-    ok = all(pairs)
+    ok = all(same.values())
     report(capsys, "byte-identical reports at fixed seed (modulo wallclock)",
-           ok, f"check={pairs[0]} verify={pairs[1]}")
+           ok, " ".join(f"{tag}={flag}" for tag, flag in same.items()))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from gospace import cli
+from gospace import cli, gocheck, suites
 
 
 def run(capsys, *argv):
@@ -335,3 +335,23 @@ def test_verify_json_report(capsys):
     assert rep["suite"] == "cor-wallach-normal"
     assert rep["passed"] is True
     assert all(item["passed"] for item in rep["items"])
+
+
+def test_verify_draws_each_plan_once(capsys, monkeypatch):
+    # battery metrics that share a boundary pattern share their space's plan:
+    # thm1-converse has four two-summand spaces with two patterns each, and
+    # invariants draws one plan for the normal metric of each listed entry
+    calls, sample_plan = [], gocheck.sample_plan
+
+    def counted(*args):
+        calls.append(args)
+        return sample_plan(*args)
+    monkeypatch.setattr(gocheck, "sample_plan", counted)
+    counts = {}
+    for name in suites.SUITE_NAMES:
+        calls.clear()
+        code, _, _ = run(capsys, "verify", name, "--format", "json")
+        assert code == cli.EXIT_OK
+        counts[name] = len(calls)
+    assert counts == {"thm1-converse": 8, "thm2-wallach": 6, "cor-wallach-normal": 2,
+                      "type1-nr": 1, "crossval": 8, "invariants": 12}

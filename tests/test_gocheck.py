@@ -360,8 +360,13 @@ def test_engine_errors_keep_their_messages():
                  lambda u: gocheck.residuals(space, dec, odd, u[None])):
         _raises(BoundaryNondifferentiableError, face, func, u1)
         _raises(ZeroVectorError, zero, func, np.zeros(n))
-        _raises(DimensionMismatchError, length, func, np.ones(n + 1))
-        _raises(DimensionMismatchError, length, func, np.ones((2, n)))
+    for shape in ((n + 1,), (2, n)):
+        _raises(DimensionMismatchError, length, finsler.metric_operator, odd, dec,
+                np.ones(shape))
+    for shape in ((1, n + 1), (1, 2, n)):
+        _raises(DimensionMismatchError,
+                f"expected a stack of m-coords rows (N, {n}), got {shape}",
+                gocheck.residuals, space, dec, odd, np.ones(shape))
     three = finsler.parse_metric("linear:1,2,3")
     _raises(DimensionMismatchError, "norm has 3 blocks but decomposition has 2",
             gocheck.residuals, space, dec, three, u1[None])
@@ -370,6 +375,44 @@ def test_engine_errors_keep_their_messages():
     _raises(ZeroVectorError, zero, gocheck.residuals, space, dec, odd, plan)
     _raises(BoundaryNondifferentiableError, face, gocheck.residuals, space, dec,
             odd, plan[[0, 2, 1]])
+
+
+def test_residuals_reject_a_single_vector():
+    # the engine takes stacks only: one direction u is the plan u[None]
+    space, dec, _ = catalog.make_space("so5/u2")
+    fn = finsler.parse_metric("linear:1,2")
+    _raises(DimensionMismatchError, "expected a stack of m-coords rows (N, 6), got (6,)",
+            gocheck.residuals, space, dec, fn, dec.summands[0][0])
+
+
+def test_verdicts_reject_bad_sample_counts():
+    space, dec, _ = catalog.make_space("so5/u2")
+    fn = finsler.parse_metric("linear:1,2")
+    empty = "a verdict needs at least one sample, got an empty plan"
+    negative = "sample count must be non-negative, got -3"
+    for check in (gocheck.verdicts, gocheck.go_verdict, gocheck.nr_check):
+        _raises(DimensionMismatchError, empty, check, space, dec, fn, 0)
+        _raises(DimensionMismatchError, negative, check, space, dec, fn, -3)
+    _raises(DimensionMismatchError, negative, gocheck.sample_plan, dec, fn.boundary_ok, -3, 1)
+    # an empty plan still has residuals, three empty arrays; only reports refuse it
+    plan = gocheck.sample_plan(dec, fn.boundary_ok, 0, 1)
+    assert plan.shape == (0, space.dim_m)
+    res = gocheck.residuals(space, dec, fn, plan)
+    assert [r.shape for r in res] == [(0,)] * 3
+    _raises(DimensionMismatchError, empty, gocheck.reports, plan, res, 1e-8, 1)
+
+
+def test_metrics_can_share_a_plan():
+    # metrics with the same boundary pattern draw the same plan, so one plan
+    # can serve them all: the engine must leave it as it found it
+    space, dec, _ = catalog.make_space("su3/t2")
+    fns = [finsler.parse_metric(m) for m in suites.BATTERY_THREE_BLOCK]
+    assert len({fn.boundary_ok for fn in fns}) == 1
+    plan = gocheck.sample_plan(dec, fns[0].boundary_ok, 50, seed=4)
+    for fn in fns:
+        got = gocheck.reports(plan, gocheck.residuals(space, dec, fn, plan), 1e-8, 4)
+        want = gocheck.verdicts(space, dec, fn, samples=50, seed=4)
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
 
 
 def test_engine_positive_definite_errors():
