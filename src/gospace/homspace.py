@@ -289,25 +289,28 @@ def centralizer_in_h(space, u, within=None):
 
     Returns (basis, dims): the orthonormal h-coords rows basis[i, :dims[i]]
     span {w in span(within[i]) : [w, u_i] = 0}, and the rows below them are
-    zero.  ``within`` holds orthonormal h-coords rows per direction,
-    (N, k, dim_h) with one k for all, and defaults to all of h (k = dim_h);
-    basis has shape (N, k, dim_h).  Kernel i is the one of alpha ->
-    [alpha @ within[i], u_i], a (dim_m, k) matrix, and one batched SVD
-    gives them all; u_i = 0 gives all of span(within[i]).  One direction
-    is the stack ``u[None]``.
+    zero.  ``within`` holds orthonormal h-coords rows per direction, (N, k,
+    dim_h) padded with zero rows as basis is, and defaults to all of h
+    (k = dim_h); basis has shape (N, k, dim_h).  Kernel i is the one of
+    alpha -> [alpha @ within[i], u_i], a (dim_m, k) matrix with a unit row
+    at the noise floor below it per zero row of within[i], which keeps that
+    coordinate out; one batched SVD gives them all, and u_i = 0 gives all
+    of span(within[i]).  One direction is the stack ``u[None]``.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[1] != space.dim_m:
         raise DimensionMismatchError(
             f"expected a stack of m-coords rows (N, {space.dim_m}), got {u.shape}")
     cols = space.hm_columns(u)                # (N, dim_m, dim_h)
-    if within is not None:
-        cols = cols @ within.transpose(0, 2, 1)
     # absolute floor: [w, u] that is rounding noise on the scale of |u| times
     # the bracket table must count as zero, or C(u) shrinks spuriously
     scale = np.linalg.norm(u, axis=1) * float(np.linalg.norm(space.bracket_hm.ravel()))
-    basis, dims = _linalg.null_spaces(cols, cols.shape[1],
-                                      max(cols.shape[1:]) * _linalg.EPS * scale)
+    if within is not None:
+        pad = np.where(scale > 0.0, scale, 1.0)[:, None] * np.all(within == 0.0, axis=2)
+        cols = np.concatenate([cols @ within.transpose(0, 2, 1),
+                               pad[:, None] * np.eye(within.shape[1])], axis=1)
+    basis, dims = _linalg.null_spaces(cols, space.dim_m,
+                                      max(space.dim_m, cols.shape[2]) * _linalg.EPS * scale)
     return (basis if within is None else basis @ within), dims
 
 

@@ -394,6 +394,15 @@ def test_verdicts_reject_bad_sample_counts():
         _raises(DimensionMismatchError, empty, check, space, dec, fn, 0)
         _raises(DimensionMismatchError, negative, check, space, dec, fn, -3)
     _raises(DimensionMismatchError, negative, gocheck.sample_plan, dec, fn.boundary_ok, -3, 1)
+    for bad in (2.5, True):
+        message = f"sample count must be an integer, got {bad}"
+        for check in (gocheck.verdicts, gocheck.go_verdict, gocheck.nr_check):
+            _raises(DimensionMismatchError, message, check, space, dec, fn, bad)
+        _raises(DimensionMismatchError, message, gocheck.sample_plan, dec, fn.boundary_ok, bad, 1)
+    # numpy integers are counts too
+    npt.assert_array_equal(gocheck.sample_plan(dec, fn.boundary_ok, np.int64(5), 1),
+                           gocheck.sample_plan(dec, fn.boundary_ok, 5, 1))
+    assert gocheck.go_verdict(space, dec, fn, np.int64(5)).samples == 5
     # an empty plan still has residuals, three empty arrays; only reports refuse it
     plan = gocheck.sample_plan(dec, fn.boundary_ok, 0, 1)
     assert plan.shape == (0, space.dim_m)
@@ -557,6 +566,31 @@ def test_centralizer_stacks_shapes():
         "feasible": (0,), "unique": (0,), "residual": (0,), "z_x": (0, 4), "z_y": (0, 4)}
 
 
+def test_centralizer_condition_rejects_unequal_stacks():
+    space, dec, _ = catalog.make_space("so5/u2")
+    x, y = _pairs(space, dec, np.random.default_rng(1), 2)
+    _raises(DimensionMismatchError,
+            "x and y must be stacks of the same shape, got (1, 6) and (2, 6)",
+            gocheck.centralizer_condition_check, space, x[:1], y)
+    _raises(DimensionMismatchError,
+            "x and y must be stacks of the same shape, got (2, 6) and (6,)",
+            gocheck.centralizer_condition_check, space, x, y[0])
+
+
+def test_centralizer_condition_with_trivial_isotropy():
+    # h = 0: no z to solve for, so a pair is feasible only when [x, y]_m = 0
+    space, dec, _ = catalog.make_space("wallach-so/1,1,1")
+    assert space.dim_h == 0
+    zero = np.zeros((1, space.dim_m))
+    x = np.vstack([dec.summands[0][:1], zero])
+    y = np.vstack([dec.summands[1][:1], zero])
+    out = gocheck.centralizer_condition_check(space, x, y)
+    assert out["feasible"].tolist() == [False, True]
+    assert out["unique"].tolist() == [True, True]
+    npt.assert_allclose(out["residual"], [np.sqrt(0.5), 0.0], rtol=0, atol=1e-12)
+    assert out["z_x"].shape == out["z_y"].shape == (2, 0)
+
+
 def _reference_centralizer(space, v):
     # C(v) as one kernel of the (dim_m, dim_h) map w -> [w, v], with the
     # |v| |bracket_hm| noise floor
@@ -610,6 +644,17 @@ def _reference_condition(space, x, y):
 TWO_SUMMAND = ["so5/u2", "su3/su2", "sp2/sp1u1", "spin8/g2", "so6/so3irr"]
 
 
+def _reference_stack(space, dec, spec):
+    # 20 generic pairs, then one pair with x = 0 and one with y = 0
+    x, y = _pairs(space, dec, np.random.default_rng(7), 20)
+    zero = np.zeros((1, space.dim_m))
+    x, y = np.vstack([x, zero, x[:1]]), np.vstack([y, y[:1], zero])
+    if spec == "su3/su2":
+        # u = x has trivial C, and u = y in the 1-dim summand has C = h
+        x, y = np.vstack([x, x[:1], zero]), np.vstack([y, zero, dec.summands[1][:1]])
+    return x, y
+
+
 @pytest.mark.parametrize("spec", TWO_SUMMAND)
 def test_centralizer_condition_matches_intersection_reference(spec, monkeypatch):
     space, dec, _ = catalog.make_space(spec)
@@ -620,12 +665,7 @@ def test_centralizer_condition_matches_intersection_reference(spec, monkeypatch)
         shapes["rows"].append(rows), null_spaces(a, rows, atol))[1])
     monkeypatch.setattr(_linalg, "lstsq_stack", lambda a, b, cols: (
         shapes["cols"].append(cols), lstsq_stack(a, b, cols))[1])
-    x, y = _pairs(space, dec, np.random.default_rng(7), 20)
-    zero = np.zeros((1, space.dim_m))
-    x, y = np.vstack([x, zero, x[:1]]), np.vstack([y, y[:1], zero])
-    if spec == "su3/su2":
-        # u = x has trivial C, and u = y in the 1-dim summand has C = h
-        x, y = np.vstack([x, x[:1], zero]), np.vstack([y, zero, dec.summands[1][:1]])
+    x, y = _reference_stack(space, dec, spec)
     got = gocheck.centralizer_condition_check(space, x, y)
     gap, _ = _equation_gap(space, x, y, got)
     columns = []
@@ -679,19 +719,34 @@ def test_centralizer_condition_chunks_agree(monkeypatch):
 
 
 def test_centralizer_condition_svd_calls_per_stage(monkeypatch):
-    # C(u), C~(u), one restricted kernel per value of dim C~ and the final
-    # solve: the count follows the stages, not the 100 pairs
+    # C(u), C~(u), both restricted kernels and the final solve: the count
+    # follows the stages, not the 22 pairs nor the values of dim C~ in them
     space, dec, _ = catalog.make_space("so5/u2")
-    x, y = _pairs(space, dec, np.random.default_rng(5), 100)
-    groups = len(set(homspace.tilde_centralizer(space, x + y)[1].tolist()))
+    x, y = _reference_stack(space, dec, "so5/u2")
+    assert set(homspace.tilde_centralizer(space, x + y)[1].tolist()) == {1, 4}
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd",
                         lambda a, **kw: calls.append(a.shape) or svd(a, **kw))
     out = gocheck.centralizer_condition_check(space, x, y)
     assert np.all(out["feasible"] & out["unique"])
-    assert len(calls) == 3 + groups <= 4 * groups
-    assert all(shape[0] in (100, 200) for shape in calls)
+    assert [shape[0] for shape in calls] == [22, 22, 44, 22]
+
+
+@pytest.mark.parametrize("spec", TWO_SUMMAND)
+def test_centralizer_in_h_takes_padded_within(spec):
+    # the zero-padded C~ from tilde_centralizer gives the same kernels as
+    # its rows cut to each direction's own dim C~
+    space, dec, _ = catalog.make_space(spec)
+    x, y = _reference_stack(space, dec, spec)
+    tilde, t_dims = homspace.tilde_centralizer(space, x + y)
+    for v in (x, y):
+        basis, dims = homspace.centralizer_in_h(space, v, within=tilde)
+        for i, k in enumerate(t_dims):
+            want, d = homspace.centralizer_in_h(space, v[i:i + 1], within=tilde[i:i + 1, :k])
+            assert dims[i] == d[0]
+            assert _projector_gap(basis[i, :dims[i]], want[0, :d[0]]) <= 1e-12
+            npt.assert_array_equal(basis[i, dims[i]:], 0.0)
 
 
 def _projector_gap(a, b):

@@ -1,5 +1,9 @@
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -128,3 +132,34 @@ def test_no_unused_public_definitions():
               and node.name not in gospace.__all__
               and refs[node.name] == _references(node)[node.name]]
     assert unused == []
+
+
+TRACE_SMOKE = """
+import collections, contextlib, importlib, io, json, sys
+sys.path[:0] = [{bench!r}, {src!r}]
+import gospace
+for mod in ("cli", "catalog", "suites", "gocheck", "finsler", "homspace", "liealg", "_linalg"):
+    importlib.import_module("gospace." + mod)
+from tracing import Tracer, install
+tracer = Tracer()
+install(tracer, gospace)
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = gospace.cli.main(["verify", "thm1-converse", "--samples", "20"])
+print(json.dumps({{"rc": rc, "calls": collections.Counter(s[0] for s in tracer.spans)}}))
+"""
+
+
+def test_bench_tracer_sees_the_centralizer_layers():
+    # the benchmark's tracer rebinds the package's functions by name, so a
+    # rename breaks its per-layer metrics; a subprocess keeps the rebinding
+    # out of this test process
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    script = TRACE_SMOKE.format(bench=str(ROOT / "bench"), src=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=ROOT, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert out["rc"] == 0
+    for name in ("homspace.centralizer_in_h", "homspace.tilde_centralizer",
+                 "gocheck.centralizer_condition_check"):
+        assert out["calls"].get(name, 0) > 0, name
