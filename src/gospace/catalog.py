@@ -370,7 +370,7 @@ def _make_space_cached(spec):
         raise UnknownSpecError(
             f"unknown space {spec!r}; run the list command for available ids")
     dec = homspace.Decomposition(
-        summands=summands, commutant_dim=homspace.symmetric_commutant_dim(space))
+        summands=summands, commutant_dim=homspace.symmetric_commutant_dim(space, summands))
     meta = {
         "id": spec,
         "family": family,

@@ -355,11 +355,11 @@ def strong_convexity_check(fn, dims):
     positive definite.  This is a sampled certificate of failure, not a proof
     of convexity.
     """
-    dims = tuple(int(d) for d in dims)
+    dec = Decomposition.from_dims(dims)
+    dims = dec.dims
     if len(dims) != fn.arity:
         raise DimensionMismatchError(
             f"norm has {fn.arity} blocks but {len(dims)} dims were given")
-    dec = Decomposition.from_dims(dims)
     samples = 64
     rng = np.random.default_rng(0)
     patterns = np.array([(True,) * len(dims)] + admissible_faces(fn.boundary_ok))

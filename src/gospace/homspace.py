@@ -24,6 +24,16 @@ from .errors import DimensionMismatchError, NotSubalgebraError, ReductivityError
 from .liealg import LieAlgebra
 
 
+def _vec(v, size, name):
+    """``v`` as floats, after checking that it is one vector or a stack of
+    rows (N, size)."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (size,) or v.ndim > 2:
+        raise DimensionMismatchError(
+            f"expected {name}-coords vector or rows of length {size}, got {v.shape}")
+    return v
+
+
 class HomogeneousSpace:
     """Bracket tables of a compact homogeneous space in orthonormal coordinates.
 
@@ -59,27 +69,20 @@ class HomogeneousSpace:
 
     def lift_m(self, u):
         """g-coords of an m-coords vector or of a stack of rows (N, dim_m)."""
-        return self._vec(u, self.dim_m, "m") @ self.m_basis
+        return _vec(u, self.dim_m, "m") @ self.m_basis
 
     def proj_m(self, x):
         """m-coords of the m-component of a g-coords vector or of a stack of
         rows (N, dim_g)."""
-        return self._vec(x, self.g.dim, "g") @ self.g.q_form @ self.m_basis.T
-
-    def _vec(self, v, size, name):
-        v = np.asarray(v, dtype=float)
-        if v.shape[-1:] != (size,) or v.ndim > 2:
-            raise DimensionMismatchError(
-                f"expected {name}-coords vector or rows of length {size}, got {v.shape}")
-        return v
+        return _vec(x, self.g.dim, "g") @ self.g.q_form @ self.m_basis.T
 
     def bracket_mm(self, x, y):
         """(h-part, m-part) of [x, y] for x, y in m-coords.
 
         Also takes two stacks of rows (N, dim_m) and brackets them row by row.
         """
-        x = self._vec(x, self.dim_m, "m")
-        y = self._vec(y, self.dim_m, "m")
+        x = _vec(x, self.dim_m, "m")
+        y = _vec(y, self.dim_m, "m")
         out = []
         for table in (self.bracket_mm_h, self.bracket_mm_m):
             xt = (x @ table.reshape(self.dim_m, -1)).reshape(x.shape + table.shape[2:])
@@ -89,7 +92,7 @@ class HomogeneousSpace:
     def hm_columns(self, x):
         """Matrix whose j-th column is [h_j, x] in m-coords; a stack of rows
         (N, dim_m) gives a stack of matrices (N, dim_m, dim_h)."""
-        x = self._vec(x, self.dim_m, "m")
+        x = _vec(x, self.dim_m, "m")
         return np.moveaxis(x @ self.bracket_hm, 0, -1)
 
     def __repr__(self):
@@ -177,9 +180,14 @@ class Decomposition:
 
     @classmethod
     def from_dims(cls, dims):
-        """Coordinate-block splitting of R^n, n = sum(dims); no space needed."""
-        n = int(sum(dims))
-        eye = np.eye(n)
+        """Coordinate-block splitting of R^n, n = sum(dims); no space needed.
+
+        Every dim must be a positive integer."""
+        dims = tuple(dims)
+        if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1
+               for d in dims):
+            raise DimensionMismatchError(f"block dims must be positive integers, got {dims}")
+        eye = np.eye(int(sum(dims)))
         out, off = [], 0
         for d in dims:
             out.append(eye[off:off + d])
@@ -189,13 +197,21 @@ class Decomposition:
     def split(self, u):
         """Components of an m-coords vector or of a stack of rows (N, n),
         each still in m-coords."""
-        u = np.asarray(u, dtype=float)
+        u = self._rows(u)
         return [(u @ s.T) @ s for s in self.summands]
 
     def theta(self, u):
-        """Squared component norms (theta_1, ..., theta_s)."""
-        u = np.asarray(u, dtype=float)
-        return np.array([float(su @ su) for su in (s @ u for s in self.summands)])
+        """Squared component norms (theta_1, ..., theta_s): shape (s,) for one
+        vector, (N, s) for a stack of rows."""
+        u = self._rows(u)
+        theta = np.zeros(u.shape[:-1] + (self.arity,))
+        for i, s in enumerate(self.summands):
+            c = u @ s.T
+            theta[..., i] = np.einsum("...i,...i->...", c, c)
+        return theta
+
+    def _rows(self, u):
+        return _vec(u, self.summands[0].shape[1] if self.summands else 0, "m")
 
     def completeness_residual(self):
         stack = np.vstack(self.summands)
@@ -214,6 +230,45 @@ def invariance_residual(space, dec):
     return worst
 
 
+def _hom_gram(a, b):
+    """Matrices of the Casimir of h on Hom(m_j, m_i), one per leading index.
+
+    ``a`` (..., dim_h, p, p) and ``b`` (..., dim_h, q, q) are the skew
+    stacks A_w and B_w of ad(h_w) on m_i and m_j, h_w orthonormal.  The
+    Casimir on X: m_j -> m_i is X -> -K_a X - X K_b + 2 sum_w A_w X B_w
+    with K = sum_w A_w^2; in the row-major basis E_pq of p x q matrices it
+    is -K_a (x) I - I (x) K_b - 2 sum_w A_w (x) B_w, of shape (..., pq, pq).
+    """
+    p, q = a.shape[-1], b.shape[-1]
+    ka, kb = (np.sum(x @ x, axis=-3) for x in (a, b))
+    pair = np.swapaxes(a.reshape(a.shape[:-2] + (p * p,)), -1, -2) @ b.reshape(
+        b.shape[:-2] + (q * q,))                    # [(p, r), (q, s)] = sum_w A[p, r] B[q, s]
+    gram = (-2.0 * pair.reshape(pair.shape[:-2] + (p, p, q, q)).swapaxes(-3, -2)
+            - ka[..., :, None, :, None] * np.eye(q)[:, None, :]
+            - np.eye(p)[:, None, :, None] * kb[..., None, :, None, :])
+    return gram.reshape(gram.shape[:-4] + (p * q, p * q))
+
+
+def _sym2_gram(a):
+    """Matrices of the Casimir of h on Sym^2 of a summand, from its skew
+    stack ``a`` (..., dim_h, n, n), in the orthonormal basis
+    e_d = c_d (E_pq + E_qp), p <= q, with c_d = 1/2 on the diagonal and
+    1/sqrt(2) off it (p, q from ``np.triu_indices``): shape (..., N, N)
+    with N = n (n + 1) / 2.
+
+    The Casimir is the one on Hom(m_i, m_i) restricted to symmetric X, and
+    it commutes with transposition, so gram[d, e] = 2 c_d c_e (L[pq, rs] +
+    L[pq, sr]) for L = :func:`_hom_gram` (a, a).
+    """
+    n = a.shape[-1]
+    full = _hom_gram(a, a).reshape(a.shape[:-3] + (n, n, n, n))
+    # np.triu_indices(n), without its overhead on small blocks
+    iu, ju = np.nonzero(np.less_equal.outer(np.arange(n), np.arange(n)))
+    c = np.where(iu == ju, 0.5, np.sqrt(0.5))
+    p, q = iu[:, None], ju[:, None]
+    return 2.0 * np.outer(c, c) * (full[..., p, q, iu, ju] + full[..., p, q, ju, iu])
+
+
 def symmetric_commutant(space):
     """Frobenius-orthonormal basis (k, n, n) of the symmetric S on m that
     commute with every ad(h)|_m.
@@ -222,36 +277,73 @@ def symmetric_commutant(space):
     [A_w, [A_w, S]] over A_w = ad(h_w)|_m, h_w orthonormal.  The operator is
     positive semidefinite: one ``eigh`` in an orthonormal basis of symmetric
     matrices and a relative cutoff as in :func:`_linalg.svd_rank` give it.
+    It takes all of m as one block, so it is the reference for the
+    block-wise count in :func:`symmetric_commutant_dim`.
     """
     n = space.dim_m
-    ads = space.bracket_hm.transpose(0, 2, 1)          # A_w, skew
-    cas = np.einsum("wpr,wrq->pq", ads, ads)           # sum_w A_w^2
-    flat = ads.reshape(space.dim_h, n * n)
-    pair = flat.T @ flat                               # sum_w A_w[p, r] A_w[q, s]
-    # Casimir(S) = -(K S + S K) + 2 sum_w A_w S A_w with K = sum_w A_w^2;
-    # gram[d, e] = <e_d, Casimir(e_e)> in the basis e_d = c_d (E_pq + E_qp),
-    # p <= q (e <-> r <= s), c_d = 1/2 on the diagonal and 1/sqrt(2) off it
-    iu, ju = np.triu_indices(n)
-    p, q, r, s = iu[:, None], ju[:, None], iu, ju
-    c = np.where(iu == ju, 0.5, np.sqrt(0.5))
-    gram = -2.0 * np.outer(c, c) * (
-        cas[p, r] * (q == s) + cas[p, s] * (q == r)
-        + cas[q, r] * (p == s) + cas[q, s] * (p == r)
-        + 2.0 * (pair[p * n + r, q * n + s] + pair[p * n + s, q * n + r]))
+    gram = _sym2_gram(space.bracket_hm.transpose(0, 2, 1))
     w, v = np.linalg.eigh(gram)
     k = len(w) - _linalg.svd_rank(w[::-1], gram.shape)
+    iu, ju = np.triu_indices(n)
     out = np.zeros((k, n, n))
-    out[:, iu, ju] = out[:, ju, iu] = v[:, :k].T * np.where(iu == ju, 1.0, c)
+    out[:, iu, ju] = out[:, ju, iu] = v[:, :k].T * np.where(iu == ju, 1.0, np.sqrt(0.5))
     return out
 
 
-def symmetric_commutant_dim(space):
+def symmetric_commutant_dim(space, summands=None):
     """Dimension of {S symmetric on m : S commutes with every ad(h)|_m}.
 
     Equals the summand count when the invariant splitting is unique;
     anything larger signals equivalent summands or a finer splitting.
+
+    ``summands`` are orthonormal m-coords rows of an invariant splitting
+    m = m_1 + ... + m_s (None: m is one block).  Every ad(h)|_m preserves
+    each m_i, so the Casimir of :func:`symmetric_commutant` is block
+    diagonal over Sym^2(m_i) and Hom(m_j, m_i), i < j, and its spectrum is
+    the union of theirs.  Blocks of one shape share one ``eigvalsh``, and
+    every eigenvalue is cut at the full operator's cutoff
+    (n (n + 1) / 2) eps times the largest of them.  Raises
+    :class:`DimensionMismatchError` when the rows are not orthonormal or do
+    not fill m, and :class:`ReductivityError` when some [h, m_i] leaves
+    m_i by more than 1e-8.
     """
-    return symmetric_commutant(space).shape[0]
+    n = space.dim_m
+    if summands is None:
+        summands = (np.eye(n),)
+    else:
+        summands = _checked_summands(space, summands)
+    blocks = [s @ space.bracket_hm @ s.T for s in summands]   # A_w on m_i, transposed
+    # key (d,): Sym^2 of a d-dim summand; key (p, q), p <= q: Hom between two
+    groups = {}
+    for i, a in enumerate(blocks):
+        groups.setdefault((a.shape[-1],), []).append((a,))
+        for b in blocks[i + 1:]:
+            pair = sorted((a, b), key=lambda x: x.shape[-1])
+            groups.setdefault(tuple(x.shape[-1] for x in pair), []).append(pair)
+    eig = [np.linalg.eigvalsh((_sym2_gram if len(key) == 1 else _hom_gram)(
+        *map(np.stack, zip(*group)))).ravel() for key, group in groups.items()]
+    w = np.concatenate(eig) if eig else np.zeros(0)
+    size = n * (n + 1) // 2
+    return size - int(_linalg.svd_rank(w, (size, size)))
+
+
+def _checked_summands(space, summands):
+    """``summands`` as float arrays, after checking that they are
+    orthonormal m-coords rows that fill m and span invariant subspaces."""
+    n = space.dim_m
+    dec = Decomposition(tuple(np.asarray(s, dtype=float) for s in summands))
+    shapes = [s.shape for s in dec.summands]
+    if (any(len(shape) != 2 or shape[1] != n for shape in shapes)
+            or sum(shape[0] for shape in shapes) != n
+            or (n and dec.completeness_residual() > 1e-8)):
+        raise DimensionMismatchError(
+            f"summands must be orthonormal m-coords rows filling m ({n} rows of "
+            f"length {n}), got shapes {shapes}")
+    leak = invariance_residual(space, dec)
+    if leak > 1e-8:
+        raise ReductivityError(
+            f"summands are not invariant under h (max leakage {leak:.3e})")
+    return dec.summands
 
 
 def isotropy_decompose(space, seed=0):

@@ -210,6 +210,15 @@ def test_strong_convexity_screen_matches_loop(fn):
     npt.assert_allclose(report.witness, us[int(np.argmin(mins))], rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("dims", [(2, 0), (2, -1), (2.5, 2)])
+def test_strong_convexity_rejects_bad_block_dims(dims):
+    # (2, 0) divided by a zero norm, (2, -1) failed inside np.repeat and
+    # (2.5, 2) was truncated to (2, 2)
+    with pytest.raises(DimensionMismatchError) as err:
+        finsler.strong_convexity_check(finsler.l_from_phi((1.0, 0.0, 0.25)), dims)
+    assert str(err.value) == f"block dims must be positive integers, got {dims}"
+
+
 def test_strong_convexity_report_fields():
     fn = finsler.parse_metric("pert3:1,1,1,0.5")
     report = finsler.strong_convexity_check(fn, (2, 2, 2))

@@ -4,7 +4,7 @@ import pytest
 
 from gospace import catalog, homspace, liealg
 from gospace.errors import (DimensionMismatchError, NotSubalgebraError,
-                            ZeroVectorError)
+                            ReductivityError, ZeroVectorError)
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +139,10 @@ def test_commutant_of_trivial_complements():
     g = liealg.from_matrices(liealg.so_matrices(3))
     full = homspace.build(g, np.eye(3))                 # h = g, m = 0
     assert homspace.symmetric_commutant_dim(full) == 0
-    assert homspace.isotropy_decompose(full).dims == ()
+    empty = homspace.isotropy_decompose(full)
+    assert empty.dims == ()
+    assert empty.theta(np.zeros(0)).shape == (0,)
+    assert empty.theta(np.zeros((2, 0))).shape == (2, 0)
     point = homspace.build(g, np.zeros((0, 3)))         # h = 0: all of Sym^2(m)
     assert homspace.symmetric_commutant_dim(point) == 6
     assert homspace.isotropy_decompose(point).dims == (1, 1, 1)
@@ -198,16 +201,56 @@ def test_commutant_dim_matches_dense_stack_circle(circle_in_so3):
 
 
 @pytest.mark.parametrize("rid", [rid for rid, _, _ in catalog.list_catalog()] + [
-    "wallach-su/2,2,2", "wallach-sp/1,1,2", "wallach-so/3,3,4", "wallach-so/2,3,5"])
+    "wallach-su/2,2,2", "wallach-sp/1,1,2", "wallach-so/3,3,3", "wallach-so/3,3,4",
+    "wallach-so/2,3,5"])
 def test_commutant_elements_are_symmetric_and_commute(rid):
-    space, _, _ = catalog.make_space(rid)
+    space, dec, _ = catalog.make_space(rid)
     basis = homspace.symmetric_commutant(space)
+    # the catalog's block-wise count against the full operator
+    assert dec.commutant_dim == len(basis)
+    assert homspace.symmetric_commutant_dim(space, dec.summands) == len(basis)
     assert basis.shape[1:] == (space.dim_m, space.dim_m)
     npt.assert_allclose(basis, basis.transpose(0, 2, 1), atol=1e-14)
     npt.assert_allclose(np.einsum("apq,bpq->ab", basis, basis),
                         np.eye(len(basis)), atol=1e-12)
     for a in space.bracket_hm.transpose(0, 2, 1):
         npt.assert_allclose(a @ basis - basis @ a, 0.0, atol=1e-12)
+
+
+def test_catalog_commutant_decomposes_only_blocks(monkeypatch):
+    # wallach-so/3,3,3 has summands of dim 9: its largest Casimir block is
+    # Hom(m_j, m_i), 81 x 81, where the full operator on Sym^2(m) is 378 x 378
+    sizes = []
+
+    def recording(func):
+        def call(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return func(a, *args, **kwargs)
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    catalog._make_space_cached.cache_clear()
+    _, dec, _ = catalog.make_space("wallach-so/3,3,3")
+    assert dec.commutant_dim == 3
+    assert 0 < max(sizes) <= 81
+
+
+def test_block_commutant_rejects_bad_summands():
+    space, dec, _ = catalog.make_space("so5/u2")
+    blocks = homspace.Decomposition.from_dims((3, 3)).summands
+    with pytest.raises(ReductivityError) as err:
+        homspace.symmetric_commutant_dim(space, blocks)
+    assert str(err.value) == "summands are not invariant under h (max leakage 4.082e-01)"
+    short = (dec.summands[0], dec.summands[1][:1])
+    with pytest.raises(DimensionMismatchError) as err:
+        homspace.symmetric_commutant_dim(space, short)
+    assert str(err.value) == ("summands must be orthonormal m-coords rows filling m "
+                              "(6 rows of length 6), got shapes [(4, 6), (1, 6)]")
+    for bad in ((dec.summands[0], 2.0 * dec.summands[1]),
+                (dec.summands[0][:, :5], dec.summands[1][:, :5])):
+        with pytest.raises(DimensionMismatchError, match="^summands must be orthonormal"):
+            homspace.symmetric_commutant_dim(space, bad)
 
 
 def test_non_unique_flags():
@@ -253,6 +296,24 @@ def test_decomposition_split_theta(rng):
     th = dec.theta(u)
     npt.assert_allclose([float(p @ p) for p in parts], th, atol=1e-12)
     assert th.shape == (3,)
+    stack = rng.standard_normal((4, space.dim_m))
+    th = dec.theta(stack)
+    assert th.shape == (4, 3)
+    for row, want in zip(stack, th):
+        npt.assert_allclose(dec.theta(row), want, atol=1e-14)
+    for bad in (np.ones(5), np.ones((4, 5)), np.ones((2, 2, 6))):
+        for f in (dec.theta, dec.split):
+            with pytest.raises(DimensionMismatchError) as err:
+                f(bad)
+            assert str(err.value) == ("expected m-coords vector or rows of length 6, "
+                                      f"got {bad.shape}")
+
+
+@pytest.mark.parametrize("dims", [(2, 0), (2, -1), (2.5, 2), (True, 2)])
+def test_from_dims_rejects_bad_block_dims(dims):
+    with pytest.raises(DimensionMismatchError) as err:
+        homspace.Decomposition.from_dims(dims)
+    assert str(err.value) == f"block dims must be positive integers, got {dims}"
 
 
 def test_zero_vector_guard():

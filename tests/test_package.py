@@ -145,14 +145,17 @@ tracer = Tracer()
 install(tracer, gospace)
 with contextlib.redirect_stdout(io.StringIO()):
     rc = gospace.cli.main(["verify", "thm1-converse", "--samples", "20"])
+gospace.catalog._make_space_cached.cache_clear()
+gospace.catalog.make_space("wallach-so/3,3,3")
 print(json.dumps({{"rc": rc, "calls": collections.Counter(s[0] for s in tracer.spans)}}))
 """
 
 
 def test_bench_tracer_sees_the_centralizer_layers():
     # the benchmark's tracer rebinds the package's functions by name, so a
-    # rename breaks its per-layer metrics; a subprocess keeps the rebinding
-    # out of this test process
+    # rename breaks its per-layer metrics (the centralizer layers of verify,
+    # the build layers of a cold make_space); a subprocess keeps the
+    # rebinding out of this test process
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     script = TRACE_SMOKE.format(bench=str(ROOT / "bench"), src=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -161,5 +164,6 @@ def test_bench_tracer_sees_the_centralizer_layers():
     out = json.loads(done.stdout.splitlines()[-1])
     assert out["rc"] == 0
     for name in ("homspace.centralizer_in_h", "homspace.tilde_centralizer",
-                 "gocheck.centralizer_condition_check"):
+                 "gocheck.centralizer_condition_check", "homspace.build",
+                 "homspace.symmetric_commutant_dim"):
         assert out["calls"].get(name, 0) > 0, name
