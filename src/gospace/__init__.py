@@ -12,9 +12,9 @@ your own space or on the built-in catalog (:mod:`gospace.catalog`).
 from . import errors
 from .catalog import list_catalog, make_space
 from .errors import GoSpaceError
-from .finsler import (ConvexityReport, LFunction, PhiProfile, f_squared,
-                      l_from_phi, l_linear, l_pert3, metric_operator,
-                      parse_metric, strong_convexity_check)
+from .finsler import (LFunction, PhiProfile, f_squared, l_from_phi, l_linear,
+                      l_pert3, metric_operator, parse_metric,
+                      strong_convexity_check)
 from .gocheck import (GO, INCONCLUSIVE, NOT_GO, NOT_NR, NR, CheckReport,
                       centralizer_condition_check, go_verdict, nr_check,
                       reports, residuals, sample_plan, two_summand_phi_check,
@@ -34,9 +34,8 @@ __version__ = "0.1.0"
 __all__ = [
     "list_catalog", "make_space",
     "GoSpaceError",
-    "ConvexityReport", "LFunction", "PhiProfile", "f_squared", "l_from_phi",
-    "l_linear", "l_pert3", "metric_operator", "parse_metric",
-    "strong_convexity_check",
+    "LFunction", "PhiProfile", "f_squared", "l_from_phi", "l_linear",
+    "l_pert3", "metric_operator", "parse_metric", "strong_convexity_check",
     "GO", "INCONCLUSIVE", "NOT_GO", "NOT_NR", "NR", "CheckReport",
     "centralizer_condition_check", "go_verdict", "nr_check", "reports",
     "residuals", "sample_plan", "two_summand_phi_check", "verdicts",

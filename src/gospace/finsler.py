@@ -10,9 +10,11 @@ F(y) = sqrt(L(theta)).  Three kinds are supported:
 * ``pert3``: s = 3 linear plus the symmetric cubic perturbation
   eps * theta_1 theta_2 theta_3 / sum^2.
 
-The fundamental tensor at y (Hessian of F^2/2 in orthonormal m-coords) is
-assembled from the gradient and Hessian of L; it equals the metric operator
-of the norm, which is what every geodesic-orbit criterion consumes.
+The fundamental tensor A_y at y (Hessian of F^2/2 in orthonormal m-coords)
+is the metric operator of the norm, which is what every geodesic-orbit
+criterion consumes.  It is g1_i = dL/dtheta_i on each summand plus a
+coupling of rank at most s between the block components, so it is applied
+and its spectrum is taken in that block form, never as a dense n x n array.
 """
 
 from __future__ import annotations
@@ -43,11 +45,11 @@ _ODD_COEFF_TOL = 1e-12
 class LFunction:
     """Positively 1-homogeneous function of the squared block norms.
 
-    ``grad`` and ``hess`` take theta of shape (s,) or a stack (N, s) and
-    return (..., s) and (..., s, s).  ``boundary_ok[i]`` records whether the
-    face theta_i = 0 admits a C^2 evaluation; the gradient and Hessian
-    callables raise :class:`BoundaryNondifferentiableError` on inadmissible
-    faces.
+    ``value``, ``grad`` and ``hess`` take theta of shape (s,) or a stack
+    (N, s) and return (...), (..., s) and (..., s, s).  ``boundary_ok[i]``
+    records whether the face theta_i = 0 admits a C^2 evaluation; the
+    gradient and Hessian callables raise
+    :class:`BoundaryNondifferentiableError` on inadmissible faces.
     """
 
     arity: int
@@ -74,7 +76,7 @@ def l_linear(lambdas):
     s = lam.size
 
     def value(theta):
-        return float(lam @ np.asarray(theta, dtype=float))
+        return np.asarray(theta, dtype=float) @ lam
 
     def grad(theta):
         return np.broadcast_to(lam, np.shape(theta)[:-1] + (s,)).copy()
@@ -155,12 +157,10 @@ def l_from_phi(phi, check=True):
                     and abs(psi[3]) <= _ODD_COEFF_TOL * scale)
 
     def value(theta):
-        t1, t2 = float(theta[0]), float(theta[1])
-        total = t1 + t2
-        if total == 0.0:
-            return 0.0
-        th = np.sqrt(t2 / total)
-        return float(total * npoly.polyval(th, psi))
+        theta = np.asarray(theta, dtype=float)
+        total = theta[..., 0] + theta[..., 1]
+        x = np.divide(theta[..., 1], total, out=np.zeros_like(total), where=total != 0.0)
+        return total * npoly.polyval(np.sqrt(x), psi)
 
     def _phi_derivs(theta, need_second):
         theta = np.asarray(theta, dtype=float)
@@ -193,7 +193,7 @@ def l_from_phi(phi, check=True):
     fn = LFunction(arity=2, kind="phi", value=value, grad=grad, hess=hess,
                    boundary_ok=(True, face2_ok),
                    spec_string="phi:" + _format_floats(phi.coeffs))
-    return _screened(fn, (2, 2)) if check else fn
+    return strong_convexity_check(fn, (2, 2)) if check else fn
 
 
 def l_pert3(lambdas, eps):
@@ -221,10 +221,8 @@ def l_pert3(lambdas, eps):
 
     def value(theta):
         th = np.asarray(theta, dtype=float)
-        total = float(np.sum(th))
-        if total == 0.0:
-            return 0.0
-        return float(lam @ th + eps * np.prod(th) / total ** 2)
+        total = np.sum(th, axis=-1)
+        return th @ lam + eps * np.prod(th, axis=-1) / np.where(total == 0.0, 1.0, total) ** 2
 
     def grad(theta):
         th, total, prod, partials = _pieces(theta)
@@ -243,7 +241,7 @@ def l_pert3(lambdas, eps):
     fn = LFunction(arity=3, kind="pert3", value=value, grad=grad, hess=hess,
                    boundary_ok=(True, True, True),
                    spec_string=f"pert3:{_format_floats(lam)},{format(eps, 'g')}")
-    return _screened(fn, (2, 2, 2)) if eps != 0.0 else fn
+    return strong_convexity_check(fn, (2, 2, 2)) if eps != 0.0 else fn
 
 
 # ---------------------------------------------------------------------------
@@ -286,42 +284,56 @@ def apply_grad(g1, comps):
     return np.einsum("ra,rak->rk", g1, comps)
 
 
-def fundamental_tensors(dec, g1, h2, comps):
-    """Fundamental tensors (N, n, n), the Hessians of F^2/2: grad_a(L) on
-    each summand plus rank-one couplings of the block components (N, s, n)
-    from the L-Hessian.  This matrix is the metric operator A_y of the norm."""
-    proj = np.stack([s.T @ s for s in dec.summands])
-    out = np.einsum("ra,akl->rkl", g1, proj)
+def apply_tensor(dec, g1, h2, comps, x):
+    """A_y x for a stack x (N, n, k), without forming A_y: grad_a(L) times the
+    projection on each summand plus 2 sum_ab h2_ab y_a <y_b, x> over the
+    block components (N, s, n), h2 being the L-Hessian."""
+    out = sum(g[:, None, None] * (s.T @ (s @ x)) for g, s in zip(g1.T, dec.summands))
     if np.any(h2):
-        out += 2.0 * np.einsum("rab,rak,rbl->rkl", h2, comps, comps)
-    return 0.5 * (out + out.swapaxes(1, 2))
+        out = out + 2.0 * (comps.swapaxes(1, 2) @ (h2 @ (comps @ x)))
+    return out
 
 
-def require_positive_definite(a):
-    """The stack of tensors ``a``, after checking that each is positive definite."""
-    w = np.linalg.eigvalsh(a)
-    bad = np.flatnonzero(w[:, 0] <= a.shape[-1] * _linalg.EPS
-                         * np.maximum(np.abs(w[:, -1]), 1.0))
+def tensor_spectrum(dims, g1, h2, theta):
+    """(smallest, largest) eigenvalue of A_y per row, from one (N, s, s) eigvalsh.
+
+    On the span of the unit block components A_y is R = diag(g1) + 2 D h2 D,
+    D = diag(sqrt(theta)); a block with theta_i = 0 enters R through g1_i
+    alone.  On the rest of summand i, of dimension d_i - 1, A_y is g1_i.
+    """
+    root = np.sqrt(theta)
+    r = 2.0 * root[:, :, None] * h2 * root[:, None, :] + g1[:, :, None] * np.eye(len(dims))
+    w = np.concatenate([np.linalg.eigvalsh(r), g1[:, np.asarray(dims) >= 2]], axis=1)
+    return w.min(axis=1), w.max(axis=1)
+
+
+def require_positive_definite(dims, g1, h2, theta):
+    """Raise unless A_y is positive definite on every row: its smallest
+    eigenvalue must exceed n eps max(|largest|, 1), n = sum(dims)."""
+    lo, hi = tensor_spectrum(dims, g1, h2, theta)
+    bad = np.flatnonzero(lo <= sum(dims) * _linalg.EPS * np.maximum(np.abs(hi), 1.0))
     if bad.size:
         raise NotPositiveDefiniteError(
-            f"fundamental tensor not positive definite (min eigenvalue {w[bad[0], 0]:.3e})")
-    return a
+            f"fundamental tensor not positive definite (min eigenvalue {lo[bad[0]]:.3e})")
 
 
 def metric_operator(fn, dec, y):
-    """Metric operator A_y at one vector y: the fundamental tensor, checked
-    to be positive definite."""
+    """Metric operator A_y at one vector y as an (n, n) matrix, checked to
+    be positive definite."""
     y = np.asarray(y, dtype=float)
     n = int(sum(dec.dims))
     if y.shape != (n,):
         raise DimensionMismatchError(f"expected m-coords vector of length {n}")
     _, comps, theta = block_data(fn, dec, y[None])
-    a = fundamental_tensors(dec, fn.grad(theta), fn.hess(theta), comps)
-    return require_positive_definite(a)[0]
+    g1, h2 = fn.grad(theta), fn.hess(theta)
+    require_positive_definite(dec.dims, g1, h2, theta)
+    a = apply_tensor(dec, g1, h2, comps, np.eye(n)[None])[0]
+    return 0.5 * (a + a.T)
 
 
 def f_squared(fn, dec, y):
-    """F(y)^2 = L(theta(y)); accepts y = 0."""
+    """F(y)^2 = L(theta(y)) for one vector y or a stack of rows (N, n), which
+    gives (N,); y = 0 gives 0."""
     y = np.asarray(y, dtype=float)
     return fn.value(dec.theta(y))
 
@@ -338,22 +350,13 @@ def admissible_faces(boundary_ok):
     return out
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
-    ok: bool
-    min_eigenvalue: float
-    witness: np.ndarray
-    witness_theta: np.ndarray
-    samples: int
-
-
 def strong_convexity_check(fn, dims):
-    """Scan 64 seeded unit vectors (interior plus admissible degenerate-block
-    patterns) for the smallest fundamental-tensor eigenvalue.
+    """``fn``, after scanning 64 seeded unit vectors (interior plus admissible
+    degenerate-block patterns) for the smallest fundamental-tensor eigenvalue.
 
-    Returns a :class:`ConvexityReport`; ``ok`` means every sampled tensor was
-    positive definite.  This is a sampled certificate of failure, not a proof
-    of convexity.
+    Raises :class:`NotStronglyConvexError` when that eigenvalue is at most
+    1e-10 times the largest eigenvalue of the scan.  This is a sampled
+    certificate of failure, not a proof of convexity.
     """
     dec = Decomposition.from_dims(dims)
     dims = dec.dims
@@ -367,20 +370,13 @@ def strong_convexity_check(fn, dims):
     us = np.zeros(kept.shape)
     us[kept] = rng.standard_normal(np.count_nonzero(kept))   # row-major: kept blocks in order
     us /= np.linalg.norm(us, axis=1, keepdims=True)
-    _, comps, theta = block_data(fn, dec, us)
-    a = fundamental_tensors(dec, fn.grad(theta), fn.hess(theta), comps)
-    w = np.linalg.eigvalsh(a)[:, 0]
-    best = int(np.argmin(w))
-    return ConvexityReport(ok=bool(w[best] > 1e-10), min_eigenvalue=float(w[best]),
-                           witness=us[best], witness_theta=theta[best], samples=samples)
-
-
-def _screened(fn, dims):
-    report = strong_convexity_check(fn, dims)
-    if not report.ok:
+    theta = dec.theta(us)
+    lo, hi = tensor_spectrum(dims, fn.grad(theta), fn.hess(theta), theta)
+    best = int(np.argmin(lo))
+    if lo[best] <= 1e-10 * np.max(hi):
         raise NotStronglyConvexError(
-            f"fundamental tensor has eigenvalue {report.min_eigenvalue:.3e} "
-            f"at block norms {np.round(report.witness_theta, 6).tolist()}")
+            f"fundamental tensor has eigenvalue {lo[best]:.3e} "
+            f"at block norms {np.round(theta[best], 6).tolist()}")
     return fn
 
 

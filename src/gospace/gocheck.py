@@ -11,9 +11,9 @@ Two independent per-direction residuals drive everything:
 
 Both share that right-hand side and the scale D(u) = max(|[u, A_u(u)]|,
 |u|^2).  Their column maps differ: [h_j, A_u(u)] from the L-gradient,
-A_u [h_j, u] from the full fundamental tensor.  The equivariance
-A_u [w, u] = [w, A_u(u)] makes them equal in exact arithmetic; their
-numerical discrepancy is itself a check.
+A_u [h_j, u] from the fundamental tensor, L-Hessian included.  The
+equivariance A_u [w, u] = [w, A_u(u)] makes them equal in exact
+arithmetic; their numerical discrepancy is itself a check.
 Verdicts are sampled certificates: NOT_GO is proved by a witness, GO is
 evidence at the sampled tolerance.
 """
@@ -28,9 +28,8 @@ import numpy as np
 
 from . import _linalg
 from .errors import DimensionMismatchError, ZeroVectorError
-from .finsler import (PhiProfile, admissible_faces, apply_grad, block_data,
-                      fundamental_tensors, l_from_phi,
-                      require_positive_definite)
+from .finsler import (PhiProfile, admissible_faces, apply_grad, apply_tensor,
+                      block_data, l_from_phi, require_positive_definite)
 from .homspace import centralizer_in_h, tilde_centralizer
 
 GO = "GO"
@@ -135,7 +134,7 @@ def _weight_combos(s, grid):
 # ---------------------------------------------------------------------------
 # the residual engine: every residual takes a stack of directions u (N, n)
 
-BUDGET = 2 ** 17  # floats (1 MiB) per (rows, n, n) intermediate; sets the rows per array pass
+BUDGET = 2 ** 17  # floats (1 MiB) per (rows, n, dim_h) column map; sets the rows per array pass
 
 
 def _shared(space, dec, fn, u):
@@ -164,8 +163,10 @@ def _operator(space, sh):
 
 def _spray(space, dec, fn, sh):
     u, comps, theta, g1, *_, bm = sh
-    a = require_positive_definite(fundamental_tensors(dec, g1, fn.hess(theta), comps))
-    _, resid = _linalg.lstsq_min_norm(a @ space.hm_columns(u), bm)
+    h2 = fn.hess(theta)
+    require_positive_definite(dec.dims, g1, h2, theta)
+    cols = apply_tensor(dec, g1, h2, comps, space.hm_columns(u))
+    _, resid = _linalg.lstsq_min_norm(cols, bm)
     return _norm(resid) / _scale(sh)
 
 
@@ -180,12 +181,12 @@ def _nr(sh):
 def residuals(space, dec, fn, plan):
     """Residual arrays (operator, spray, nr) over the rows of ``plan`` (N, n).
 
-    Works in chunks of max(1, BUDGET // n**2) rows, n = dim m, so every
+    Works in chunks of max(1, BUDGET // (n * dim_h)) rows, n = dim m, so every
     plan of a few hundred directions is one array pass and a long plan runs
     in bounded memory; A_u(u) and [u, A_u(u)] are computed once per
     direction. A single direction u is the plan ``u[None]``.
     """
-    rows = max(1, BUDGET // space.dim_m ** 2)
+    rows = max(1, BUDGET // max(space.dim_m * space.dim_h, 1))
     parts = ([], [], [])
     for start in range(0, max(len(plan), 1), rows):
         sh = _shared(space, dec, fn, plan[start:start + rows])
@@ -281,6 +282,10 @@ def two_summand_phi_check(space, dec, phi, u1, u2):
         phi = PhiProfile(tuple(phi))
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
+    n = space.dim_m
+    if u1.shape != u2.shape or u1.shape[1:] != (n,):
+        raise DimensionMismatchError(f"u1 and u2 must be stacks of the same shape (N, {n}), "
+                                     f"got {u1.shape} and {u2.shape}")
     u = u1 + u2
     nrm = _norm(u)
     if np.any(nrm == 0.0):

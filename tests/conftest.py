@@ -1,7 +1,9 @@
-"""Shared finite-difference oracles for the test suite.
+"""Shared oracles for the test suite: finite differences and the dense
+fundamental tensor.
 
-These are deliberately independent of the package's own derivative code:
-central differences with curvature-appropriate step sizes, nothing else.
+These are deliberately independent of the package's own derivative and
+block-form tensor code: central differences with curvature-appropriate step
+sizes, and the tensor summed entry by entry from its defining formula.
 """
 
 import numpy as np
@@ -38,6 +40,20 @@ def fd_hessian(f, x, eps=None):
                 f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
             ) / (4.0 * eps ** 2)
     return out
+
+
+def ref_tensor(fn, dec, u):
+    """Dense fundamental tensor (n, n) at one vector u: the L-gradient on
+    each summand plus the L-Hessian couplings of the block components."""
+    comps, theta = dec.split(u), dec.theta(u)
+    g1, h2 = fn.grad(theta), fn.hess(theta)
+    out = np.zeros((u.size, u.size))
+    for a, s in enumerate(dec.summands):
+        out += g1[a] * (s.T @ s)
+    for a in range(dec.arity):
+        for b in range(dec.arity):
+            out += 2.0 * h2[a, b] * np.outer(comps[a], comps[b])
+    return 0.5 * (out + out.T)
 
 
 @pytest.fixture

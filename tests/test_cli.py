@@ -107,6 +107,20 @@ def test_check_metric_rejected_exit_three(capsys):
     assert "metric rejected" in err
 
 
+@pytest.mark.parametrize("scaled,plain,verdicts", [
+    ("phi:1e-6", "phi:1", {"go": "GO", "nr": "NR"}),          # the normal metric
+    ("phi:1e-6,0,2.5e-7", "phi:1,0,0.25", {"go": "GO", "nr": "NOT_NR"}),
+])
+def test_check_scaled_profile_passes_like_the_profile(capsys, scaled, plain, verdicts):
+    # the convexity screen's cutoff is relative to the largest eigenvalue of
+    # its scan, so a profile scaled by 1e-6 is accepted like the profile itself
+    for metric in (scaled, plain):
+        code, out, _ = run(capsys, "check", "--space", "so5/u2", "--metric", metric,
+                           "--samples", "100")
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["verdicts"] == verdicts
+
+
 def test_check_nonconvex_pert_exit_three(capsys):
     code, _, err = run(capsys, "check", "--space", "su3/t2",
                        "--metric", "pert3:1,1,1,40")

@@ -2,11 +2,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import fd_gradient, fd_hessian
+from conftest import fd_gradient, fd_hessian, ref_tensor
 from gospace import catalog, finsler, homspace
 from gospace.errors import (BoundaryNondifferentiableError,
                             DimensionMismatchError, InvalidProfileError,
-                            NonPositiveCoefficientError, SpecFormatError,
+                            NonPositiveCoefficientError,
+                            NotStronglyConvexError, SpecFormatError,
                             ZeroVectorError)
 
 
@@ -72,6 +73,25 @@ def test_grad_hess_take_stacks(mtext, rng):
         npt.assert_allclose(h[i], fn.hess(th[i]), rtol=1e-14, atol=1e-15)
 
 
+@pytest.mark.parametrize("spec,mtext", [
+    ("so5/u2", "linear:1,2.5"),
+    ("so5/u2", "phi:1,0,0.25"),
+    ("su3/t2", "pert3:1,2,1.5,0.8"),
+])
+def test_value_and_f_squared_take_stacks(spec, mtext, rng):
+    _, dec, _ = catalog.make_space(spec)
+    fn = finsler.parse_metric(mtext)
+    ys = rng.standard_normal((5, sum(dec.dims)))
+    ys[1] = 0.0                                  # F(0) = 0
+    ys[2] = dec.summands[0][0]                   # the other blocks vanish
+    th = dec.theta(ys)
+    got, values = finsler.f_squared(fn, dec, ys), fn.value(th)
+    assert got.shape == values.shape == (5,) and got[1] == 0.0
+    npt.assert_array_equal(got, values)
+    npt.assert_array_equal(values, [fn.value(row) for row in th])
+    npt.assert_allclose(got, [finsler.f_squared(fn, dec, y) for y in ys], rtol=1e-14, atol=0)
+
+
 def test_pert3_guards():
     with pytest.raises(NonPositiveCoefficientError):
         finsler.l_pert3([1.0, 1.0, 1.0], 27.0)      # too large a perturbation
@@ -94,9 +114,9 @@ def test_profile_validation():
 def test_convexity_screen_rejects():
     # skip profile validation to reach the fundamental-tensor screen
     bad = finsler.l_from_phi(finsler.PhiProfile((1.0, 0.0, 5.0)), check=False)
-    report = finsler.strong_convexity_check(bad, (2, 2))
-    assert not report.ok
-    assert report.min_eigenvalue < 0
+    with pytest.raises(NotStronglyConvexError) as info:
+        finsler.strong_convexity_check(bad, (2, 2))
+    assert str(info.value).startswith("fundamental tensor has eigenvalue -")
 
 
 def test_boundary_dispatch():
@@ -122,10 +142,12 @@ def test_boundary_matches_interior_limit():
 
 
 def tensors(fn, dec, ys):
-    """Fundamental tensors and A_y(y) at the rows ``ys``, from the batched kernels."""
+    """Fundamental tensors (N, n, n) and A_y(y) at the rows ``ys``, from the
+    batched kernels: the block form applied to the identity."""
     _, comps, theta = finsler.block_data(fn, dec, ys)
     g1 = fn.grad(theta)
-    return (finsler.fundamental_tensors(dec, g1, fn.hess(theta), comps),
+    eye = np.broadcast_to(np.eye(ys.shape[1]), (len(ys),) + (ys.shape[1],) * 2)
+    return (finsler.apply_tensor(dec, g1, fn.hess(theta), comps, eye),
             finsler.apply_grad(g1, comps))
 
 
@@ -187,7 +209,7 @@ def test_zero_vector_guards():
     finsler.l_pert3([1.0, 1.0, 1.0], 0.5),
 ])
 def test_strong_convexity_screen_matches_loop(fn):
-    # the screen before batching: one tensor and one eigvalsh per direction
+    # the screen before batching: one dense tensor and one eigvalsh per direction
     dims = (2,) * fn.arity
     dec = homspace.Decomposition.from_dims(dims)
     rng = np.random.default_rng(0)
@@ -196,18 +218,23 @@ def test_strong_convexity_screen_matches_loop(fn):
         keep = tuple(bool(mask >> i & 1) for i in range(fn.arity))
         if all(fn.boundary_ok[i] for i, k in enumerate(keep) if not k):
             patterns.append(keep)
-    mins, us = [], []
+    spectra, us = [], []
     for it in range(64):
         u = np.concatenate([rng.standard_normal(2) if keep else np.zeros(2)
                             for keep in patterns[it % len(patterns)]])
         u /= np.linalg.norm(u)
         us.append(u)
-        mins.append(np.linalg.eigvalsh(tensors(fn, dec, u[None])[0][0])[0])
-    report = finsler.strong_convexity_check(fn, dims)
-    assert report.samples == 64
-    assert report.min_eigenvalue == pytest.approx(min(mins), rel=1e-12, abs=1e-14)
-    assert report.ok == (min(mins) > 1e-10)
-    npt.assert_allclose(report.witness, us[int(np.argmin(mins))], rtol=0, atol=1e-15)
+        spectra.append(np.linalg.eigvalsh(ref_tensor(fn, dec, u)))
+    spectra = np.array(spectra)
+    best = int(np.argmin(spectra[:, 0]))
+    if spectra[best, 0] > 1e-10 * np.max(spectra):
+        assert finsler.strong_convexity_check(fn, dims) is fn
+        return
+    with pytest.raises(NotStronglyConvexError) as info:
+        finsler.strong_convexity_check(fn, dims)
+    assert str(info.value) == (
+        f"fundamental tensor has eigenvalue {spectra[best, 0]:.3e} "
+        f"at block norms {np.round(dec.theta(us[best]), 6).tolist()}")
 
 
 @pytest.mark.parametrize("dims", [(2, 0), (2, -1), (2.5, 2)])
@@ -219,12 +246,11 @@ def test_strong_convexity_rejects_bad_block_dims(dims):
     assert str(err.value) == f"block dims must be positive integers, got {dims}"
 
 
-def test_strong_convexity_report_fields():
-    fn = finsler.parse_metric("pert3:1,1,1,0.5")
-    report = finsler.strong_convexity_check(fn, (2, 2, 2))
-    assert report.ok
-    assert report.min_eigenvalue > 0
-    assert report.samples > 0
+def test_strong_convexity_check_returns_the_norm():
+    # the screen returns the norm it passes, so parsing can chain it
+    fn = finsler.l_pert3([1.0, 1.0, 1.0], 0.0)
+    assert finsler.strong_convexity_check(fn, (2, 2, 2)) is fn
+    assert finsler.strong_convexity_check(fn, (1, 3, 2)) is fn
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import ref_tensor
 from gospace import _linalg, catalog, finsler, gocheck, homspace, suites
 from gospace.errors import (BoundaryNondifferentiableError,
                             DimensionMismatchError, NotPositiveDefiniteError,
@@ -246,18 +247,6 @@ def _ref_lstsq_residual(a, b):
     return a @ np.linalg.lstsq(a, b, rcond=None)[0] - b
 
 
-def _ref_tensor(fn, dec, u):
-    comps, theta = dec.split(u), dec.theta(u)
-    g1, h2 = fn.grad(theta), fn.hess(theta)
-    out = np.zeros((u.size, u.size))
-    for a, s in enumerate(dec.summands):
-        out += g1[a] * (s.T @ s)
-    for a in range(dec.arity):
-        for b in range(dec.arity):
-            out += 2.0 * h2[a, b] * np.outer(comps[a], comps[b])
-    return 0.5 * (out + out.T)
-
-
 def _ref_residuals(space, dec, fn, u):
     """(operator, spray, nr) residuals at one direction, one formula each."""
     g1 = fn.grad(dec.theta(u))
@@ -270,7 +259,7 @@ def _ref_residuals(space, dec, fn, u):
     resid_m = _ref_lstsq_residual(cols, -bm)
     r_op = np.sqrt(resid_m @ resid_m + bh @ bh) / max(big, u @ u)
     # spray: eta from the metric equation, then its distance from [h, u]
-    a = _ref_tensor(fn, dec, u)
+    a = ref_tensor(fn, dec, u)
     wt = np.einsum("ibk,b,k->i", space.bracket_mm_m, u, auu)
     eta = np.linalg.solve(a, wt)
     cols = np.einsum("jab,a->bj", space.bracket_hm, u)
@@ -306,7 +295,7 @@ def test_engine_matches_per_direction_formulas(spec, mtext, monkeypatch):
     npt.assert_allclose(got, want, rtol=0, atol=1e-12)
     # a budget of 32 rows runs the plan as 32 + 32 + 13 rows
     with monkeypatch.context() as m:
-        m.setattr(gocheck, "BUDGET", 32 * space.dim_m ** 2 + space.dim_m)
+        m.setattr(gocheck, "BUDGET", 32 * space.dim_m * space.dim_h + 1)
         rows = _count_solves(m)
         chunked = np.array(gocheck.residuals(space, dec, fn, plan))
     assert rows == [32, 32, 32, 32, 13, 13]
@@ -317,6 +306,39 @@ def test_engine_matches_per_direction_formulas(spec, mtext, monkeypatch):
         npt.assert_allclose(single, got[:, i], rtol=0, atol=1e-12)
     empty = gocheck.residuals(space, dec, fn, plan[:0])
     assert [r.shape for r in empty] == [(0,)] * 3
+
+
+@pytest.mark.parametrize("spec,mtext", ENGINE_CASES)
+def test_tensor_spectrum_matches_dense_eigvalsh(spec, mtext):
+    # the s x s block form against the dense tensor on every row of a plan,
+    # face rows included; su3/su2 has a one-dimensional second summand
+    space, dec, _ = catalog.make_space(spec)
+    fn = finsler.parse_metric(mtext)
+    plan = gocheck.sample_plan(dec, fn.boundary_ok, 77, seed=11)
+    theta = dec.theta(plan)
+    lo, hi = finsler.tensor_spectrum(dec.dims, fn.grad(theta), fn.hess(theta), theta)
+    dense = np.array([np.linalg.eigvalsh(ref_tensor(fn, dec, u)) for u in plan])
+    scale = np.max(np.abs(dense), axis=1)
+    npt.assert_array_less(np.abs(lo - dense[:, 0]), 1e-13 * scale)
+    npt.assert_array_less(np.abs(hi - dense[:, -1]), 1e-13 * scale)
+
+
+def test_positivity_decomposes_nothing_wider_than_s(monkeypatch):
+    # a residuals pass and the parse-time convexity screens take their
+    # spectra from s x s matrices only, never from an n x n tensor
+    space, dec, _ = catalog.make_space("wallach-so/2,2,2")
+    fn = finsler.parse_metric("pert3:1,1,1,0.5")
+    plan = gocheck.sample_plan(dec, fn.boundary_ok, 200, seed=1)
+    widths, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a):
+        widths.append(a.shape[-1])
+        return eigvalsh(a)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    gocheck.residuals(space, dec, fn, plan)
+    finsler.parse_metric("phi:1,0,0.25")
+    finsler.parse_metric("pert3:1,1,1,0.5")
+    assert widths == [3, 2, 3]
 
 
 @pytest.mark.parametrize("spec", [spec for spec, _, _ in catalog.list_catalog()])
@@ -438,7 +460,7 @@ def test_engine_positive_definite_errors():
     bad = finsler.l_from_phi(finsler.PhiProfile((1.0, 0.0, 5.0)), check=False)
     space, dec, _ = catalog.make_space("so5/u2")
     plan = gocheck.sample_plan(dec, bad.boundary_ok, 100, seed=2)
-    spectra = [np.linalg.eigvalsh(_ref_tensor(bad, dec, u)) for u in plan]
+    spectra = [np.linalg.eigvalsh(ref_tensor(bad, dec, u)) for u in plan]
     eps = np.finfo(float).eps
     first = next(w[0] for w in spectra if w[0] <= len(w) * eps * max(abs(w[-1]), 1.0))
     assert first < -1e-3
@@ -450,7 +472,7 @@ def test_engine_positive_definite_errors():
     # past the first 32 rows, the first failing row still names the error;
     # a zero row anywhere in the pass is reported before it
     plan = gocheck.sample_plan(dec, bad.boundary_ok, 400, seed=2)
-    spectra = np.array([np.linalg.eigvalsh(_ref_tensor(bad, dec, u)) for u in plan])
+    spectra = np.array([np.linalg.eigvalsh(ref_tensor(bad, dec, u)) for u in plan])
     fails = spectra[:, 0] <= 6 * eps * np.maximum(np.abs(spectra[:, -1]), 1.0)
     good, failing = plan[~fails], plan[fails]
     assert len(good) >= 40 and len(failing) >= 2
@@ -488,6 +510,16 @@ def test_two_summand_phi_check_zero_rows(rng):
             np.vstack([u1, 0 * u1[:1]]), np.vstack([u2, 0 * u2[:1]]))
     _raises(ZeroVectorError, "phi-form check needs a nonzero second component",
             gocheck.two_summand_phi_check, space, dec, phi, u1, np.vstack([u2[:2], 0 * u2[:1]]))
+
+
+def test_two_summand_phi_check_rejects_bad_shapes(rng):
+    space, dec, _ = catalog.make_space("so5/u2")
+    phi = finsler.PhiProfile((1.0, 0.0, 0.25))
+    u1, u2 = dec.split(unit(rng, space.dim_m)[None])
+    for a, b in ((u1[0], u2[0]), (u1, u2[:, :5])):
+        _raises(DimensionMismatchError, "u1 and u2 must be stacks of the same shape "
+                f"(N, 6), got {a.shape} and {b.shape}",
+                gocheck.two_summand_phi_check, space, dec, phi, a, b)
 
 
 def test_wallach_system_matches_operator(rng):
