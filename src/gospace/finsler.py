@@ -284,11 +284,17 @@ def apply_grad(g1, comps):
     return np.einsum("ra,rak->rk", g1, comps)
 
 
+def apply_diag(dec, g1, x):
+    """D x = sum_a grad_a(L) P_a x for a stack x (N, n, k), P_a the projection
+    on summand a: the block-diagonal part of A_y."""
+    return sum(g[:, None, None] * (s.T @ (s @ x)) for g, s in zip(g1.T, dec.summands))
+
+
 def apply_tensor(dec, g1, h2, comps, x):
-    """A_y x for a stack x (N, n, k), without forming A_y: grad_a(L) times the
-    projection on each summand plus 2 sum_ab h2_ab y_a <y_b, x> over the
-    block components (N, s, n), h2 being the L-Hessian."""
-    out = sum(g[:, None, None] * (s.T @ (s @ x)) for g, s in zip(g1.T, dec.summands))
+    """A_y x for a stack x (N, n, k), without forming A_y: :func:`apply_diag`
+    plus 2 sum_ab h2_ab y_a <y_b, x> over the block components (N, s, n),
+    h2 being the L-Hessian."""
+    out = apply_diag(dec, g1, x)
     if np.any(h2):
         out = out + 2.0 * (comps.swapaxes(1, 2) @ (h2 @ (comps @ x)))
     return out

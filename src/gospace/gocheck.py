@@ -9,11 +9,14 @@ Two independent per-direction residuals drive everything:
   min_w |A_u [w, u] - [u, A_u(u)]_m|: by ad-invariance of Q,
   A_u eta = g_u(u, [., u]_m) = [u, A_u(u)]_m, so A_u is never inverted.
 
-Both share that right-hand side and the scale D(u) = max(|[u, A_u(u)]|,
-|u|^2).  Their column maps differ: [h_j, A_u(u)] from the L-gradient,
-A_u [h_j, u] from the fundamental tensor, L-Hessian included.  The
-equivariance A_u [w, u] = [w, A_u(u)] makes them equal in exact
-arithmetic; their numerical discrepancy is itself a check.
+Both share that right-hand side, the scale D(u) = max(|[u, A_u(u)]|,
+|u|^2) and one orthonormal basis U of the orbit tangent [h, u], which
+depends on u only and so serves every metric.  Their column maps differ:
+D U from the L-gradient, D = sum_i dL/dtheta_i P_i, because each summand
+is ad(h)-invariant and so [w, A_u(u)] = D [w, u]; and A_u U from the
+fundamental tensor, L-Hessian included.  The equivariance
+A_u [w, u] = [w, A_u(u)] makes them equal in exact arithmetic; their
+numerical discrepancy is itself a check.
 Verdicts are sampled certificates: NOT_GO is proved by a witness, GO is
 evidence at the sampled tolerance.
 """
@@ -28,8 +31,9 @@ import numpy as np
 
 from . import _linalg
 from .errors import DimensionMismatchError, ZeroVectorError
-from .finsler import (PhiProfile, admissible_faces, apply_grad, apply_tensor,
-                      block_data, l_from_phi, require_positive_definite)
+from .finsler import (PhiProfile, admissible_faces, apply_diag, apply_grad,
+                      apply_tensor, block_data, l_from_phi,
+                      require_positive_definite)
 from .homspace import centralizer_in_h, tilde_centralizer
 
 GO = "GO"
@@ -134,7 +138,7 @@ def _weight_combos(s, grid):
 # ---------------------------------------------------------------------------
 # the residual engine: every residual takes a stack of directions u (N, n)
 
-BUDGET = 2 ** 17  # floats (1 MiB) per (rows, n, dim_h) column map; sets the rows per array pass
+BUDGET = 2 ** 17  # floats (1 MiB) per (rows, n, max(n, dim_h)) array; sets the rows per array pass
 
 
 def _shared(space, dec, fn, u):
@@ -155,18 +159,39 @@ def _scale(sh):
     return np.maximum(np.hypot(_norm(bh), _norm(bm)), _norm(u) ** 2)
 
 
-def _operator(space, sh):
-    *_, auu, bh, bm = sh
-    _, resid = _linalg.lstsq_min_norm(space.hm_columns(auu), -bm)
+def _tangent(space, u):
+    """Orthonormal bases of the orbit tangents [h, u] at rows u (N, n), from
+    one batched SVD of the column maps [h_j, u], cut at numpy's lstsq cutoff
+    max(n, dim_h) eps sigma_max.  Returns (basis, mask): basis (N, n, k), k
+    the largest rank of the stack, with zero columns past each row's rank,
+    and mask (N, 1, k) true on the real columns."""
+    cols = space.hm_columns(u)
+    left, sigma, _ = np.linalg.svd(cols, full_matrices=False)
+    rank = _linalg.svd_rank(sigma, cols.shape[-2:])
+    k = rank.max(initial=0)
+    mask = (np.arange(k) < rank[:, None])[:, None, :]
+    return left[..., :k] * mask, mask
+
+
+def _off_span(cols, mask, b):
+    """The part of b (N, n) off the span of cols (N, n, k), whose real
+    columns (``mask``) come first and are independent: one batched QR, its
+    Q columns past the real ones dropped."""
+    q = np.linalg.qr(cols)[0] * mask
+    return b - np.einsum("...mk,...k->...m", q, np.einsum("...mk,...m->...k", q, b))
+
+
+def _operator(dec, sh, basis, mask):
+    *_, g1, _, bh, bm = sh
+    resid = _off_span(apply_diag(dec, g1, basis), mask, bm)
     return np.hypot(_norm(resid), _norm(bh)) / _scale(sh)
 
 
-def _spray(space, dec, fn, sh):
+def _spray(dec, fn, sh, basis, mask):
     u, comps, theta, g1, *_, bm = sh
     h2 = fn.hess(theta)
     require_positive_definite(dec.dims, g1, h2, theta)
-    cols = apply_tensor(dec, g1, h2, comps, space.hm_columns(u))
-    _, resid = _linalg.lstsq_min_norm(cols, bm)
+    resid = _off_span(apply_tensor(dec, g1, h2, comps, basis), mask, bm)
     return _norm(resid) / _scale(sh)
 
 
@@ -178,22 +203,31 @@ def _nr(sh):
     return np.hypot(_norm(bh), _norm(bm)) / den
 
 
-def residuals(space, dec, fn, plan):
-    """Residual arrays (operator, spray, nr) over the rows of ``plan`` (N, n).
+def residuals(space, dec, fns, plan):
+    """One triple of residual arrays (operator, spray, nr) over the rows of
+    ``plan`` (N, n) per metric of the sequence ``fns``.
 
-    Works in chunks of max(1, BUDGET // (n * dim_h)) rows, n = dim m, so every
-    plan of a few hundred directions is one array pass and a long plan runs
-    in bounded memory; A_u(u) and [u, A_u(u)] are computed once per
-    direction. A single direction u is the plan ``u[None]``.
+    Works in chunks of max(1, BUDGET // (n * max(n, dim_h))) rows, n = dim m,
+    so every plan of a few hundred directions is one array pass and a long
+    plan runs in bounded memory.  Each chunk checks its rows for every
+    metric, then factors the orbit tangent [h, u] once by one SVD, and each
+    metric's two criteria project onto that basis by one QR each; A_u(u) and
+    [u, A_u(u)] are computed once per direction and metric.  A single
+    direction u is the plan ``u[None]``.
     """
-    rows = max(1, BUDGET // max(space.dim_m * space.dim_h, 1))
-    parts = ([], [], [])
+    fns = tuple(fns)
+    n = space.dim_m
+    rows = max(1, BUDGET // max(n * max(n, space.dim_h), 1))
+    parts = [([], [], []) for _ in fns]
     for start in range(0, max(len(plan), 1), rows):
-        sh = _shared(space, dec, fn, plan[start:start + rows])
-        parts[0].append(_operator(space, sh))
-        parts[1].append(_spray(space, dec, fn, sh))
-        parts[2].append(_nr(sh))
-    return tuple(np.concatenate(p) for p in parts)
+        chunk = plan[start:start + rows]
+        shs = [_shared(space, dec, fn, chunk) for fn in fns]
+        basis, mask = _tangent(space, chunk)
+        for fn, sh, (op, sp, nr) in zip(fns, shs, parts):
+            op.append(_operator(dec, sh, basis, mask))
+            sp.append(_spray(dec, fn, sh, basis, mask))
+            nr.append(_nr(sh))
+    return [tuple(np.concatenate(p) for p in part) for part in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +259,12 @@ def nr_check(space, dec, fn, samples=200, seed=42, tol=1e-8):
 def verdicts(space, dec, fn, samples=200, seed=42, tol=1e-8):
     """(go_verdict, nr_check) reports from one sample plan and one engine pass."""
     plan = sample_plan(dec, fn.boundary_ok, samples, seed)
-    return reports(plan, residuals(space, dec, fn, plan), tol, seed)
+    return reports(plan, residuals(space, dec, (fn,), plan)[0], tol, seed)
 
 
 def reports(plan, residuals, tol, seed):
     """(go, nr) CheckReports from a plan (N, n) and its residual arrays
-    (operator, spray, nr), as :func:`residuals` returns them.
+    (operator, spray, nr), one metric's triple from :func:`residuals`.
 
     The verdict rules live here: the bands, the worst-sample witnesses and
     the agreement of the two GO criteria.  ``seed`` is only recorded.

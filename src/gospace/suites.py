@@ -65,20 +65,22 @@ def _spaces_with_tag(tag):
 
 def _battery(specs, samples, seed, tol):
     """(spec, space, dec, [(metric, go, nr), ...]) per space of ``specs``,
-    over its default battery; each space is built once, and the metrics that
-    share a boundary pattern share one sample plan."""
+    over its default battery; each battery is parsed once per call, each
+    space is built once, and the metrics that share a boundary pattern share
+    one sample plan and one residual pass."""
+    parsed = {}
     for spec in specs:
         space, dec, _ = catalog.make_space(spec)
-        plans, rows = {}, []
-        for mtext in battery_for(dec.arity):
-            fn = parse_metric(mtext)
-            pattern = fn.boundary_ok
-            if pattern not in plans:
-                plans[pattern] = gocheck.sample_plan(dec, pattern, samples, seed)
-            plan = plans[pattern]
-            rows.append((mtext, *gocheck.reports(
-                plan, gocheck.residuals(space, dec, fn, plan), tol, seed)))
-        yield spec, space, dec, rows
+        if dec.arity not in parsed:
+            parsed[dec.arity] = [(m, parse_metric(m)) for m in battery_for(dec.arity)]
+        battery = parsed[dec.arity]
+        found = {}
+        for pattern in dict.fromkeys(fn.boundary_ok for _, fn in battery):
+            group = [fn for _, fn in battery if fn.boundary_ok == pattern]
+            plan = gocheck.sample_plan(dec, pattern, samples, seed)
+            for fn, res in zip(group, gocheck.residuals(space, dec, group, plan)):
+                found[fn] = gocheck.reports(plan, res, tol, seed)
+        yield spec, space, dec, [(m, *found[fn]) for m, fn in battery]
 
 
 def _centralizer_pairs(space, dec, rng, count):
@@ -194,15 +196,15 @@ def suite_invariants(samples=40, seed=42, tol=1e-8):
     space, dec, _ = catalog.make_space("so5/u2")
     fn = parse_metric("phi:1,0,0.25")
     u = unit_rows(space.dim_m)
-    worst = float(np.max(np.abs(gocheck.residuals(space, dec, fn, u)[0]
-                                - gocheck.residuals(space, dec, fn, 7.3 * u)[0])))
+    worst = float(np.max(np.abs(gocheck.residuals(space, dec, (fn,), u)[0][0]
+                                - gocheck.residuals(space, dec, (fn,), 7.3 * u)[0][0])))
     out.add("so5/u2 residual scale invariance", worst <= 1e-10,
             f"max |r(u) - r(7.3u)| = {worst:.3e}")
 
     phi = PhiProfile((1.0, 0.0, 0.25))
     u = unit_rows(space.dim_m)
     a = gocheck.two_summand_phi_check(space, dec, phi, *dec.split(u))
-    worst = float(np.max(np.abs(a - gocheck.residuals(space, dec, fn, u)[0])))
+    worst = float(np.max(np.abs(a - gocheck.residuals(space, dec, (fn,), u)[0][0])))
     out.add("so5/u2 profile-form specialization", worst <= 1e-10,
             f"max gap vs operator residual = {worst:.3e}")
 
@@ -210,7 +212,7 @@ def suite_invariants(samples=40, seed=42, tol=1e-8):
     fn3 = parse_metric("linear:1,2,3")
     u = unit_rows(space3.dim_m)
     joint = np.linalg.norm(gocheck.wallach_system_check(space3, dec3, fn3, u), axis=1)
-    worst = float(np.max(np.abs(joint - gocheck.residuals(space3, dec3, fn3, u)[0])))
+    worst = float(np.max(np.abs(joint - gocheck.residuals(space3, dec3, (fn3,), u)[0][0])))
     out.add("su3/t2 blockwise reassembly", worst <= 1e-10,
             f"max gap vs operator residual = {worst:.3e}")
 

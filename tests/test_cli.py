@@ -369,3 +369,23 @@ def test_verify_draws_each_plan_once(capsys, monkeypatch):
         counts[name] = len(calls)
     assert counts == {"thm1-converse": 8, "thm2-wallach": 6, "cor-wallach-normal": 2,
                       "type1-nr": 1, "crossval": 8, "invariants": 12}
+
+
+def test_verify_parses_each_battery_once(capsys, monkeypatch):
+    # a suite call parses each battery once, however many spaces it covers,
+    # so each convexity screen runs once; invariants parses the normal
+    # metric of each listed entry and two metrics of its own
+    calls, parse_metric = [], suites.parse_metric
+
+    def counted(text, *args):
+        calls.append(text)
+        return parse_metric(text, *args)
+    monkeypatch.setattr(suites, "parse_metric", counted)
+    counts = {}
+    for name in suites.SUITE_NAMES:
+        calls.clear()
+        code, _, _ = run(capsys, "verify", name, "--format", "json")
+        assert code == cli.EXIT_OK
+        counts[name] = len(calls)
+    assert counts == {"thm1-converse": 5, "thm2-wallach": 4, "cor-wallach-normal": 4,
+                      "type1-nr": 4, "crossval": 9, "invariants": 14}

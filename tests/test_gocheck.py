@@ -30,7 +30,7 @@ def test_operator_vs_spray_agreement(spec, mtext, rng):
     space, dec, _ = catalog.make_space(spec)
     fn = finsler.parse_metric(mtext)
     plan = np.array([unit(rng, space.dim_m) for _ in range(25)])
-    r_op, r_sp, _ = gocheck.residuals(space, dec, fn, plan)
+    r_op, r_sp, _ = gocheck.residuals(space, dec, (fn,), plan)[0]
     assert np.max(np.abs(r_op - r_sp)) < 1e-9
 
 
@@ -38,7 +38,7 @@ def test_operator_minimizer_solves_equation(rng):
     space, dec, _ = catalog.make_space("so5/u2")
     fn = finsler.parse_metric("linear:1,2")
     u = unit(rng, space.dim_m)
-    assert gocheck.residuals(space, dec, fn, u[None])[0][0] < 1e-12
+    assert gocheck.residuals(space, dec, (fn,), u[None])[0][0][0] < 1e-12
     _, comps, theta = finsler.block_data(fn, dec, u[None])
     auu = finsler.apply_grad(fn.grad(theta), comps)[0]
     bh, bm = space.bracket_mm(u, auu)
@@ -52,7 +52,7 @@ def test_operator_residual_scale_invariant(rng):
     space, dec, _ = catalog.make_space("su3/t2")
     fn = finsler.parse_metric("linear:1,2,3")
     u = unit(rng, space.dim_m)
-    r1, r2 = gocheck.residuals(space, dec, fn, np.array([u, 11.0 * u]))[0]
+    r1, r2 = gocheck.residuals(space, dec, (fn,), np.array([u, 11.0 * u]))[0][0]
     assert abs(r1 - r2) < 1e-10
 
 
@@ -62,7 +62,7 @@ def test_single_summand_directions_always_pass(rng):
     fn = finsler.parse_metric("linear:1,2,3")
     plan = np.array([dec.summands[i].T @ rng.standard_normal(dec.dims[i])
                      for i in range(3)])
-    r_op, _, r_nr = gocheck.residuals(space, dec, fn, plan)
+    r_op, _, r_nr = gocheck.residuals(space, dec, (fn,), plan)[0]
     assert np.all(r_op < 1e-12) and np.all(r_nr < 1e-12)
 
 
@@ -269,15 +269,21 @@ def _ref_residuals(space, dec, fn, u):
     return r_op, r_sp, r_nr
 
 
-def _count_solves(monkeypatch):
-    # rows of every batched least-squares solve, in call order
-    rows, solve = [], _linalg.lstsq_min_norm
+def _count_calls(monkeypatch, name):
+    # leading length of the first argument of every np.linalg.<name> call,
+    # in call order
+    rows, func = [], getattr(np.linalg, name)
 
-    def counted(a, b):
+    def counted(a, *args, **kwargs):
         rows.append(len(a))
-        return solve(a, b)
-    monkeypatch.setattr(_linalg, "lstsq_min_norm", counted)
+        return func(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, name, counted)
     return rows
+
+
+def _shared_pattern(fns):
+    # the boundary pattern whose plan every metric of fns accepts
+    return tuple(map(all, zip(*(fn.boundary_ok for fn in fns))))
 
 
 ENGINE_CASES = [(spec, mtext)
@@ -290,21 +296,22 @@ def test_engine_matches_per_direction_formulas(spec, mtext, monkeypatch):
     space, dec, _ = catalog.make_space(spec)
     fn = finsler.parse_metric(mtext)
     plan = gocheck.sample_plan(dec, fn.boundary_ok, 77, seed=11)
-    got = np.array(gocheck.residuals(space, dec, fn, plan))
+    got = np.array(gocheck.residuals(space, dec, (fn,), plan)[0])
     want = np.array([_ref_residuals(space, dec, fn, u) for u in plan]).T
     npt.assert_allclose(got, want, rtol=0, atol=1e-12)
-    # a budget of 32 rows runs the plan as 32 + 32 + 13 rows
+    # a budget of 32 rows runs the plan as 32 + 32 + 13 rows, one tangent
+    # SVD per chunk
     with monkeypatch.context() as m:
-        m.setattr(gocheck, "BUDGET", 32 * space.dim_m * space.dim_h + 1)
-        rows = _count_solves(m)
-        chunked = np.array(gocheck.residuals(space, dec, fn, plan))
-    assert rows == [32, 32, 32, 32, 13, 13]
+        m.setattr(gocheck, "BUDGET", 32 * space.dim_m * max(space.dim_m, space.dim_h) + 1)
+        rows = _count_calls(m, "svd")
+        chunked = np.array(gocheck.residuals(space, dec, (fn,), plan)[0])
+    assert rows == [32, 32, 13]
     npt.assert_allclose(chunked, got, rtol=0, atol=1e-15)
     # a single direction is a one-row plan, and a zero-row plan gives empty arrays
     for i in (0, 40, 76):
-        single = np.array(gocheck.residuals(space, dec, fn, plan[i][None]))[:, 0]
+        single = np.array(gocheck.residuals(space, dec, (fn,), plan[i][None])[0])[:, 0]
         npt.assert_allclose(single, got[:, i], rtol=0, atol=1e-12)
-    empty = gocheck.residuals(space, dec, fn, plan[:0])
+    empty = gocheck.residuals(space, dec, (fn,), plan[:0])[0]
     assert [r.shape for r in empty] == [(0,)] * 3
 
 
@@ -335,32 +342,63 @@ def test_positivity_decomposes_nothing_wider_than_s(monkeypatch):
         widths.append(a.shape[-1])
         return eigvalsh(a)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    gocheck.residuals(space, dec, fn, plan)
+    gocheck.residuals(space, dec, (fn,), plan)
     finsler.parse_metric("phi:1,0,0.25")
     finsler.parse_metric("pert3:1,1,1,0.5")
     assert widths == [3, 2, 3]
 
 
-@pytest.mark.parametrize("spec", [spec for spec, _, _ in catalog.list_catalog()])
+LISTED = [spec for spec, _, _ in catalog.list_catalog()]
+
+
+@pytest.mark.parametrize("spec", LISTED)
 def test_one_array_pass_per_plan(spec, monkeypatch):
-    # the operator and the spray residual each take one batched least
-    # squares over the whole 200-row plan; the NR residual takes none, and
-    # nr_check is the NR half of that same pass.  The spray never inverts
+    # one residuals call over a whole battery on a 200-row plan factors the
+    # orbit tangent once, by one batched SVD, and projects each metric's two
+    # criteria by one batched QR each; the NR residual takes none, and
+    # nr_check is the NR half of the same pass.  The spray never inverts
     # A_u: no np.linalg.solve runs at all
     space, dec, _ = catalog.make_space(spec)
-    fn = finsler.parse_metric(suites.equal_linear_for(dec.arity))
-    rows = _count_solves(monkeypatch)
-    inverses, solve = [], np.linalg.solve
-
-    def counted(a, b):
-        inverses.append(len(a))
-        return solve(a, b)
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    fns = [finsler.parse_metric(m) for m in suites.battery_for(dec.arity)]
+    plan = gocheck.sample_plan(dec, _shared_pattern(fns), 200, seed=1)
+    calls = {name: _count_calls(monkeypatch, name) for name in ("svd", "qr", "solve")}
+    gocheck.residuals(space, dec, fns, plan)
+    assert calls == {"svd": [200], "qr": [200] * (2 * len(fns)), "solve": []}
     for check in (gocheck.verdicts, gocheck.nr_check):
-        rows.clear()
-        check(space, dec, fn, samples=200, seed=1)
-        assert rows == [200, 200]
-        assert inverses == []
+        for rows in calls.values():
+            rows.clear()
+        check(space, dec, fns[0], samples=200, seed=1)
+        assert calls == {"svd": [200], "qr": [200, 200], "solve": []}
+
+
+@pytest.mark.parametrize("spec", LISTED)
+def test_metrics_share_one_residual_pass(spec):
+    # the shared tangent basis changes nothing: each metric's triple from a
+    # call over the whole battery equals its own single-metric call bit for bit
+    space, dec, _ = catalog.make_space(spec)
+    fns = [finsler.parse_metric(m) for m in suites.battery_for(dec.arity)]
+    plan = gocheck.sample_plan(dec, _shared_pattern(fns), 200, seed=3)
+    together = gocheck.residuals(space, dec, fns, plan)
+    assert len(together) == len(fns)
+    for fn, got in zip(fns, together):
+        want = gocheck.residuals(space, dec, (fn,), plan)[0]
+        for g, w in zip(got, want):
+            npt.assert_array_equal(g, w)
+    assert gocheck.residuals(space, dec, (), plan) == []
+
+
+@pytest.mark.parametrize("spec", LISTED)
+def test_battery_reports_match_single_metric_passes(spec):
+    # the suites' grouped pass reports what each metric's own pass reports
+    # on the same plan
+    space, dec, _ = catalog.make_space(spec)
+    (_, _, _, rows), = suites._battery([spec], 200, 5, 1e-8)
+    assert [m for m, _, _ in rows] == list(suites.battery_for(dec.arity))
+    for mtext, go, nr in rows:
+        fn = finsler.parse_metric(mtext)
+        plan = gocheck.sample_plan(dec, fn.boundary_ok, 200, 5)
+        want = gocheck.reports(plan, gocheck.residuals(space, dec, (fn,), plan)[0], 1e-8, 5)
+        assert [go.to_dict(), nr.to_dict()] == [r.to_dict() for r in want]
 
 
 def _raises(exc, message, func, *args):
@@ -379,7 +417,7 @@ def test_engine_errors_keep_their_messages():
     length = f"expected m-coords vector of length {n}"
 
     for func in (lambda u: finsler.metric_operator(odd, dec, u),
-                 lambda u: gocheck.residuals(space, dec, odd, u[None])):
+                 lambda u: gocheck.residuals(space, dec, (odd,), u[None])):
         _raises(BoundaryNondifferentiableError, face, func, u1)
         _raises(ZeroVectorError, zero, func, np.zeros(n))
     for shape in ((n + 1,), (2, n)):
@@ -388,15 +426,15 @@ def test_engine_errors_keep_their_messages():
     for shape in ((1, n + 1), (1, 2, n)):
         _raises(DimensionMismatchError,
                 f"expected a stack of m-coords rows (N, {n}), got {shape}",
-                gocheck.residuals, space, dec, odd, np.ones(shape))
+                gocheck.residuals, space, dec, (odd,), np.ones(shape))
     three = finsler.parse_metric("linear:1,2,3")
     _raises(DimensionMismatchError, "norm has 3 blocks but decomposition has 2",
-            gocheck.residuals, space, dec, three, u1[None])
+            gocheck.residuals, space, dec, (three,), u1[None])
     # the first bad row of a plan decides the error
     plan = np.array([dec.summands[1][0], np.zeros(n), u1])
-    _raises(ZeroVectorError, zero, gocheck.residuals, space, dec, odd, plan)
+    _raises(ZeroVectorError, zero, gocheck.residuals, space, dec, (odd,), plan)
     _raises(BoundaryNondifferentiableError, face, gocheck.residuals, space, dec,
-            odd, plan[[0, 2, 1]])
+            (odd,), plan[[0, 2, 1]])
 
 
 def test_residuals_reject_a_single_vector():
@@ -404,7 +442,7 @@ def test_residuals_reject_a_single_vector():
     space, dec, _ = catalog.make_space("so5/u2")
     fn = finsler.parse_metric("linear:1,2")
     _raises(DimensionMismatchError, "expected a stack of m-coords rows (N, 6), got (6,)",
-            gocheck.residuals, space, dec, fn, dec.summands[0][0])
+            gocheck.residuals, space, dec, (fn,), dec.summands[0][0])
 
 
 def test_verdicts_reject_bad_sample_counts():
@@ -428,7 +466,7 @@ def test_verdicts_reject_bad_sample_counts():
     # an empty plan still has residuals, three empty arrays; only reports refuse it
     plan = gocheck.sample_plan(dec, fn.boundary_ok, 0, 1)
     assert plan.shape == (0, space.dim_m)
-    res = gocheck.residuals(space, dec, fn, plan)
+    res = gocheck.residuals(space, dec, (fn,), plan)[0]
     assert [r.shape for r in res] == [(0,)] * 3
     _raises(DimensionMismatchError, empty, gocheck.reports, plan, res, 1e-8, 1)
 
@@ -441,7 +479,7 @@ def test_metrics_can_share_a_plan():
     assert len({fn.boundary_ok for fn in fns}) == 1
     plan = gocheck.sample_plan(dec, fns[0].boundary_ok, 50, seed=4)
     for fn in fns:
-        got = gocheck.reports(plan, gocheck.residuals(space, dec, fn, plan), 1e-8, 4)
+        got = gocheck.reports(plan, gocheck.residuals(space, dec, (fn,), plan)[0], 1e-8, 4)
         want = gocheck.verdicts(space, dec, fn, samples=50, seed=4)
         assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
 
@@ -455,7 +493,7 @@ def test_engine_positive_definite_errors():
     u = np.eye(6)[5]
     pd = "fundamental tensor not positive definite (min eigenvalue 0.000e+00)"
     _raises(NotPositiveDefiniteError, pd, finsler.metric_operator, flat, dec, u)
-    _raises(NotPositiveDefiniteError, pd, gocheck.residuals, space, dec, flat, u[None])
+    _raises(NotPositiveDefiniteError, pd, gocheck.residuals, space, dec, (flat,), u[None])
     # a convexity-violating profile: the first failing direction of the plan
     bad = finsler.l_from_phi(finsler.PhiProfile((1.0, 0.0, 5.0)), check=False)
     space, dec, _ = catalog.make_space("so5/u2")
@@ -479,9 +517,9 @@ def test_engine_positive_definite_errors():
     plan = np.vstack([good[:40], failing[1:], failing[:1]])
     _raises(NotPositiveDefiniteError, "fundamental tensor not positive definite "
             f"(min eigenvalue {spectra[fails][1, 0]:.3e})",
-            gocheck.residuals, space, dec, bad, plan)
+            gocheck.residuals, space, dec, (bad,), plan)
     _raises(ZeroVectorError, "norm data requested at the zero vector",
-            gocheck.residuals, space, dec, bad, np.vstack([plan, np.zeros(6)]))
+            gocheck.residuals, space, dec, (bad,), np.vstack([plan, np.zeros(6)]))
 
 
 # --------------------------------------------------------------------------
@@ -493,7 +531,7 @@ def test_two_summand_phi_check_matches_operator(rng):
     phi = finsler.PhiProfile((1.0, 0.0, 0.25))
     fn = finsler.parse_metric("phi:1,0,0.25")
     plan = np.array([unit(rng, space.dim_m) for _ in range(15)])
-    op = gocheck.residuals(space, dec, fn, plan)[0]
+    op = gocheck.residuals(space, dec, (fn,), plan)[0][0]
     a = gocheck.two_summand_phi_check(space, dec, phi, *dec.split(plan))
     assert a.shape == (15,)
     assert np.max(np.abs(a - op)) < 1e-12
@@ -528,7 +566,7 @@ def test_wallach_system_matches_operator(rng):
     plan = np.array([unit(rng, space.dim_m) for _ in range(15)])
     blocks = gocheck.wallach_system_check(space, dec, fn, plan)
     assert blocks.shape == (15, 3)
-    op = gocheck.residuals(space, dec, fn, plan)[0]
+    op = gocheck.residuals(space, dec, (fn,), plan)[0][0]
     assert np.max(np.abs(np.linalg.norm(blocks, axis=1) - op)) < 1e-12
 
 

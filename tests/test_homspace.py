@@ -320,5 +320,5 @@ def test_zero_vector_guard():
     from gospace import finsler, gocheck
     space, dec, _ = catalog.make_space("su3/t2")
     with pytest.raises(ZeroVectorError):
-        gocheck.residuals(space, dec, finsler.l_linear([1.0, 1.0, 1.0]),
+        gocheck.residuals(space, dec, (finsler.l_linear([1.0, 1.0, 1.0]),),
                           np.zeros((1, space.dim_m)))
