@@ -186,7 +186,7 @@ def _check_report(args, tol, fn, go, nr, wallclock):
 
 def _format_check(report, fmt):
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
         r = report
         return _csv_text(
@@ -236,7 +236,7 @@ def cmd_check(args):
 
 def _format_verify(report, fmt):
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
         return _csv_text(("suite", "item", "passed", "detail"),
                          [(report["suite"], it["name"], it["passed"], it["detail"])

@@ -39,6 +39,9 @@ from . import _linalg
 from .homspace import Decomposition
 
 _ODD_COEFF_TOL = 1e-12
+# largest |coefficient| of L that parse_metric accepts: squares of the
+# brackets and gradients built from it stay finite
+_MAX_COEFF = 1e150
 
 
 @dataclass(frozen=True)
@@ -395,7 +398,8 @@ def parse_metric(text, arity=None):
 
     ``arity`` (when given) must match the block count of the parsed norm.
     The original text is kept as the norm's ``spec_string`` so reports echo
-    the user's input.
+    the user's input.  The coefficients of L (lambda_i and eps, and for
+    ``phi`` those of phi^2) must be at most 1e150 in magnitude.
     """
     text = text.strip()
     if ":" not in text:
@@ -414,6 +418,16 @@ def parse_metric(text, arity=None):
             raise SpecFormatError(f"bad number {tok.strip()!r} in metric", column=col)
         vals.append(val)
         col += len(tok) + 1
+    if kind not in ("linear", "phi", "pert3"):
+        raise SpecFormatError(f"unknown metric kind {kind!r}", column=1)
+    coeffs = np.array(vals)
+    if kind == "phi":
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = npoly.polymul(coeffs, coeffs)
+    big = np.flatnonzero(~(np.abs(coeffs) <= _MAX_COEFF))
+    if big.size:
+        name = "phi^2 coefficient" if kind == "phi" else "coefficient"
+        raise SpecFormatError(f"{name} {coeffs[big[0]]:g} exceeds {_MAX_COEFF:g} in magnitude")
     if kind == "linear":
         if len(vals) < 2:
             raise SpecFormatError("linear needs at least two coefficients",
@@ -421,13 +435,11 @@ def parse_metric(text, arity=None):
         fn = l_linear(vals)
     elif kind == "phi":
         fn = l_from_phi(PhiProfile(tuple(vals)))
-    elif kind == "pert3":
+    else:
         if len(vals) != 4:
             raise SpecFormatError("pert3 needs lambda1,lambda2,lambda3,eps",
                                   column=len(kind) + 2)
         fn = l_pert3(vals[:3], vals[3])
-    else:
-        raise SpecFormatError(f"unknown metric kind {kind!r}", column=1)
     if arity is not None and fn.arity != arity:
         raise SpecFormatError(
             f"metric has {fn.arity} blocks but the space decomposition has {arity}")

@@ -1,22 +1,23 @@
 """Geodesic-orbit and natural-reductivity decision procedures.
 
-Two independent per-direction residuals drive everything:
+Every GO residual is one projection per direction and metric: the part of
+[u, A_u(u)]_m off the span of D U, where U is an orthonormal basis of the
+orbit tangent [h, u] (it depends on u only, so it serves every metric) and
+D = sum_i dL/dtheta_i P_i.  Each summand is ad(h)-invariant, so
+[w, A_u(u)] = D [w, u], and the equivariance A_u [w, u] = [w, A_u(u)] puts
+A_u U in the same span.  That one projection gives both criteria:
 
-* operator route: least-squares solve of [w + u, A_u(u)] = 0 over w in h,
-  assembled from the L-gradient and the bracket tables;
-* spray route: membership of the spray vector eta(u) in the tangent space
-  of the isotropy orbit {[w, u] : w in h}, in its A_u-weighted form
-  min_w |A_u [w, u] - [u, A_u(u)]_m|: by ad-invariance of Q,
-  A_u eta = g_u(u, [., u]_m) = [u, A_u(u)]_m, so A_u is never inverted.
+* operator route: least squares of [w + u, A_u(u)] = 0 over w in h
+  (Kowalski-Vanhecke), the projection together with the h-part
+  [u, A_u(u)]_h, which vanishes by ad-invariance of Q;
+* spray route: the A_u-weighted tangency of the spray,
+  min_w |A_u [w, u] - [u, A_u(u)]_m| (Latifi), the projection alone.
 
-Both share that right-hand side, the scale D(u) = max(|[u, A_u(u)]|,
-|u|^2) and one orthonormal basis U of the orbit tangent [h, u], which
-depends on u only and so serves every metric.  Their column maps differ:
-D U from the L-gradient, D = sum_i dL/dtheta_i P_i, because each summand
-is ad(h)-invariant and so [w, A_u(u)] = D [w, u]; and A_u U from the
-fundamental tensor, L-Hessian included.  The equivariance
-A_u [w, u] = [w, A_u(u)] makes them equal in exact arithmetic; their
-numerical discrepancy is itself a check.
+Both are divided by the scale D(u) = max(|[u, A_u(u)]|, |u|^2), so the
+gap between them is |[u, A_u(u)]_h| / D(u).  :func:`latifi_residuals`
+evaluates Latifi's lemma from the structure constants and values of L
+alone, sharing none of this, and is the oracle the ``crossval`` suite
+compares against.
 Verdicts are sampled certificates: NOT_GO is proved by a witness, GO is
 evidence at the sampled tolerance.
 """
@@ -32,8 +33,7 @@ import numpy as np
 from . import _linalg
 from .errors import DimensionMismatchError, ZeroVectorError
 from .finsler import (PhiProfile, admissible_faces, apply_diag, apply_grad,
-                      apply_tensor, block_data, l_from_phi,
-                      require_positive_definite)
+                      block_data, l_from_phi, require_positive_definite)
 from .homspace import centralizer_in_h, tilde_centralizer
 
 GO = "GO"
@@ -181,18 +181,14 @@ def _off_span(cols, mask, b):
     return b - np.einsum("...mk,...k->...m", q, np.einsum("...mk,...m->...k", q, b))
 
 
-def _operator(dec, sh, basis, mask):
-    *_, g1, _, bh, bm = sh
-    resid = _off_span(apply_diag(dec, g1, basis), mask, bm)
-    return np.hypot(_norm(resid), _norm(bh)) / _scale(sh)
-
-
-def _spray(dec, fn, sh, basis, mask):
-    u, comps, theta, g1, *_, bm = sh
-    h2 = fn.hess(theta)
-    require_positive_definite(dec.dims, g1, h2, theta)
-    resid = _off_span(apply_tensor(dec, g1, h2, comps, basis), mask, bm)
-    return _norm(resid) / _scale(sh)
+def _go(dec, fn, sh, basis, mask):
+    """(operator, spray) residuals from one projection off span(D U), after
+    checking that A_u is positive definite on every row."""
+    _, _, theta, g1, _, bh, bm = sh
+    require_positive_definite(dec.dims, g1, fn.hess(theta), theta)
+    off = _norm(_off_span(apply_diag(dec, g1, basis), mask, bm))
+    scale = _scale(sh)
+    return np.hypot(off, _norm(bh)) / scale, off / scale
 
 
 def _nr(sh):
@@ -211,9 +207,9 @@ def residuals(space, dec, fns, plan):
     so every plan of a few hundred directions is one array pass and a long
     plan runs in bounded memory.  Each chunk checks its rows for every
     metric, then factors the orbit tangent [h, u] once by one SVD, and each
-    metric's two criteria project onto that basis by one QR each; A_u(u) and
-    [u, A_u(u)] are computed once per direction and metric.  A single
-    direction u is the plan ``u[None]``.
+    metric projects onto that basis by one QR, which gives both GO
+    criteria; A_u(u) and [u, A_u(u)] are computed once per direction and
+    metric.  A single direction u is the plan ``u[None]``.
     """
     fns = tuple(fns)
     n = space.dim_m
@@ -224,10 +220,45 @@ def residuals(space, dec, fns, plan):
         shs = [_shared(space, dec, fn, chunk) for fn in fns]
         basis, mask = _tangent(space, chunk)
         for fn, sh, (op, sp, nr) in zip(fns, shs, parts):
-            op.append(_operator(dec, sh, basis, mask))
-            sp.append(_spray(dec, fn, sh, basis, mask))
+            r_op, r_sp = _go(dec, fn, sh, basis, mask)
+            op.append(r_op)
+            sp.append(r_sp)
             nr.append(_nr(sh))
     return [tuple(np.concatenate(p) for p in part) for part in parts]
+
+
+_LATIFI_STEP = 1e-6   # central-difference step for the gradient of F^2/2
+
+
+def latifi_residuals(space, dec, fn, plan):
+    """GO residuals from Latifi's lemma, an oracle for :func:`residuals`.
+
+    u is a geodesic vector iff some w in h gives g_u(u, [u + w, z]_m) = 0 for
+    every z in m.  With gamma = grad(F^2/2)(u), g_u(u, .) = <gamma, .>, and
+    ad-invariance of Q turns that into [u, gamma]_m + [w, gamma]_m = 0.
+    For each row u of ``plan`` (N, n), gamma comes from central differences
+    of ``fn.value`` over ``dec.theta`` at the fixed step 1e-6; the brackets
+    come from the structure constants of g, lifted by ``space.m_basis`` and
+    ``space.h_basis`` and projected back through ``g.q_form``; w from one
+    batched least squares.  The residual |[u + w, gamma]_m| is divided by
+    max(|[u, gamma]|, |u|^2) from the same brackets.  It uses neither the
+    derivatives of L nor the bracket tables, and the difference step puts
+    a floor of about 1e-10 under it.
+    """
+    plan = np.asarray(plan, dtype=float)
+    g = space.g
+    n = space.dim_m
+    step = _LATIFI_STEP * np.eye(n)
+    value = [fn.value(dec.theta((plan[:, None] + sign * step).reshape(-1, n)))
+             for sign in (1.0, -1.0)]
+    gamma = ((value[0] - value[1]) / (4.0 * _LATIFI_STEP)).reshape(len(plan), n)
+    ad = np.tensordot(gamma @ space.m_basis, g.structure, axes=(1, 1))   # row p: [e_p, gamma]
+    b = np.einsum("np,npk->nk", plan @ space.m_basis, ad)               # [u, gamma]
+    to_m = g.q_form @ space.m_basis.T
+    cols = (space.h_basis @ ad @ to_m).transpose(0, 2, 1)              # [h_j, gamma]_m
+    _, resid, _ = _linalg.lstsq_stack(cols, -(b @ to_m), space.dim_h)
+    scale = np.maximum(np.sqrt(np.einsum("nk,kl,nl->n", b, g.q_form, b)), _norm(plan) ** 2)
+    return _norm(resid) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +295,8 @@ def verdicts(space, dec, fn, samples=200, seed=42, tol=1e-8):
 
 def reports(plan, residuals, tol, seed):
     """(go, nr) CheckReports from a plan (N, n) and its residual arrays
-    (operator, spray, nr), one metric's triple from :func:`residuals`.
+    (operator, spray, nr), one metric's triple from :func:`residuals`, in
+    which no spray residual exceeds its operator residual.
 
     The verdict rules live here: the bands, the worst-sample witnesses and
     the agreement of the two GO criteria.  ``seed`` is only recorded.
@@ -272,20 +304,20 @@ def reports(plan, residuals, tol, seed):
     if len(plan) == 0:
         raise DimensionMismatchError("a verdict needs at least one sample, got an empty plan")
     r_op, r_sp, r_nr = residuals
-    lo, hi = np.minimum(r_op, r_sp), np.maximum(r_op, r_sp)
-    worst = int(np.argmax(hi))
+    worst = int(np.argmax(r_op))
     witness = {"index": worst, "u": [float(x) for x in plan[worst]],
                "operator_residual": float(r_op[worst]),
                "spray_residual": float(r_sp[worst])}
-    # NOT_GO needs one sample that fails both criteria
+    # the spray residual never exceeds the operator's, so NOT_GO needs one
+    # sample whose spray residual fails
     go = CheckReport(
-        check="go", verdict=_band(hi[worst], np.max(lo), tol, GO, NOT_GO),
-        samples=len(plan), max_residual=float(hi[worst]), tol=tol, seed=seed,
+        check="go", verdict=_band(r_op[worst], np.max(r_sp), tol, GO, NOT_GO),
+        samples=len(plan), max_residual=float(r_op[worst]), tol=tol, seed=seed,
         witness=witness, extras={
-            "max_residual_operator": float(np.max(r_op)),
+            "max_residual_operator": float(r_op[worst]),
             "max_residual_spray": float(np.max(r_sp)),
-            "max_criteria_gap": float(np.max(np.abs(r_op - r_sp))),
-            "criteria_disagree": bool(np.any((lo <= tol) & (hi > FAIL_FACTOR * tol))),
+            "max_criteria_gap": float(np.max(r_op - r_sp)),
+            "criteria_disagree": bool(np.any((r_sp <= tol) & (r_op > FAIL_FACTOR * tol))),
         })
     k = int(np.argmax(r_nr))
     nr = CheckReport(check="nr", verdict=_band(r_nr[k], r_nr[k], tol, NR, NOT_NR),

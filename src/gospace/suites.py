@@ -64,10 +64,11 @@ def _spaces_with_tag(tag):
 
 
 def _battery(specs, samples, seed, tol):
-    """(spec, space, dec, [(metric, go, nr), ...]) per space of ``specs``,
-    over its default battery; each battery is parsed once per call, each
-    space is built once, and the metrics that share a boundary pattern share
-    one sample plan and one residual pass."""
+    """(spec, space, dec, [(metric, go, nr, fn, plan, residuals), ...]) per
+    space of ``specs``, over its default battery, with each metric's parsed
+    norm, sample plan and residual triple; each battery is parsed once per
+    call, each space is built once, and the metrics that share a boundary
+    pattern share one sample plan and one residual pass."""
     parsed = {}
     for spec in specs:
         space, dec, _ = catalog.make_space(spec)
@@ -79,7 +80,7 @@ def _battery(specs, samples, seed, tol):
             group = [fn for _, fn in battery if fn.boundary_ok == pattern]
             plan = gocheck.sample_plan(dec, pattern, samples, seed)
             for fn, res in zip(group, gocheck.residuals(space, dec, group, plan)):
-                found[fn] = gocheck.reports(plan, res, tol, seed)
+                found[fn] = (*gocheck.reports(plan, res, tol, seed), fn, plan, res)
         yield spec, space, dec, [(m, *found[fn]) for m, fn in battery]
 
 
@@ -97,7 +98,7 @@ def suite_thm1_converse(samples=200, seed=42, tol=1e-8):
     out = SuiteResult("thm1-converse")
     for spec, space, dec, rows in _battery(_spaces_with_tag("two-summand-go"),
                                            samples, seed, tol):
-        for mtext, go, nr in rows:
+        for mtext, go, nr, *_ in rows:
             out.add(f"{spec} {mtext} go", go.verdict == GO,
                     f"verdict={go.verdict} max_residual={go.max_residual:.3e}")
             if mtext.startswith("phi:"):
@@ -117,7 +118,7 @@ def _equal_only_go(suite, specs, samples, seed, tol):
     failing both criteria by 1e-3 for every other battery metric."""
     out = SuiteResult(suite)
     for spec, _, dec, rows in _battery(specs, samples, seed, tol):
-        for mtext, go, _ in rows:
+        for mtext, go, *_ in rows:
             equal = mtext == equal_linear_for(dec.arity)
             want = GO if equal else NOT_GO
             w = go.witness
@@ -147,7 +148,7 @@ def suite_type1_nr(samples=200, seed=42, tol=1e-8):
     out = SuiteResult("type1-nr")
     for spec, _, _, rows in _battery(_spaces_with_tag("wallach-type-i"),
                                      samples, seed, tol):
-        for mtext, go, nr in rows:
+        for mtext, go, nr, *_ in rows:
             out.add(f"{spec} {mtext} nr", nr.verdict == NR
                     and nr.max_residual <= 1e-10 and go.verdict == GO,
                     f"nr={nr.verdict} residual={nr.max_residual:.3e} go={go.verdict}")
@@ -158,17 +159,22 @@ CROSSVAL_SPACES = ("so5/u2", "su3/su2", "su3/t2", "wallach-sp/1,1,1", "so6/so3ir
 
 
 def suite_crossval(samples=60, seed=42, tol=1e-8):
-    """Per-sample agreement of the operator and spray criteria over at least
-    1000 (space, metric, direction) triples."""
+    """Per-sample agreement of the operator residual with the Latifi oracle
+    :func:`gocheck.latifi_residuals`, which shares no engine code: the same
+    band at ``tol`` and a gap of at most 1e-8 on every one of at least 1000
+    (space, metric, direction) triples."""
     out = SuiteResult("crossval")
     triples = 0
-    for spec, _, _, rows in _battery(CROSSVAL_SPACES, samples, seed, tol):
-        for mtext, go, _ in rows:
-            gap = go.extras["max_criteria_gap"]
-            triples += go.samples
-            out.add(f"{spec} {mtext} agreement",
-                    not go.extras["criteria_disagree"] and gap <= 1e-6,
-                    f"samples={go.samples} max_gap={gap:.3e}")
+    bands = [tol, gocheck.FAIL_FACTOR * tol]
+    for spec, space, dec, rows in _battery(CROSSVAL_SPACES, samples, seed, tol):
+        for mtext, _, _, fn, plan, (r_op, *_) in rows:
+            oracle = gocheck.latifi_residuals(space, dec, fn, plan)
+            gap = float(np.max(np.abs(r_op - oracle)))
+            same = np.array_equal(np.digitize(r_op, bands, right=True),
+                                  np.digitize(oracle, bands, right=True))
+            triples += len(plan)
+            out.add(f"{spec} {mtext} agreement", same and gap <= 1e-8,
+                    f"samples={len(plan)} max_gap={gap:.3e}")
     out.add("total triples >= 1000", triples >= 1000, f"triples={triples}")
     return out
 

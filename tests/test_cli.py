@@ -127,6 +127,37 @@ def test_check_nonconvex_pert_exit_three(capsys):
     assert code == cli.EXIT_METRIC_REJECTED
 
 
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("space,metric,message", [
+    ("so5/u2", "linear:1e200,1e200", "coefficient 1e+200 exceeds 1e+150 in magnitude"),
+    ("so5/u2", "phi:1e200", "phi^2 coefficient inf exceeds 1e+150 in magnitude"),
+    ("so5/u2", "phi:1e76", "phi^2 coefficient 1e+152 exceeds 1e+150 in magnitude"),
+    ("su3/t2", "pert3:1,1,1,-2e150", "coefficient -2e+150 exceeds 1e+150 in magnitude"),
+])
+def test_check_rejects_coefficients_whose_squares_overflow(capsys, space, metric, message):
+    code, out, err = run(capsys, "check", "--space", space, "--metric", metric)
+    assert (code, out, err) == (cli.EXIT_BAD_SPEC, "", f"bad spec: {message}\n")
+
+
+@pytest.mark.parametrize("metric", ["linear:1e150,1e150", "phi:1e75"])
+def test_check_largest_coefficients_give_strict_json(capsys, metric):
+    code, out, _ = run(capsys, "check", "--space", "so5/u2", "--metric", metric,
+                       "--samples", "100")
+    assert code == cli.EXIT_OK
+    assert _strict_json(out)["verdicts"]["nr"] == "NR"
+
+
+def test_json_reports_refuse_nan():
+    for fmt in (cli._format_check, cli._format_verify):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            fmt({"max_residual": float("nan")}, "json")
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "--space", "nope/zilch", "--metric", "linear:1,1"),
     ("check", "--space", "so5/u2", "--metric", "bogus:1,1"),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -248,7 +249,11 @@ def _ref_lstsq_residual(a, b):
 
 
 def _ref_residuals(space, dec, fn, u):
-    """(operator, spray, nr) residuals at one direction, one formula each."""
+    """(operator, spray, nr) residuals at one direction, one formula each.
+
+    The spray reference solves for eta with the dense tensor and projects
+    off span(A_u [h, u]); the engine projects off span(D [h, u]), so this
+    also tests the equivariance A_u [w, u] = D [w, u] that it relies on."""
     g1 = fn.grad(dec.theta(u))
     auu = sum(g * c for g, c in zip(g1, dec.split(u)))
     bh = np.einsum("abk,a,b->k", space.bracket_mm_h, u, auu)
@@ -299,6 +304,8 @@ def test_engine_matches_per_direction_formulas(spec, mtext, monkeypatch):
     got = np.array(gocheck.residuals(space, dec, (fn,), plan)[0])
     want = np.array([_ref_residuals(space, dec, fn, u) for u in plan]).T
     npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # the spray residual is the operator's without its h-part
+    assert np.all(got[1] <= got[0])
     # a budget of 32 rows runs the plan as 32 + 32 + 13 rows, one tangent
     # SVD per chunk
     with monkeypatch.context() as m:
@@ -313,6 +320,34 @@ def test_engine_matches_per_direction_formulas(spec, mtext, monkeypatch):
         npt.assert_allclose(single, got[:, i], rtol=0, atol=1e-12)
     empty = gocheck.residuals(space, dec, (fn,), plan[:0])[0]
     assert [r.shape for r in empty] == [(0,)] * 3
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("engine code called")
+
+
+@pytest.mark.parametrize("spec,mtext", ENGINE_CASES)
+def test_latifi_oracle_shares_no_engine_code(spec, mtext, monkeypatch):
+    # with the derivatives of L, the bracket tables and the engine's stages
+    # all refusing to run, the oracle still runs and lands every sample in
+    # the operator residual's band, within 1e-8 of it
+    space, dec, _ = catalog.make_space(spec)
+    fn = finsler.parse_metric(mtext)
+    plan = gocheck.sample_plan(dec, fn.boundary_ok, 77, seed=11)
+    r_op = gocheck.residuals(space, dec, (fn,), plan)[0][0]
+    values_only = dataclasses.replace(fn, grad=_refuse, hess=_refuse)
+    for name in ("bracket_mm", "hm_columns"):
+        monkeypatch.setattr(homspace.HomogeneousSpace, name, _refuse)
+    for name in ("_shared", "_tangent", "_off_span", "_scale"):
+        monkeypatch.setattr(gocheck, name, _refuse)
+    with pytest.raises(AssertionError, match="engine code called"):
+        gocheck.residuals(space, dec, (fn,), plan)
+    oracle = gocheck.latifi_residuals(space, dec, values_only, plan)
+    assert oracle.shape == r_op.shape
+    assert np.max(np.abs(oracle - r_op)) <= 1e-8
+    bands = [1e-8, gocheck.FAIL_FACTOR * 1e-8]
+    npt.assert_array_equal(np.digitize(oracle, bands, right=True),
+                           np.digitize(r_op, bands, right=True))
 
 
 @pytest.mark.parametrize("spec,mtext", ENGINE_CASES)
@@ -354,21 +389,21 @@ LISTED = [spec for spec, _, _ in catalog.list_catalog()]
 @pytest.mark.parametrize("spec", LISTED)
 def test_one_array_pass_per_plan(spec, monkeypatch):
     # one residuals call over a whole battery on a 200-row plan factors the
-    # orbit tangent once, by one batched SVD, and projects each metric's two
-    # criteria by one batched QR each; the NR residual takes none, and
-    # nr_check is the NR half of the same pass.  The spray never inverts
-    # A_u: no np.linalg.solve runs at all
+    # orbit tangent once, by one batched SVD, and projects each metric once,
+    # by one batched QR that gives both GO criteria; the NR residual takes
+    # none, and nr_check is the NR half of the same pass.  A_u is never
+    # inverted: no np.linalg.solve runs at all
     space, dec, _ = catalog.make_space(spec)
     fns = [finsler.parse_metric(m) for m in suites.battery_for(dec.arity)]
     plan = gocheck.sample_plan(dec, _shared_pattern(fns), 200, seed=1)
     calls = {name: _count_calls(monkeypatch, name) for name in ("svd", "qr", "solve")}
     gocheck.residuals(space, dec, fns, plan)
-    assert calls == {"svd": [200], "qr": [200] * (2 * len(fns)), "solve": []}
+    assert calls == {"svd": [200], "qr": [200] * len(fns), "solve": []}
     for check in (gocheck.verdicts, gocheck.nr_check):
         for rows in calls.values():
             rows.clear()
         check(space, dec, fns[0], samples=200, seed=1)
-        assert calls == {"svd": [200], "qr": [200, 200], "solve": []}
+        assert calls == {"svd": [200], "qr": [200], "solve": []}
 
 
 @pytest.mark.parametrize("spec", LISTED)
@@ -393,11 +428,14 @@ def test_battery_reports_match_single_metric_passes(spec):
     # on the same plan
     space, dec, _ = catalog.make_space(spec)
     (_, _, _, rows), = suites._battery([spec], 200, 5, 1e-8)
-    assert [m for m, _, _ in rows] == list(suites.battery_for(dec.arity))
-    for mtext, go, nr in rows:
-        fn = finsler.parse_metric(mtext)
-        plan = gocheck.sample_plan(dec, fn.boundary_ok, 200, 5)
-        want = gocheck.reports(plan, gocheck.residuals(space, dec, (fn,), plan)[0], 1e-8, 5)
+    assert [row[0] for row in rows] == list(suites.battery_for(dec.arity))
+    for mtext, go, nr, fn, plan, res in rows:
+        assert fn.spec_string == mtext
+        npt.assert_array_equal(plan, gocheck.sample_plan(dec, fn.boundary_ok, 200, 5))
+        own = gocheck.residuals(space, dec, (fn,), plan)[0]
+        for got, want in zip(res, own):
+            npt.assert_array_equal(got, want)
+        want = gocheck.reports(plan, own, 1e-8, 5)
         assert [go.to_dict(), nr.to_dict()] == [r.to_dict() for r in want]
 
 
