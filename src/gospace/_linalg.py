@@ -76,24 +76,6 @@ def gram_schmidt(rows, inner=None):
     return out[:k]
 
 
-def lstsq_min_norm(a, b):
-    """Minimum-norm least-squares solution and the explicit residual.
-
-    ``a`` is one matrix (M, K) with ``b`` of shape (M,) or (M, R), solved by
-    ``np.linalg.lstsq``; or a stack (..., M, K) with ``b`` of shape (..., M),
-    solved by one batched SVD.  Both drop the singular values at or below
-    max(M, K) * eps * sigma_max, numpy's default cutoff.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.asarray(b, dtype=float)
-    if a.shape[-1] == 0:
-        return np.zeros(a.shape[:-2] + (0,) + b.shape[a.ndim - 1:]), -b
-    if a.ndim == 2:
-        x = np.linalg.lstsq(a, b, rcond=None)[0]
-        return x, a @ x - b
-    return lstsq_stack(a, b, a.shape[-1])[:2]
-
-
 def lstsq_stack(a, b, cols):
     """Minimum-norm least squares over a stack (..., M, K) by one batched SVD.
 

@@ -5,7 +5,8 @@ structure, a canonical decomposition of m into invariant summands, and a
 metadata dict (id, description, tags, dimensions).  Identifiers follow
 ``family/params``; three families take integer parameters
 (``wallach-so/k,l,m``, ``wallach-su/k,l,m``, ``wallach-sp/k,l,m``), the
-rest are fixed ids.
+rest are fixed ids.  Two-summand entries come from a chain of matrix
+algebras h < k < g; three-summand ones from commuting involutions of g.
 
 Tags used:
 
@@ -26,6 +27,7 @@ Tags used:
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -190,51 +192,64 @@ def _build_spin8_g2():
 _CLASSICAL = {"so": (so_matrices, 10), "su": (su_matrices, 6), "sp": (sp_matrices, 4)}
 
 
-def _build_wallach(kind, k, l, m):
-    """Generalized Wallach space over blocks of sizes k, l, m.
+def _graded(g, autos):
+    """Space g/h for the grading of g by commuting involutive automorphisms.
 
-    Every matrix of g's standard basis acts on the index pairs of one pair
-    of blocks (for sp, indices i and i + n share a block): the ones on a
-    block with itself span h, the ones on blocks i < j span m_ij.
+    Each of ``autos`` is a (dim g, dim g) matrix acting on g-coords rows by
+    x -> x @ A.  h is their common fixed algebra, spanned by the rows of
+    prod_j (I + A_j) / 2; the summands are the other nonempty joint
+    eigenspaces, in ``itertools.product((1, -1), repeat=len(autos))`` order.
     """
+    eye = np.eye(g.dim)
+    spans = []
+    for signs in itertools.product((1.0, -1.0), repeat=len(autos)):
+        proj = functools.reduce(np.matmul, [(eye + s * a) / 2 for s, a in zip(signs, autos)])
+        spans.append(proj[np.linalg.norm(proj, axis=1) > 1e-10])
+    space = homspace.build(g, spans[0])
+    return space, _row_summands(space, [rows for rows in spans[1:] if len(rows)])
+
+
+def _flip_signs(mats, d):
+    """Diagonal of the automorphism M -> S M S, S = diag(d), on the span of
+    ``mats``: each sign is read off the exact identity S M S = +-M."""
+    conj = [np.outer(d, d) * m for m in mats]
+    signs = np.array([1.0 if np.array_equal(c, m) else -1.0 for c, m in zip(conj, mats)])
+    if not all(np.array_equal(c, s * m) for c, s, m in zip(conj, signs, mats)):
+        raise UnsupportedRankError("basis matrix is not graded by the sign flip")
+    return signs
+
+
+def _build_wallach(kind, k, l, m):
+    """Generalized Wallach space over blocks of sizes k, l, m, graded by the
+    sign flips of blocks 3 and 2 (for sp, indices i and i + n share a block)."""
     basis, cap = _CLASSICAL[kind]
     n = k + l + m
     if min(k, l, m) < 1 or n < 3 or n > cap:
         raise UnsupportedRankError(
             f"wallach-{kind} needs k,l,m >= 1 and 3 <= k+l+m <= {cap}, got {k},{l},{m}")
     gm = basis(n)
-    block = np.repeat([0, 1, 2], (k, l, m))
-    pairs = []
-    for mat in gm:
-        # blocks of the nonzero entries; anti-Hermitian, so rows and columns
-        # touch the same blocks
-        r, c = (block[x % n] for x in np.nonzero(mat))
-        pairs.append(None if np.all(r == c) else (r.min(), r.max()))
-    rows = np.eye(len(gm))
-    space = homspace.build(from_matrices(gm), rows[[p is None for p in pairs]])
-    return space, _row_summands(space, [rows[[p == q for p in pairs]]
-                                         for q in ((0, 1), (0, 2), (1, 2))])
-
-
-_LO_SIGNS = ((1.0, 1.0, -1.0, -1.0), (1.0, -1.0, 1.0, -1.0), (1.0, -1.0, -1.0, 1.0))
+    block = np.tile(np.repeat([0, 1, 2], (k, l, m)), 2 if kind == "sp" else 1)
+    return _graded(from_matrices(gm), [np.diag(_flip_signs(gm, np.where(block == b, -1.0, 1.0)))
+                                       for b in (2, 1)])
 
 
 def _build_ledger_obata(factor_basis):
-    """The fourth power of the factor over its diagonal, with sign-pattern summands."""
+    """The fourth power of the factor over its diagonal, graded by the factor
+    swaps (12)(34) and (13)(24)."""
     factor = from_matrices(factor_basis)
-    d = factor.dim
-    h_rows = np.tile(np.eye(d), 4)
-    space = homspace.build(direct_sum(factor, factor, factor, factor), h_rows)
-    return space, _row_summands(space, [np.where(h_rows, np.repeat(signs, d), 0.0)
-                                        for signs in _LO_SIGNS])
+    swaps = (np.eye(4)[[1, 0, 3, 2]], np.eye(4)[[2, 3, 0, 1]])
+    return _graded(direct_sum(factor, factor, factor, factor),
+                   [np.kron(p, np.eye(factor.dim)) for p in swaps])
 
 
 def _build_product_sym():
-    so3 = from_matrices(so_matrices(3))
-    # factor f has coords 3f (the rotation fixing its last axis), 3f+1, 3f+2
-    rows = np.eye(9)
-    space = homspace.build(direct_sum(so3, so3, so3), rows[::3])
-    return space, _row_summands(space, [rows[[3 * f + 1, 3 * f + 2]] for f in range(3)])
+    """Three round 2-spheres, graded by the flips of the last axis of
+    factors 3, 2 and 1."""
+    mats = so_matrices(3)
+    flip, factor = np.tile(_flip_signs(mats, [1.0, 1.0, -1.0]), 3), np.repeat([0, 1, 2], 3)
+    so3 = from_matrices(mats)
+    return _graded(direct_sum(so3, so3, so3),
+                   [np.diag(np.where(factor == j, flip, 1.0)) for j in (2, 1, 0)])
 
 
 # ---------------------------------------------------------------------------

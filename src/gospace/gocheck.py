@@ -227,7 +227,7 @@ def residuals(space, dec, fns, plan):
     return [tuple(np.concatenate(p) for p in part) for part in parts]
 
 
-_LATIFI_STEP = 1e-6   # central-difference step for the gradient of F^2/2
+_LATIFI_STEP = 1e-4   # 5-point central-difference step for the gradient of F^2/2
 
 
 def latifi_residuals(space, dec, fn, plan):
@@ -236,22 +236,23 @@ def latifi_residuals(space, dec, fn, plan):
     u is a geodesic vector iff some w in h gives g_u(u, [u + w, z]_m) = 0 for
     every z in m.  With gamma = grad(F^2/2)(u), g_u(u, .) = <gamma, .>, and
     ad-invariance of Q turns that into [u, gamma]_m + [w, gamma]_m = 0.
-    For each row u of ``plan`` (N, n), gamma comes from central differences
-    of ``fn.value`` over ``dec.theta`` at the fixed step 1e-6; the brackets
-    come from the structure constants of g, lifted by ``space.m_basis`` and
-    ``space.h_basis`` and projected back through ``g.q_form``; w from one
-    batched least squares.  The residual |[u + w, gamma]_m| is divided by
-    max(|[u, gamma]|, |u|^2) from the same brackets.  It uses neither the
-    derivatives of L nor the bracket tables, and the difference step puts
-    a floor of about 1e-10 under it.
+    For each row u of ``plan`` (N, n), gamma comes from 5-point central
+    differences of ``fn.value`` over ``dec.theta`` at the fixed step 1e-4;
+    the brackets come from the structure constants of g, lifted by
+    ``space.m_basis`` and ``space.h_basis`` and projected back through
+    ``g.q_form``; w from one batched least squares.  The residual
+    |[u + w, gamma]_m| is divided by max(|[u, gamma]|, |u|^2) from the same
+    brackets.  It uses neither the derivatives of L nor the bracket tables,
+    and the difference stencil puts a floor of about 2e-12 under it.
     """
     plan = np.asarray(plan, dtype=float)
     g = space.g
     n = space.dim_m
     step = _LATIFI_STEP * np.eye(n)
-    value = [fn.value(dec.theta((plan[:, None] + sign * step).reshape(-1, n)))
-             for sign in (1.0, -1.0)]
-    gamma = ((value[0] - value[1]) / (4.0 * _LATIFI_STEP)).reshape(len(plan), n)
+    f1, f_1, f2, f_2 = (fn.value(dec.theta((plan[:, None] + k * step).reshape(-1, n)))
+                        for k in (1.0, -1.0, 2.0, -2.0))
+    # half the 5-point central difference (8 (f1 - f_1) - (f2 - f_2)) / 12 step
+    gamma = ((8.0 * (f1 - f_1) - (f2 - f_2)) / (24.0 * _LATIFI_STEP)).reshape(len(plan), n)
     ad = np.tensordot(gamma @ space.m_basis, g.structure, axes=(1, 1))   # row p: [e_p, gamma]
     b = np.einsum("np,npk->nk", plan @ space.m_basis, ad)               # [u, gamma]
     to_m = g.q_form @ space.m_basis.T
@@ -366,7 +367,7 @@ def two_summand_phi_check(space, dec, phi, u1, u2):
     bh, bm = space.bracket_mm(u1, u2)
     cols = (c1[:, None, None] * space.hm_columns(u1)
             + c2[:, None, None] * space.hm_columns(u2))
-    _, resid = _linalg.lstsq_min_norm(cols, -(pd / t)[:, None] * bm)
+    _, resid, _ = _linalg.lstsq_stack(cols, -(pd / t)[:, None] * bm, cols.shape[-1])
     num = np.hypot(pv * _norm(resid), pv * (pd / t) * _norm(bh))
     return num / _scale(_shared(space, dec, l_from_phi(phi, check=False), u))
 
@@ -391,8 +392,8 @@ def wallach_system_check(space, dec, fn, u):
         pieces.append(g1[:, i, None, None] * (p @ space.hm_columns(comps[:, i])))
         rhs.append(-(g1[:, k] - g1[:, j])[:, None]
                    * (space.bracket_mm(comps[:, j], comps[:, k])[1] @ p.T))
-    _, resid = _linalg.lstsq_min_norm(np.concatenate(pieces, axis=1),
-                                      np.concatenate(rhs, axis=1))
+    cols = np.concatenate(pieces, axis=1)
+    _, resid, _ = _linalg.lstsq_stack(cols, np.concatenate(rhs, axis=1), cols.shape[-1])
     blocks = np.split(resid, np.cumsum(dec.dims)[:-1], axis=1)
     return np.stack([_norm(b) for b in blocks], axis=1) / _scale(sh)[:, None]
 

@@ -148,8 +148,8 @@ def matrix_coords(matrices, target):
         tgt = realify(tgt)
     flat = mats.astype(float).reshape(len(mats), -1)
     w = tgt.astype(float).reshape(-1, flat.shape[1]).T          # one column per target
-    a, resid = _linalg.lstsq_min_norm(flat.T, w)
-    rel = np.linalg.norm(resid, axis=0) / np.maximum(np.linalg.norm(w, axis=0), 1.0)
+    a = np.linalg.lstsq(flat.T, w, rcond=None)[0]
+    rel = np.linalg.norm(flat.T @ a - w, axis=0) / np.maximum(np.linalg.norm(w, axis=0), 1.0)
     if np.any(rel > 1e-8):
         raise DimensionMismatchError(
             "target matrix is not in the span of the basis "

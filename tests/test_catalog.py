@@ -1,4 +1,7 @@
+import itertools
+
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from gospace import catalog, homspace, liealg
@@ -240,3 +243,60 @@ def test_summand_rows_outside_m_are_rejected():
     rows = np.eye(9)
     with pytest.raises(UnsupportedRankError, match="^summand matrix is not inside m$"):
         catalog._row_summands(space, [rows[[1, 2]], rows[[0]]])     # e_0 spans h
+
+
+# --------------------------------------------------------------------------
+# graded entries: h and the summands from commuting involutions
+
+GRADED = ("su3/t2", "wallach-so/2,2,2", "wallach-su/1,1,1", "wallach-sp/1,1,1",
+          "ledger-obata/su2", "ledger-obata/so3", "product-sym/3xS2",
+          "wallach-su/1,2,3", "wallach-sp/1,1,2")
+
+
+def _grading(spec, monkeypatch):
+    """(g, autos, space, dec) of a fresh, uncached build of ``spec``, with
+    the involutions its builder hands to ``catalog._graded``."""
+    seen, graded = [], catalog._graded
+    monkeypatch.setattr(catalog, "_graded",
+                        lambda g, autos: seen.append((g, autos)) or graded(g, autos))
+    space, dec, _ = catalog._make_space_cached.__wrapped__(spec)
+    (g, autos), = seen
+    return g, autos, space, dec
+
+
+@pytest.mark.parametrize("spec", GRADED)
+def test_grading_involutions_are_commuting_automorphisms(spec, monkeypatch):
+    # autos act on g-coords rows, x -> x @ A: then [x A, y A] = [x, y] A on
+    # every basis pair, A A = I, A preserves Q, and the autos commute
+    g, autos, _, _ = _grading(spec, monkeypatch)
+    c, eye = g.structure, np.eye(g.dim)
+    assert len(autos) in (2, 3)
+    for a in autos:
+        npt.assert_allclose(np.einsum("ia,jb,abk->ijk", a, a, c, optimize=True),
+                            c @ a, rtol=0, atol=1e-12)
+        npt.assert_array_equal(a @ a, eye)
+        npt.assert_allclose(a @ g.q_form @ a.T, g.q_form, rtol=0, atol=1e-12)
+        npt.assert_allclose(a.T @ g.q_form @ a, g.q_form, rtol=0, atol=1e-12)
+    for a, b in itertools.combinations(autos, 2):
+        npt.assert_array_equal(a @ b, b @ a)
+
+
+# the graded entries whose symmetric commutant is 3-dimensional
+UNIQUE_GRADED = tuple(s for s in GRADED if s not in (
+    "wallach-so/2,2,2", "ledger-obata/su2", "ledger-obata/so3"))
+
+
+@pytest.mark.parametrize("spec", UNIQUE_GRADED)
+def test_grading_summands_match_isotropy_decompose(spec, monkeypatch):
+    # the splitting is unique, so the eigenvalue clusters of a random element
+    # of the symmetric commutant give the grading's summands, in some order
+    _, _, space, dec = _grading(spec, monkeypatch)
+    assert dec.commutant_dim == 3
+    found = homspace.isotropy_decompose(space, seed=3)
+    assert found.commutant_dim == 3
+    got = [p.T @ p for p in found.summands]
+    for p in dec.summands:
+        hits = [i for i, q in enumerate(got) if np.max(np.abs(q - p.T @ p)) < 1e-10]
+        assert len(hits) == 1
+        got.pop(hits[0])
+    assert not got

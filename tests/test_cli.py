@@ -382,6 +382,15 @@ def test_verify_json_report(capsys):
     assert all(item["passed"] for item in rep["items"])
 
 
+def test_verify_crossval_passes_at_tol_1e_11(capsys):
+    # the Latifi oracle's 5-point stencil keeps it within about 2e-12 of the
+    # operator residual, so every band still agrees two decades below 1e-8
+    code, out, _ = run(capsys, "verify", "crossval", "--tol", "1e-11", "--format", "json")
+    assert code == cli.EXIT_OK
+    rep = json.loads(out)
+    assert rep["passed"] is True and len(rep["items"]) == 24
+
+
 def test_verify_draws_each_plan_once(capsys, monkeypatch):
     # battery metrics that share a boundary pattern share their space's plan:
     # thm1-converse has four two-summand spaces with two patterns each, and

@@ -740,7 +740,7 @@ def _reference_condition(space, x, y):
     sx, sy = _intersection(tilde, cx), _intersection(tilde, cy)
     mat = np.hstack([space.hm_columns(x) @ sy.T, space.hm_columns(y) @ sx.T])
     _, target = space.bracket_mm(x, y)
-    _, resid = _linalg.lstsq_min_norm(mat, target)
+    resid = mat @ np.linalg.lstsq(mat, target, rcond=None)[0] - target
     scale = max(np.linalg.norm(target), np.linalg.norm(x) * np.linalg.norm(y), _linalg.EPS)
     residual = float(np.linalg.norm(resid)) / scale
     unique = (not mat.shape[1] or _linalg.svd_rank(

@@ -121,40 +121,39 @@ def test_gram_schmidt_matches_row_loop_on_catalog_h_spans(monkeypatch):
         npt.assert_allclose(out, ref, rtol=0.0, atol=1e-14)
 
 
-def test_lstsq_min_norm_residual_vector(rng):
+def test_lstsq_stack_residual_vector(rng):
     a = rng.standard_normal((6, 3))
     b = rng.standard_normal(6)
-    x, res = _linalg.lstsq_min_norm(a, b)
+    x, res, rank = _linalg.lstsq_stack(a, b, 3)
+    assert rank == 3
     npt.assert_allclose(res, a @ x - b, atol=1e-12)
     # residual orthogonal to the column space at the optimum
     npt.assert_allclose(a.T @ res, np.zeros(3), atol=1e-10)
 
 
-def test_lstsq_min_norm_stack_matches_numpy(rng):
+def test_lstsq_stack_matches_numpy(rng):
     # a stack of systems, every third one rank deficient, against lstsq one by one
     a = rng.standard_normal((9, 7, 4))
     a[::3, :, 3] = a[::3, :, 0] - 2.0 * a[::3, :, 1]
     b = rng.standard_normal((9, 7))
-    x, res = _linalg.lstsq_min_norm(a, b)
+    x, res, rank = _linalg.lstsq_stack(a, b, 4)
     assert x.shape == (9, 4) and res.shape == (9, 7)
+    assert rank.tolist() == [3, 4, 4] * 3
     for i in range(9):
         want = np.linalg.lstsq(a[i], b[i], rcond=None)[0]
         npt.assert_allclose(x[i], want, atol=1e-12)
         npt.assert_allclose(res[i], a[i] @ want - b[i], atol=1e-12)
-    # one matrix with several right-hand sides, as numpy takes them
-    x, res = _linalg.lstsq_min_norm(a[0], b[:3].T)
-    npt.assert_allclose(x, np.linalg.lstsq(a[0], b[:3].T, rcond=None)[0], atol=1e-12)
-    assert res.shape == (7, 3)
-    x, res = _linalg.lstsq_min_norm(np.zeros((9, 7, 0)), b)
-    assert x.shape == (9, 0)
-    npt.assert_allclose(res, -b)
 
 
-def test_lstsq_min_norm_empty_columns():
-    b = np.array([1.0, -2.0])
-    x, res = _linalg.lstsq_min_norm(np.zeros((2, 0)), b)
+def test_lstsq_stack_empty_columns(rng):
+    # no columns: x is empty and the residual is -b, for a stack and for one matrix
+    b = rng.standard_normal((9, 7))
+    x, res, rank = _linalg.lstsq_stack(np.zeros((9, 7, 0)), b, 0)
+    assert x.shape == (9, 0) and rank.tolist() == [0] * 9
+    npt.assert_array_equal(res, -b)
+    x, res, _ = _linalg.lstsq_stack(np.zeros((2, 0)), b[0, :2], 0)
     assert x.size == 0
-    npt.assert_allclose(res, -b)
+    npt.assert_array_equal(res, -b[0, :2])
 
 
 
