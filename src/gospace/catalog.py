@@ -5,8 +5,9 @@ structure, a canonical decomposition of m into invariant summands, and a
 metadata dict (id, description, tags, dimensions).  Identifiers follow
 ``family/params``; three families take integer parameters
 (``wallach-so/k,l,m``, ``wallach-su/k,l,m``, ``wallach-sp/k,l,m``), the
-rest are fixed ids.  Two-summand entries come from a chain of matrix
-algebras h < k < g; three-summand ones from commuting involutions of g.
+rest are fixed ids.  su3/su2, so6/so3irr and spin8/g2 come from a chain of
+matrix algebras h < k < g; the rest from commuting automorphisms of g of
+order 2 or 4 (gradings).
 
 Tags used:
 
@@ -38,8 +39,6 @@ from .liealg import (
     direct_sum,
     from_matrices,
     matrix_coords,
-    quaternionify,
-    realify,
     so_matrices,
     sp_matrices,
     su_matrices,
@@ -73,39 +72,13 @@ def _row_summands(space, groups):
 
 
 # ---------------------------------------------------------------------------
-# two-summand entries
-
-
-def _build_so5_u2():
-    u2 = [np.diag([1j, 0.0]), np.diag([0.0, 1j]),
-          np.array([[0.0, 1j], [1j, 0.0]]), np.array([[0.0, 1.0], [-1.0, 0.0]],
-                                                     dtype=complex)]
-    return _chain(so_matrices(5), [_embed(realify(m), 5) for m in u2],
-                  [_embed(m, 5) for m in so_matrices(4)])
+# entries that are not gradings: chains h < k < g
 
 
 def _build_su3_su2():
     h_mats = [_embed(m, 3) for m in su_matrices(2)]
     return _chain(su_matrices(3), h_mats,
                   h_mats + [1j * np.diag([1.0, 1.0, -2.0]).astype(complex)])
-
-
-def _sp_slot(n, idx):
-    a = np.zeros((n, n), dtype=complex)
-    a[idx, idx] = 1j
-    b1 = np.zeros((n, n), dtype=complex)
-    b1[idx, idx] = 1.0
-    b2 = np.zeros((n, n), dtype=complex)
-    b2[idx, idx] = 1j
-    zero = np.zeros((n, n), dtype=complex)
-    return [quaternionify(a, zero), quaternionify(zero, b1), quaternionify(zero, b2)]
-
-
-def _build_sp2_sp1u1():
-    a_u1 = np.zeros((2, 2), dtype=complex)
-    a_u1[1, 1] = 1j
-    h_mats = _sp_slot(2, 0) + [quaternionify(a_u1, np.zeros((2, 2), dtype=complex))]
-    return _chain(sp_matrices(2), h_mats, _sp_slot(2, 0) + _sp_slot(2, 1))
 
 
 def _sym_traceless_basis3():
@@ -186,37 +159,61 @@ def _build_spin8_g2():
 
 
 # ---------------------------------------------------------------------------
-# three-summand entries
+# graded entries
 
 # per kind: the standard basis of g and the largest supported k+l+m
 _CLASSICAL = {"so": (so_matrices, 10), "su": (su_matrices, 6), "sp": (sp_matrices, 4)}
 
 
 def _graded(g, autos):
-    """Space g/h for the grading of g by commuting involutive automorphisms.
+    """Space g/h for the grading of g by commuting automorphisms with A^4 = I.
 
-    Each of ``autos`` is a (dim g, dim g) matrix acting on g-coords rows by
-    x -> x @ A.  h is their common fixed algebra, spanned by the rows of
-    prod_j (I + A_j) / 2; the summands are the other nonempty joint
-    eigenspaces, in ``itertools.product((1, -1), repeat=len(autos))`` order.
+    Each of ``autos`` acts on g-coords rows by x -> x @ A.  Its real classes
+    are 1, the merged pair +-i and -1, with projectors (I + A^2)(I + A)/4,
+    (I - A^2)/2 and (I + A^2)(I - A)/4; an involution has (I + A^2)/2 = I and
+    no +-i class.  h is the common fixed algebra; the summands are the other
+    nonempty joint classes, in ``itertools.product`` order over the classes.
     """
     eye = np.eye(g.dim)
-    spans = []
-    for signs in itertools.product((1.0, -1.0), repeat=len(autos)):
-        proj = functools.reduce(np.matmul, [(eye + s * a) / 2 for s, a in zip(signs, autos)])
-        spans.append(proj[np.linalg.norm(proj, axis=1) > 1e-10])
+    classes = []
+    for a in autos:
+        sq = a @ a
+        classes.append(((eye + sq) @ (eye + a) / 4, (eye - sq) / 2, (eye + sq) @ (eye - a) / 4))
+    spans = [functools.reduce(np.matmul, projs) for projs in itertools.product(*classes)]
+    spans = [p[np.linalg.norm(p, axis=1) > 1e-10] for p in spans]
     space = homspace.build(g, spans[0])
     return space, _row_summands(space, [rows for rows in spans[1:] if len(rows)])
 
 
-def _flip_signs(mats, d):
-    """Diagonal of the automorphism M -> S M S, S = diag(d), on the span of
-    ``mats``: each sign is read off the exact identity S M S = +-M."""
-    conj = [np.outer(d, d) * m for m in mats]
-    signs = np.array([1.0 if np.array_equal(c, m) else -1.0 for c, m in zip(conj, mats)])
-    if not all(np.array_equal(c, s * m) for c, s, m in zip(conj, signs, mats)):
-        raise UnsupportedRankError("basis matrix is not graded by the sign flip")
-    return signs
+def _conjugation(mats, s):
+    """Matrix of the automorphism M -> S M S^-1 (S unitary) on the span of
+    ``mats``, read off exactly: each image must be +-(a basis matrix)."""
+    flat = np.reshape(mats, (len(mats), -1))
+    img = (s @ np.asarray(mats) @ np.conj(s).T).reshape(flat.shape)
+    overlap = img @ flat.conj().T
+    rows, hit = np.arange(len(flat)), np.argmax(np.abs(overlap), axis=1)
+    sign = np.sign(overlap[rows, hit].real)
+    if not np.array_equal(img, sign[:, None] * flat[hit]):
+        raise UnsupportedRankError("conjugation does not permute the basis up to sign")
+    out = np.zeros(overlap.shape)
+    out[rows, hit] = sign
+    return out
+
+
+def _build_so5_u2():
+    """so(5) graded by S = diag(R, R, 1), R the quarter turn: h = u(2), summands
+    the last column and the part of so(4) anticommuting with the complex structure."""
+    s = np.eye(5)
+    s[:4, :4] = np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]])
+    gm = so_matrices(5)
+    return _graded(from_matrices(gm), [_conjugation(gm, s)])
+
+
+def _build_sp2_sp1u1():
+    """sp(2) graded by the quaternionic diag(1, i): h = sp(1) + u(1), summands
+    the off-diagonal quaternion and the slot-2 complement of the circle."""
+    gm = sp_matrices(2)
+    return _graded(from_matrices(gm), [_conjugation(gm, np.diag([1.0, 1j, 1.0, -1j]))])
 
 
 def _build_wallach(kind, k, l, m):
@@ -229,7 +226,7 @@ def _build_wallach(kind, k, l, m):
             f"wallach-{kind} needs k,l,m >= 1 and 3 <= k+l+m <= {cap}, got {k},{l},{m}")
     gm = basis(n)
     block = np.tile(np.repeat([0, 1, 2], (k, l, m)), 2 if kind == "sp" else 1)
-    return _graded(from_matrices(gm), [np.diag(_flip_signs(gm, np.where(block == b, -1.0, 1.0)))
+    return _graded(from_matrices(gm), [_conjugation(gm, np.diag(np.where(block == b, -1.0, 1.0)))
                                        for b in (2, 1)])
 
 
@@ -246,7 +243,8 @@ def _build_product_sym():
     """Three round 2-spheres, graded by the flips of the last axis of
     factors 3, 2 and 1."""
     mats = so_matrices(3)
-    flip, factor = np.tile(_flip_signs(mats, [1.0, 1.0, -1.0]), 3), np.repeat([0, 1, 2], 3)
+    flip = np.tile(np.diag(_conjugation(mats, np.diag([1.0, 1.0, -1.0]))), 3)
+    factor = np.repeat([0, 1, 2], 3)
     so3 = from_matrices(mats)
     return _graded(direct_sum(so3, so3, so3),
                    [np.diag(np.where(factor == j, flip, 1.0)) for j in (2, 1, 0)])

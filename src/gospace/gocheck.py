@@ -408,9 +408,9 @@ def centralizer_condition_check(space, x, y):
     centralizing x and z_y in C~(x+y) centralizing y with
     [x, y] = [z_y, x] + [z_x, y].  One pair is ``x[None], y[None]``.
     Returns a dict of arrays over the pairs: feasibility (relative residual
-    at most 1e-8), uniqueness (full column rank of the stacked column map,
-    read from the least-squares solve), the relative residual, and the
-    minimizers z_x, z_y (N, dim_h).
+    at most 1e-8), uniqueness (full column rank of the solve's column map,
+    which is exact for u = x + y != 0 since that map is z -> [z_x + z_y, u]
+    and C~(u) is orthogonal to C(u)), the residual and z_x, z_y (N, dim_h).
 
     Pairs run in chunks that keep the largest per-pair array, the C~ stack
     of dim_h^2 (dim_h + 1) floats or the kernels' 2 (dim_m + dim_h) dim_h,

@@ -246,16 +246,19 @@ def test_summand_rows_outside_m_are_rejected():
 
 
 # --------------------------------------------------------------------------
-# graded entries: h and the summands from commuting involutions
+# graded entries: h and the summands from commuting automorphisms, A^4 = I
 
-GRADED = ("su3/t2", "wallach-so/2,2,2", "wallach-su/1,1,1", "wallach-sp/1,1,1",
-          "ledger-obata/su2", "ledger-obata/so3", "product-sym/3xS2",
-          "wallach-su/1,2,3", "wallach-sp/1,1,2")
+# graded by one automorphism of order 4, a quarter-turn conjugation
+ORDER_FOUR = ("so5/u2", "sp2/sp1u1")
+GRADED = ORDER_FOUR + (
+    "su3/t2", "wallach-so/2,2,2", "wallach-su/1,1,1", "wallach-sp/1,1,1",
+    "ledger-obata/su2", "ledger-obata/so3", "product-sym/3xS2",
+    "wallach-su/1,2,3", "wallach-sp/1,1,2")
 
 
 def _grading(spec, monkeypatch):
     """(g, autos, space, dec) of a fresh, uncached build of ``spec``, with
-    the involutions its builder hands to ``catalog._graded``."""
+    the automorphisms its builder hands to ``catalog._graded``."""
     seen, graded = [], catalog._graded
     monkeypatch.setattr(catalog, "_graded",
                         lambda g, autos: seen.append((g, autos)) or graded(g, autos))
@@ -267,21 +270,33 @@ def _grading(spec, monkeypatch):
 @pytest.mark.parametrize("spec", GRADED)
 def test_grading_involutions_are_commuting_automorphisms(spec, monkeypatch):
     # autos act on g-coords rows, x -> x @ A: then [x A, y A] = [x, y] A on
-    # every basis pair, A A = I, A preserves Q, and the autos commute
+    # every basis pair, A^4 = I (A^2 = I exactly for the involutions, and not
+    # for the quarter turns), A preserves Q, and the autos commute
     g, autos, _, _ = _grading(spec, monkeypatch)
     c, eye = g.structure, np.eye(g.dim)
-    assert len(autos) in (2, 3)
+    assert len(autos) in ((1,) if spec in ORDER_FOUR else (2, 3))
     for a in autos:
         npt.assert_allclose(np.einsum("ia,jb,abk->ijk", a, a, c, optimize=True),
                             c @ a, rtol=0, atol=1e-12)
-        npt.assert_array_equal(a @ a, eye)
+        sq = a @ a
+        npt.assert_array_equal(sq @ sq, eye)
+        assert np.array_equal(sq, eye) == (spec not in ORDER_FOUR)
         npt.assert_allclose(a @ g.q_form @ a.T, g.q_form, rtol=0, atol=1e-12)
         npt.assert_allclose(a.T @ g.q_form @ a, g.q_form, rtol=0, atol=1e-12)
     for a, b in itertools.combinations(autos, 2):
         npt.assert_array_equal(a @ b, b @ a)
 
 
-# the graded entries whose symmetric commutant is 3-dimensional
+def test_conjugation_rejects_a_non_permuting_matrix():
+    # a rotation by 0.3 rad maps a basis matrix to a mixture of basis matrices
+    s = np.eye(5)
+    s[:2, :2] = [[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]
+    with pytest.raises(UnsupportedRankError,
+                       match="^conjugation does not permute the basis up to sign$"):
+        catalog._conjugation(liealg.so_matrices(5), s)
+
+
+# the graded entries whose splitting is unique: commutant = number of summands
 UNIQUE_GRADED = tuple(s for s in GRADED if s not in (
     "wallach-so/2,2,2", "ledger-obata/su2", "ledger-obata/so3"))
 
@@ -291,12 +306,48 @@ def test_grading_summands_match_isotropy_decompose(spec, monkeypatch):
     # the splitting is unique, so the eigenvalue clusters of a random element
     # of the symmetric commutant give the grading's summands, in some order
     _, _, space, dec = _grading(spec, monkeypatch)
-    assert dec.commutant_dim == 3
+    assert dec.commutant_dim == dec.arity
     found = homspace.isotropy_decompose(space, seed=3)
-    assert found.commutant_dim == 3
+    assert found.commutant_dim == dec.arity
     got = [p.T @ p for p in found.summands]
     for p in dec.summands:
         hits = [i for i, q in enumerate(got) if np.max(np.abs(q - p.T @ p)) < 1e-10]
         assert len(hits) == 1
         got.pop(hits[0])
     assert not got
+
+
+# --------------------------------------------------------------------------
+# Wang-Ziller bracket constants [ijk] = sum Q([e_a, e_b], e_c)^2 over
+# Q-orthonormal bases of summands i, j, k: invariants of the space and its
+# splitting, whatever basis of g presents it.  1-based (i, j, k), i <= j <= k;
+# every constant not listed is zero.
+
+WANG_ZILLER = {
+    "so5/u2": {(1, 1, 2): 2 / 3},
+    "sp2/sp1u1": {(1, 1, 2): 2 / 3},
+    "su3/su2": {(1, 1, 2): 1.0},
+    "so6/so3irr": {(1, 1, 2): 7 / 4, (2, 2, 2): 21 / 20},
+    "spin8/g2": {(1, 1, 2): 7 / 6, (2, 2, 2): 7 / 6},
+    "su3/t2": {(1, 2, 3): 1 / 3},
+    "wallach-su/1,1,1": {(1, 2, 3): 1 / 3},
+    "wallach-so/2,2,2": {(1, 2, 3): 1.0},
+    "wallach-sp/1,1,1": {(1, 2, 3): 1 / 2},
+    "wallach-su/1,1,2": {(1, 2, 3): 1 / 2},
+    "ledger-obata/su2": {(1, 2, 3): 3 / 4},
+    "ledger-obata/so3": {(1, 2, 3): 3 / 4},
+    "product-sym/3xS2": {},
+}
+
+
+@pytest.mark.parametrize("spec", list(WANG_ZILLER))
+def test_wang_ziller_constants(spec):
+    # from the structure constants and Q of g, not from the bracket tables
+    space, dec, _ = catalog.make_space(spec)
+    g = space.g
+    bases = [p @ space.m_basis for p in dec.summands]      # Q-orthonormal g-coords rows
+    for i, j, k in itertools.combinations_with_replacement(range(dec.arity), 3):
+        t = np.einsum("ap,bq,pqr,rs,cs->abc", bases[i], bases[j], g.structure,
+                      g.q_form, bases[k], optimize=True)
+        want = WANG_ZILLER[spec].get((i + 1, j + 1, k + 1), 0.0)
+        assert abs(np.sum(t * t) - want) <= 1e-12, (i + 1, j + 1, k + 1)

@@ -699,6 +699,28 @@ def test_centralizer_condition_with_trivial_isotropy():
     assert out["z_x"].shape == out["z_y"].shape == (2, 0)
 
 
+@pytest.mark.parametrize("spec", ["so5/u2", "su3/su2", "sp2/sp1u1", "so6/so3irr", "spin8/g2",
+                                  "su3/t2", "wallach-sp/1,1,1", "ledger-obata/su2"])
+def test_centralizer_condition_unique_for_every_nonzero_u(spec, rng):
+    # for z_x in C~(u) ∩ C(x) and z_y in C~(u) ∩ C(y), [z_y, x] + [z_x, y] =
+    # [z_x + z_y, u], and C~(u) is orthogonal to C(u): the column map is
+    # injective whenever u = x + y != 0, for arbitrary (not summand-split) pairs
+    space, _, _ = catalog.make_space(spec)
+    x, y = rng.standard_normal((2, 40, space.dim_m))
+    assert np.all(gocheck.centralizer_condition_check(space, x, y)["unique"])
+
+
+@pytest.mark.parametrize("spec", ["so5/u2", "su3/t2"])
+def test_centralizer_condition_unique_at_zero_u_iff_x_has_trivial_centralizer(spec, rng):
+    # u = 0 gives C~(u) = h and the map (z_x, z_y) -> [z_y - z_x, x] on C(x)^2
+    space, dec, _ = catalog.make_space(spec)
+    x = np.vstack([dec.summands[0][:1], dec.summands[1][:1],
+                   rng.standard_normal((2, space.dim_m))])
+    out = gocheck.centralizer_condition_check(space, x, -x)
+    assert out["unique"].tolist() == [False, False, True, True]
+    assert (homspace.centralizer_in_h(space, x)[1] == 0).tolist() == out["unique"].tolist()
+
+
 def _reference_centralizer(space, v):
     # C(v) as one kernel of the (dim_m, dim_h) map w -> [w, v], with the
     # |v| |bracket_hm| noise floor
