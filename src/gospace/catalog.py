@@ -5,9 +5,10 @@ structure, a canonical decomposition of m into invariant summands, and a
 metadata dict (id, description, tags, dimensions).  Identifiers follow
 ``family/params``; three families take integer parameters
 (``wallach-so/k,l,m``, ``wallach-su/k,l,m``, ``wallach-sp/k,l,m``), the
-rest are fixed ids.  su3/su2, so6/so3irr and spin8/g2 come from a chain of
-matrix algebras h < k < g; the rest from commuting automorphisms of g of
-order 2 or 4 (gradings).
+rest are fixed ids.  su3/su2 comes from a chain of matrix algebras
+h < k < g; so6/so3irr and spin8/g2 from the chain h < so(n) < so(n+1), h
+the stabilizer of a 3-tensor on R^n; the rest from commuting automorphisms
+of g of order 2 or 4 (gradings).
 
 Tags used:
 
@@ -45,10 +46,11 @@ from .liealg import (
 )
 
 
-def _embed(mat, n, offset=0):
-    out = np.zeros((n, n), dtype=mat.dtype)
-    d = mat.shape[0]
-    out[offset:offset + d, offset:offset + d] = mat
+def _embed(mats, n):
+    """Matrices (..., d, d) in the top-left corner of n x n zeros."""
+    mats = np.asarray(mats)
+    out = np.zeros(mats.shape[:-2] + (n, n), dtype=mats.dtype)
+    out[..., :mats.shape[-2], :mats.shape[-1]] = mats
     return out
 
 
@@ -72,90 +74,50 @@ def _row_summands(space, groups):
 
 
 # ---------------------------------------------------------------------------
-# entries that are not gradings: chains h < k < g
+# entries that are not gradings: chains h < k < g, two of them stabilizers
 
 
 def _build_su3_su2():
-    h_mats = [_embed(m, 3) for m in su_matrices(2)]
+    h_mats = list(_embed(su_matrices(2), 3))
     return _chain(su_matrices(3), h_mats,
                   h_mats + [1j * np.diag([1.0, 1.0, -2.0]).astype(complex)])
 
 
-def _sym_traceless_basis3():
-    s2 = 1.0 / np.sqrt(2.0)
-    mats = [np.diag([1.0, -1.0, 0.0]) * s2,
-            np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            m = np.zeros((3, 3))
-            m[i, j] = m[j, i] = s2
-            mats.append(m)
-    return mats
+def _stabilizer_chain(t, dim_h):
+    """Space so(n+1)/h for h the stabilizer in so(n) of the 3-tensor ``t`` on
+    R^n, n = len(t): the kernel of A -> A.t, (A.t)_ijk = A_ia t_ajk +
+    A_ja t_iak + A_ka t_ija, over the standard basis of so(n).  Summands: the
+    tangent beyond so(n) and so(n) minus h."""
+    n = len(t)
+    mats = np.asarray(so_matrices(n))
+    act = (np.einsum("xia,ajk->xijk", mats, t) + np.einsum("xja,iak->xijk", mats, t)
+           + np.einsum("xka,ija->xijk", mats, t))
+    h = null_space(act.reshape(len(mats), -1).T)
+    if len(h) != dim_h:
+        raise UnsupportedRankError(
+            f"stabilizer of the tensor came out {len(h)}-dimensional, expected {dim_h}")
+    return _chain(so_matrices(n + 1), _embed(np.tensordot(h, mats, 1), n + 1),
+                  _embed(mats, n + 1))
 
 
 def _build_so6_so3irr():
-    sym = _sym_traceless_basis3()
-    rho = []
-    for lmat in so_matrices(3):
-        r = np.zeros((5, 5))
-        for beta, sb in enumerate(sym):
-            img = lmat @ sb - sb @ lmat
-            for alpha, sa in enumerate(sym):
-                r[alpha, beta] = np.trace(sa @ img)
-        rho.append(_embed(0.5 * (r - r.T), 6))
-    return _chain(so_matrices(6), rho, [_embed(m, 6) for m in so_matrices(5)])
-
-
-def _quat_table():
-    # basis 1, i, j, k
-    t = np.zeros((4, 4, 4))
-    t[0, :, :] = np.eye(4)
-    t[:, 0, :] = np.eye(4)
-    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        t[a, b, c] = 1.0
-        t[b, a, c] = -1.0
-        t[a, a, 0] = -1.0
-    return t
-
-
-def _octonion_table():
-    # doubling: pairs of quaternions with (a,b)(c,d) = (ac - conj(d)b, da + b conj(c))
-    q = _quat_table()
-    conj_sign = np.array([1.0, -1.0, -1.0, -1.0])
-    t = np.zeros((8, 8, 8))
-    for p in range(4):
-        for r in range(4):
-            t[p, r, :4] += q[p, r]
-            t[p + 4, r + 4, :4] -= conj_sign[r] * q[r, p]
-            t[p, r + 4, 4:] += q[r, p]
-            t[p + 4, r, 4:] += conj_sign[r] * q[p, r]
-    return t
+    """so(3) irreducible on the traceless symmetric 3x3 matrices S_a
+    (orthonormal): the stabilizer in so(5) of the cubic tr(S_a S_b S_c)."""
+    s2 = 1.0 / np.sqrt(2.0)
+    sym = np.array([np.diag([s2, -s2, 0.0]), np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0)]
+                   + [np.abs(m) * s2 for m in so_matrices(3)])
+    return _stabilizer_chain(np.einsum("aij,bjk,cki->abc", sym, sym, sym), 3)
 
 
 def _build_spin8_g2():
-    # derivations of the octonion product: D(xy) = (Dx)y + x(Dy) on all basis
-    # pairs; the solution space is 14-dimensional and antisymmetric
-    oct_t = _octonion_table()
-    mat = np.zeros((8 * 8 * 8, 64))
-    for p in range(8):
-        for r in range(8):
-            for t in range(8):
-                row = np.zeros((8, 8))
-                row[t, :] += oct_t[p, r, :]
-                row[:, p] -= oct_t[:, r, t]
-                row[:, r] -= oct_t[p, :, t]
-                mat[(p * 8 + r) * 8 + t] = row.ravel()
-    kernel = null_space(mat)
-    if kernel.shape[0] != 14:
-        raise UnsupportedRankError(
-            f"octonion derivation space came out {kernel.shape[0]}-dimensional")
-    der = []
-    for d in kernel:
-        dm = d.reshape(8, 8)
-        if np.max(np.abs(dm + dm.T)) > 1e-10:
-            raise UnsupportedRankError("derivation is not antisymmetric")
-        der.append(0.5 * (dm - dm.T))
-    return _chain(so_matrices(8), der, [_embed(m, 8, offset=1) for m in so_matrices(7)])
+    """g2 as the stabilizer in so(7) of the octonion 3-form <e_i e_j, e_k>,
+    from the oriented lines (i, j, k), e_i e_j = e_k, of the imaginary units
+    1..7; so(8) acts on the octonions with the unit last."""
+    lines = np.array([(1, 2, 3), (1, 4, 5), (1, 7, 6), (2, 4, 6), (2, 5, 7), (3, 4, 7),
+                      (3, 6, 5)]) - 1
+    phi = np.zeros((7, 7, 7))
+    phi[tuple(np.concatenate([np.roll(lines, s, axis=1) for s in range(3)]).T)] = 1.0
+    return _stabilizer_chain(phi - phi.transpose(0, 2, 1), 14)
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,9 @@ def latifi_residuals(space, dec, fn, plan):
     plan = np.asarray(plan, dtype=float)
     g = space.g
     n = space.dim_m
+    if plan.ndim != 2 or plan.shape[1] != n:
+        raise DimensionMismatchError(
+            f"expected a stack of m-coords rows (N, {n}), got {plan.shape}")
     step = _LATIFI_STEP * np.eye(n)
     f1, f_1, f2, f_2 = (fn.value(dec.theta((plan[:, None] + k * step).reshape(-1, n)))
                         for k in (1.0, -1.0, 2.0, -2.0))

@@ -1,4 +1,6 @@
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -203,18 +205,108 @@ def test_two_summand_cross_bracket_nonzero(rid):
     assert max(np.max(np.abs(bh)), np.max(np.abs(bm))) > 1e-3
 
 
+def _quat_mul(p, q):
+    # Hamilton product over the last axis, coordinates (1, i, j, k)
+    w1, v1, w2, v2 = p[..., :1], p[..., 1:], q[..., :1], q[..., 1:]
+    return np.concatenate([w1 * w2 - np.sum(v1 * v2, axis=-1, keepdims=True),
+                           w1 * v2 + w2 * v1 + np.cross(v1, v2)], axis=-1)
+
+
+def _octonion_table():
+    """T[i, j] = e_i e_j on R^8 with the imaginary units 1..7 on axes 0..6
+    and the unit last, from the doubling (a, b)(c, d) = (ac - conj(d) b,
+    da + b conj(c)) over pairs of quaternions (1, i, j, k, l, il, jl, kl)."""
+    conj = np.array([1.0, -1.0, -1.0, -1.0])
+    perm = (np.arange(8) + 1) % 8            # axis -> index in the doubling basis
+    x, y = np.eye(8)[perm][:, None], np.eye(8)[perm][None, :]
+    a, b, c, d = x[..., :4], x[..., 4:], y[..., :4], y[..., 4:]
+    prod = np.concatenate([_quat_mul(a, c) - _quat_mul(d * conj, b),
+                           _quat_mul(d, a) + _quat_mul(b, c * conj)], axis=-1)
+    return prod[..., perm]
+
+
+def _so_rows(rows, n):
+    return np.tensordot(rows, np.asarray(liealg.so_matrices(n)), 1)
+
+
+def _tensor_action(mats, t):
+    return (np.einsum("xia,ajk->xijk", mats, t) + np.einsum("xja,iak->xijk", mats, t)
+            + np.einsum("xka,ija->xijk", mats, t))
+
+
 def test_spin8_g2_derivation_algebra():
     space, dec, _ = catalog.make_space("spin8/g2")
     assert space.dim_h == 14
     assert dec.non_unique
     g = space.g
     assert liealg.jacobi_residual(g, trials=30, seed=1) < 1e-10
+    # every element of h kills the octonion unit and is a derivation:
+    # D(e_i e_j) = (D e_i) e_j + e_i (D e_j)
+    t = _octonion_table()
+    d = _so_rows(space.h_basis, 8)
+    assert np.max(np.abs(d[:, :, 7])) <= 1e-12
+    lhs = np.einsum("xak,ijk->xija", d, t)
+    rhs = np.einsum("xbi,bja->xija", d, t) + np.einsum("xbj,iba->xija", d, t)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+def _sym_traceless3():
+    s2 = 1.0 / np.sqrt(2.0)
+    mats = [np.diag([s2, -s2, 0.0]), np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0)]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        m = np.zeros((3, 3))
+        m[i, j] = m[j, i] = s2
+        mats.append(m)
+    return np.array(mats)
+
+
+def _entry_tensors():
+    sym = _sym_traceless3()
+    return {
+        "so6/so3irr": (np.einsum("aij,bjk,cki->abc", sym, sym, sym), 3),
+        "spin8/g2": (_octonion_table()[:7, :7, :7], 14),
+    }
+
+
+@pytest.mark.parametrize("spec", ["so6/so3irr", "spin8/g2"])
+def test_stabilizer_chain_annihilates_its_tensor(spec):
+    t, dim_h = _entry_tensors()[spec]
+    n = len(t)
+    space, (m1, m2) = catalog._stabilizer_chain(t, dim_h)
+    d = _so_rows(space.h_basis, n + 1)
+    assert np.max(np.abs(d[:, n])) == 0.0 and np.max(np.abs(d[:, :, n])) == 0.0
+    assert np.max(np.abs(_tensor_action(d[:, :n, :n], t))) <= 1e-12
+    assert (space.dim_h, len(m1), len(m2)) == (dim_h, n, n * (n - 1) // 2 - dim_h)
+    # the tensor written here presents the catalog entry exactly
+    npt.assert_array_equal(space.h_basis, catalog.make_space(spec)[0].h_basis)
+
+
+def test_stabilizer_chain_rejects_the_wrong_dimension():
+    # everything in so(4) fixes the zero tensor
+    with pytest.raises(UnsupportedRankError) as info:
+        catalog._stabilizer_chain(np.zeros((4, 4, 4)), 3)
+    assert str(info.value) == "stabilizer of the tensor came out 6-dimensional, expected 3"
 
 
 def test_so6_so3irr_summands_inequivalent():
     space, dec, _ = catalog.make_space("so6/so3irr")
     assert dec.dims == (5, 7)
     assert dec.commutant_dim == 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+_README_ROW = re.compile(r"^\| `([^`]+)` \| [^|]+ \| ([^|]+) \| ([^|]+) \|$", re.M)
+
+
+def test_readme_space_table_matches_catalog():
+    # every fixed-id row: its summand dims and each listed tag; the k,l,m
+    # family rows give formulas, not values
+    rows = [r for r in _README_ROW.findall(README.read_text()) if "k,l,m" not in r[0]]
+    assert set(catalog._FIXED) <= {rid for rid, _, _ in rows}
+    for rid, dims, tags in rows:
+        _, dec, meta = catalog.make_space(rid)
+        assert dec.dims == tuple(int(x) for x in dims.split(",")), rid
+        assert {t.strip() for t in tags.split(",")} <= set(meta["tags"]), rid
 
 
 def test_meta_fields():

@@ -483,6 +483,17 @@ def test_residuals_reject_a_single_vector():
             gocheck.residuals, space, dec, (fn,), dec.summands[0][0])
 
 
+@pytest.mark.parametrize("shape", [(6,), (3, 5)])
+def test_latifi_residuals_reject_what_residuals_rejects(shape):
+    # the oracle validates its plan as the engine does, with the same message
+    space, dec, _ = catalog.make_space("so5/u2")
+    fn = finsler.parse_metric("linear:1,2")
+    message = f"expected a stack of m-coords rows (N, 6), got {shape}"
+    for func in (lambda p: gocheck.residuals(space, dec, (fn,), p),
+                 lambda p: gocheck.latifi_residuals(space, dec, fn, p)):
+        _raises(DimensionMismatchError, message, func, np.ones(shape))
+
+
 def test_verdicts_reject_bad_sample_counts():
     space, dec, _ = catalog.make_space("so5/u2")
     fn = finsler.parse_metric("linear:1,2")
