@@ -1,13 +1,35 @@
 """Shared oracles for the test suite: finite differences and the dense
-fundamental tensor.
+fundamental tensor, plus the listed catalog ids by tag.
 
-These are deliberately independent of the package's own derivative and
-block-form tensor code: central differences with curvature-appropriate step
-sizes, and the tensor summed entry by entry from its defining formula.
+The oracles are deliberately independent of the package's own derivative
+and block-form tensor code: central differences with curvature-appropriate
+step sizes, and the tensor summed entry by entry from its defining formula.
 """
 
 import numpy as np
 import pytest
+
+from gospace import catalog
+
+
+def listed_ids(*tags):
+    """Listed catalog ids, in listing order, whose static tags include every
+    one of ``tags``.  The tags are read from the catalog's tables, so
+    collecting a test module builds no space and one broken builder fails
+    only its own cases; the derived ``equivalent-summands`` tag is not
+    among them."""
+    return [rid for rid in catalog._LISTED
+            if set(tags) <= set(_static_tags(rid))]
+
+
+def listed_arity(rid):
+    """Number of summands of a listed id, from its static tags."""
+    return 2 if "two-summand" in _static_tags(rid) else 3
+
+
+def _static_tags(rid):
+    family = rid.partition("/")[0]
+    return (catalog._FIXED[rid] if rid in catalog._FIXED else catalog._FAMILIES[family])[2]
 
 
 def fd_gradient(f, x, eps=None):

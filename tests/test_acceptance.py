@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from conftest import fd_hessian
+from conftest import fd_hessian, listed_ids
 from gospace import catalog, cli, finsler, gocheck, liealg, suites
 
 
@@ -19,13 +19,11 @@ def report(capsys, name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-ALL_IDS = [row[0] for row in catalog.list_catalog()]
+ALL_IDS = listed_ids()
 
-TWO_SUMMAND_GO = [row[0] for row in catalog.list_catalog()
-                  if "two-summand-go" in row[2]]
+TWO_SUMMAND_GO = listed_ids("two-summand-go")
 
-THREE_SUMMAND = [row[0] for row in catalog.list_catalog()
-                 if "three-summand" in row[2]]
+THREE_SUMMAND = listed_ids("three-summand")
 
 # (lambda, mu) coefficient pairs of the two-block Riemannian replay
 LINEAR_PAIRS = ((1.0, 2.0), (2.0, 1.0), (3.0, 0.5), (1.0, 10.0),

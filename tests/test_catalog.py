@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import listed_arity, listed_ids
 from gospace import catalog, homspace, liealg
 from gospace.errors import SpecFormatError, UnknownSpecError, UnsupportedRankError
 
@@ -32,6 +33,17 @@ def test_listing_is_complete_and_ordered():
     ids = [r[0] for r in rows]
     assert ids == list(EXPECTED_SHAPES)
     assert rows == catalog.list_catalog()        # stable
+
+
+def test_static_tags_match_the_listing():
+    # the test modules pick their ids from the catalog's static tags, so
+    # that collecting them builds nothing: those tags are the listed ones
+    # less the derived equivalent-summands, and fix the number of summands
+    rows = catalog.list_catalog()
+    assert listed_ids() == [rid for rid, _, _ in rows]
+    for rid, _, tags in rows:
+        assert {tag for tag in tags if rid in listed_ids(tag)} == set(tags) - {"equivalent-summands"}
+        assert listed_arity(rid) == catalog.make_space(rid)[1].arity
 
 
 @pytest.mark.parametrize("rid", list(EXPECTED_SHAPES))
@@ -156,12 +168,7 @@ def _mm_h_m_blocks(space, dec, i, j):
     return np.array(hs), np.array(ms)
 
 
-def three_summand_ids():
-    return [rid for rid, _, tags in catalog.list_catalog()
-            if "three-summand" in tags]
-
-
-@pytest.mark.parametrize("rid", three_summand_ids() + list(FAMILY_MEMBERS))
+@pytest.mark.parametrize("rid", listed_ids("three-summand") + list(FAMILY_MEMBERS))
 def test_diagonal_brackets_land_in_h(rid):
     space, dec, _ = catalog.make_space(rid)
     for i in range(3):
@@ -169,8 +176,7 @@ def test_diagonal_brackets_land_in_h(rid):
         assert np.max(np.abs(bm)) < 1e-10, f"[m_{i}, m_{i}] leaks into m"
 
 
-@pytest.mark.parametrize("rid", [r for r, _, t in catalog.list_catalog()
-                                 if "wallach-type-ii" in t or "wallach-type-iii" in t]
+@pytest.mark.parametrize("rid", listed_ids("wallach-type-ii") + listed_ids("wallach-type-iii")
                          + list(FAMILY_MEMBERS))
 def test_cross_brackets_fill_third_summand(rid):
     space, dec, _ = catalog.make_space(rid)
@@ -186,8 +192,7 @@ def test_cross_brackets_fill_third_summand(rid):
             assert np.max(np.abs(bm @ others.T)) < 1e-10
 
 
-@pytest.mark.parametrize("rid", [r for r, _, t in catalog.list_catalog()
-                                 if "wallach-type-i" in t])
+@pytest.mark.parametrize("rid", listed_ids("wallach-type-i"))
 def test_type_one_cross_brackets_vanish(rid):
     space, dec, _ = catalog.make_space(rid)
     for i in range(3):
@@ -197,8 +202,7 @@ def test_type_one_cross_brackets_vanish(rid):
             assert np.max(np.abs(bm)) < 1e-10
 
 
-@pytest.mark.parametrize("rid", [r for r, _, t in catalog.list_catalog()
-                                 if "two-summand" in t])
+@pytest.mark.parametrize("rid", listed_ids("two-summand"))
 def test_two_summand_cross_bracket_nonzero(rid):
     space, dec, _ = catalog.make_space(rid)
     bh, bm = _mm_h_m_blocks(space, dec, 0, 1)

@@ -44,6 +44,17 @@ def test_check_go_exit_zero(capsys):
     assert rep["verdicts"]["go"] == "GO"
 
 
+def test_check_with_orbit_tangent_zero_rows(capsys):
+    # one face row of the plan lies in m1, which h fixes, so its [h, u] is
+    # zero; the check still ends in a verdict
+    code, out, _ = run(capsys, "check", "--space", "wallach-so/1,1,2",
+                       "--metric", "linear:1,2,3")
+    assert code == cli.EXIT_OK
+    rep = json.loads(out)
+    assert rep["verdicts"] == {"go": "NOT_GO", "nr": "NOT_NR"}
+    assert rep["max_residuals"]["go_operator"] == pytest.approx(0.5, abs=1e-12)
+
+
 def test_check_expect_match_and_mismatch(capsys):
     args = ("check", "--space", "su3/t2", "--metric", "linear:1,1,2",
             "--samples", "40")

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import ref_tensor
+from conftest import listed_arity, listed_ids, ref_tensor
 from gospace import _linalg, catalog, finsler, gocheck, homspace, suites
 from gospace.errors import (BoundaryNondifferentiableError,
                             DimensionMismatchError, NotPositiveDefiniteError,
@@ -181,18 +181,21 @@ def _per_sample_plan(dec, boundary_ok, samples, seed):
 
 
 def _plan_cases():
-    for spec, _, _ in catalog.list_catalog():
-        dec = catalog.make_space(spec)[1]
-        for mtext in suites.battery_for(dec.arity):
-            yield pytest.param(dec, finsler.parse_metric(mtext).boundary_ok,
-                               id=f"{spec}-{mtext}")
-    space = catalog.make_space("wallach-so/2,2,2")[0]
-    yield pytest.param(homspace.isotropy_decompose(space), (False,) * 6,
-                       id="wallach-so/2,2,2-six-summands")
+    for spec in listed_ids():
+        for mtext in suites.battery_for(listed_arity(spec)):
+            yield pytest.param(spec, mtext, id=f"{spec}-{mtext}")
+    yield pytest.param("wallach-so/2,2,2", None, id="wallach-so/2,2,2-six-summands")
 
 
-@pytest.mark.parametrize("dec,boundary_ok", _plan_cases())
-def test_sample_plan_matches_per_sample_generator(dec, boundary_ok):
+@pytest.mark.parametrize("spec,mtext", _plan_cases())
+def test_sample_plan_matches_per_sample_generator(spec, mtext):
+    # each listed entry under each battery metric's faces, and the
+    # six-summand splitting of wallach-so/2,2,2 with no face admitted
+    space, dec, _ = catalog.make_space(spec)
+    if mtext is None:
+        dec, boundary_ok = homspace.isotropy_decompose(space), (False,) * 6
+    else:
+        boundary_ok = finsler.parse_metric(mtext).boundary_ok
     for samples, seed in itertools.product((1, 2, 3, 7, 77, 200), (0, 5, 42)):
         plan = gocheck.sample_plan(dec, boundary_ok, samples, seed)
         ref = _per_sample_plan(dec, boundary_ok, samples, seed)
@@ -252,8 +255,9 @@ def _ref_residuals(space, dec, fn, u):
     """(operator, spray, nr) residuals at one direction, one formula each.
 
     The spray reference solves for eta with the dense tensor and projects
-    off span(A_u [h, u]); the engine projects off span(D [h, u]), so this
-    also tests the equivariance A_u [w, u] = D [w, u] that it relies on."""
+    off span(A_u [h, u]); the engine projects off span([h, A_u(u)]), so
+    this also tests the equivariance A_u [w, u] = [w, A_u(u)] that it
+    relies on."""
     g1 = fn.grad(dec.theta(u))
     auu = sum(g * c for g, c in zip(g1, dec.split(u)))
     bh = np.einsum("abk,a,b->k", space.bracket_mm_h, u, auu)
@@ -275,15 +279,14 @@ def _ref_residuals(space, dec, fn, u):
 
 
 def _count_calls(monkeypatch, name):
-    # leading length of the first argument of every np.linalg.<name> call,
-    # in call order
-    rows, func = [], getattr(np.linalg, name)
+    # shape of the first argument of every np.linalg.<name> call, in call order
+    shapes, func = [], getattr(np.linalg, name)
 
     def counted(a, *args, **kwargs):
-        rows.append(len(a))
+        shapes.append(np.shape(a))
         return func(a, *args, **kwargs)
     monkeypatch.setattr(np.linalg, name, counted)
-    return rows
+    return shapes
 
 
 def _shared_pattern(fns):
@@ -292,11 +295,16 @@ def _shared_pattern(fns):
 
 
 ENGINE_CASES = [(spec, mtext)
-                for spec, _, _ in catalog.list_catalog()
-                for mtext in suites.battery_for(catalog.make_space(spec)[1].arity)]
+                for spec in listed_ids()
+                for mtext in suites.battery_for(listed_arity(spec))]
+
+# on these the face rows in m1 are fixed by h: [h, u] = 0
+ZERO_TANGENT_CASES = [(spec, mtext)
+                      for spec in ("wallach-so/1,1,2", "wallach-so/1,1,3")
+                      for mtext in suites.battery_for(3)]
 
 
-@pytest.mark.parametrize("spec,mtext", ENGINE_CASES)
+@pytest.mark.parametrize("spec,mtext", ENGINE_CASES + ZERO_TANGENT_CASES)
 def test_engine_matches_per_direction_formulas(spec, mtext, monkeypatch):
     space, dec, _ = catalog.make_space(spec)
     fn = finsler.parse_metric(mtext)
@@ -306,13 +314,13 @@ def test_engine_matches_per_direction_formulas(spec, mtext, monkeypatch):
     npt.assert_allclose(got, want, rtol=0, atol=1e-12)
     # the spray residual is the operator's without its h-part
     assert np.all(got[1] <= got[0])
-    # a budget of 32 rows runs the plan as 32 + 32 + 13 rows, one tangent
-    # SVD per chunk
+    # a budget of 32 rows runs the plan as 32 + 32 + 13 rows, three
+    # dim_h x dim_h solves per chunk
     with monkeypatch.context() as m:
         m.setattr(gocheck, "BUDGET", 32 * space.dim_m * max(space.dim_m, space.dim_h) + 1)
-        rows = _count_calls(m, "svd")
+        shapes = _count_calls(m, "solve")
         chunked = np.array(gocheck.residuals(space, dec, (fn,), plan)[0])
-    assert rows == [32, 32, 13]
+    assert shapes == [(rows, space.dim_h, space.dim_h) for rows in (32, 32, 13) for _ in range(3)]
     npt.assert_allclose(chunked, got, rtol=0, atol=1e-15)
     # a single direction is a one-row plan, and a zero-row plan gives empty arrays
     for i in (0, 40, 76):
@@ -320,6 +328,106 @@ def test_engine_matches_per_direction_formulas(spec, mtext, monkeypatch):
         npt.assert_allclose(single, got[:, i], rtol=0, atol=1e-12)
     empty = gocheck.residuals(space, dec, (fn,), plan[:0])[0]
     assert [r.shape for r in empty] == [(0,)] * 3
+
+
+def _norm(x):
+    return np.linalg.norm(x, axis=-1)
+
+
+def _table_brackets(space, dec, fn, plan):
+    """([u, A_u(u)]_h, [u, A_u(u)]_m, A_u(u)) over a plan (N, n), from the
+    bracket tables."""
+    comps = np.stack([plan @ s.T @ s for s in dec.summands], axis=1)
+    auu = np.einsum("na,nak->nk", fn.grad(dec.theta(plan)), comps)
+    bh = np.einsum("abk,na,nb->nk", space.bracket_mm_h, plan, auu)
+    bm = np.einsum("abk,na,nb->nk", space.bracket_mm_m, plan, auu)
+    return bh, bm, auu
+
+
+def _svd_operator_residuals(space, dec, fn, plan):
+    """Operator residuals over a plan (N, n) from the bracket tables: the
+    part of [u, A_u(u)]_m off the left singular vectors of the columns
+    [h_j, A_u(u)]_m, one batched SVD cut at numpy's lstsq cutoff, with the
+    h-part alongside."""
+    bh, bm, auu = _table_brackets(space, dec, fn, plan)
+    cols = np.einsum("jab,na->nbj", space.bracket_hm, auu)
+    left, sigma, _ = np.linalg.svd(cols, full_matrices=False)
+    left = left * (np.arange(sigma.shape[1]) < _linalg.svd_rank(sigma, cols.shape[1:])[:, None])[:, None]
+    off = bm - np.einsum("nmk,nk->nm", left, np.einsum("nmk,nm->nk", left, bm))
+    big = np.hypot(_norm(bh), _norm(bm))
+    return np.hypot(_norm(off), _norm(bh)) / np.maximum(big, _norm(plan) ** 2)
+
+
+@pytest.mark.parametrize("spec", ["wallach-so/1,1,1", "wallach-so/1,1,2", "wallach-so/1,1,3"])
+def test_zero_orbit_tangent_keeps_the_whole_bracket(spec):
+    # rows whose [h, u] is exactly zero (every row when h = 0, the m1 face
+    # rows of the other two) have nothing to project off: the spray
+    # residual is |[u, A_u(u)]_m| / D(u) itself, and no solve is singular
+    space, dec, _ = catalog.make_space(spec)
+    fn = finsler.parse_metric("linear:1,2,3")
+    plan = gocheck.sample_plan(dec, fn.boundary_ok, 200, seed=42)
+    fixed = ~np.any(space.hm_columns(plan), axis=(1, 2))
+    assert np.any(fixed)
+    (r_op, r_sp, _), = gocheck.residuals(space, dec, (fn,), plan)
+    bh, bm, _ = _table_brackets(space, dec, fn, plan[fixed])
+    scale = np.maximum(np.hypot(_norm(bh), _norm(bm)), _norm(plan[fixed]) ** 2)
+    npt.assert_allclose(r_sp[fixed], _norm(bm) / scale, rtol=0, atol=1e-15)
+    npt.assert_allclose(r_op[fixed], np.hypot(_norm(bh), _norm(bm)) / scale, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("spec,mtext", ENGINE_CASES)
+def test_engine_operator_residual_bounds_the_svd_reference(spec, mtext):
+    # every w the engine's solve returns is a feasible point of the least
+    # squares, so its operator residual never falls below the SVD
+    # minimum beyond rounding: the solve cannot make a false GO
+    space, dec, _ = catalog.make_space(spec)
+    fn = finsler.parse_metric(mtext)
+    plan = gocheck.sample_plan(dec, fn.boundary_ok, 200, seed=7)
+    got = gocheck.residuals(space, dec, (fn,), plan)[0][0]
+    want = _svd_operator_residuals(space, dec, fn, plan)
+    assert np.all(got >= want - 1e-15)
+    npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _near_boundary_rows(dec, boundary_ok, ts, draws, seed):
+    """Unit rows u_i + t (u_j + ...) for every summand i whose complement the
+    metric admits as a face, every t of ``ts`` and ``draws`` draws of the
+    per-summand unit vectors u_j; returns (plan, t of each row)."""
+    rng = np.random.default_rng(seed)
+    rows, row_t = [], []
+    for _ in range(draws):
+        units = [rng.standard_normal(d) @ s for d, s in zip(dec.dims, dec.summands)]
+        units = [v / np.linalg.norm(v) for v in units]
+        for i, lead in enumerate(units):
+            if not all(ok for j, ok in enumerate(boundary_ok) if j != i):
+                continue
+            rest = sum(v for j, v in enumerate(units) if j != i)
+            rows += [lead + t * rest for t in ts]
+            row_t += list(ts)
+    plan = np.array(rows)
+    return plan / _norm(plan)[:, None], np.array(row_t)
+
+
+@pytest.mark.parametrize("spec", ["so5/u2", "spin8/g2", "wallach-sp/1,1,1"])
+def test_engine_near_the_boundary(spec):
+    # at u = u_i + t (u_j + ...) the part of h that fixes u_i moves u by
+    # O(t) only, so [h, u] has singular values of order t.  Down to
+    # t = 1e-4 the ridge resolves them and every residual stays within
+    # 1e-12 of the per-direction formulas.  Below, it drops them as its
+    # cutoff of about 1e-6 of the largest singular value says, and the GO
+    # residuals may overstate the formulas by O(t), up to 2.5e-7 measured,
+    # but never understate the SVD minimum
+    space, dec, _ = catalog.make_space(spec)
+    for mtext in suites.battery_for(dec.arity):
+        fn = finsler.parse_metric(mtext)
+        plan, t = _near_boundary_rows(dec, fn.boundary_ok, np.logspace(-2, -12, 11), 2, 3)
+        got = np.array(gocheck.residuals(space, dec, (fn,), plan)[0])
+        want = np.array([_ref_residuals(space, dec, fn, u) for u in plan]).T
+        resolved = t >= 1e-4
+        npt.assert_allclose(got[:, resolved], want[:, resolved], rtol=0, atol=1e-12)
+        npt.assert_allclose(got[2], want[2], rtol=0, atol=1e-12)
+        assert np.all(got[0] >= _svd_operator_residuals(space, dec, fn, plan) - 1e-15), mtext
+        assert np.all(got[:2] - want[:2] <= 1e-6), mtext
 
 
 def _refuse(*args, **kwargs):
@@ -338,7 +446,7 @@ def test_latifi_oracle_shares_no_engine_code(spec, mtext, monkeypatch):
     values_only = dataclasses.replace(fn, grad=_refuse, hess=_refuse)
     for name in ("bracket_mm", "hm_columns"):
         monkeypatch.setattr(homspace.HomogeneousSpace, name, _refuse)
-    for name in ("_shared", "_tangent", "_off_span", "_scale"):
+    for name in ("_shared", "_off_orbit", "_scale"):
         monkeypatch.setattr(gocheck, name, _refuse)
     with pytest.raises(AssertionError, match="engine code called"):
         gocheck.residuals(space, dec, (fn,), plan)
@@ -383,33 +491,31 @@ def test_positivity_decomposes_nothing_wider_than_s(monkeypatch):
     assert widths == [3, 2, 3]
 
 
-LISTED = [spec for spec, _, _ in catalog.list_catalog()]
-
-
-@pytest.mark.parametrize("spec", LISTED)
+@pytest.mark.parametrize("spec", listed_ids())
 def test_one_array_pass_per_plan(spec, monkeypatch):
-    # one residuals call over a whole battery on a 200-row plan factors the
-    # orbit tangent once, by one batched SVD, and projects each metric once,
-    # by one batched QR that gives both GO criteria; the NR residual takes
-    # none, and nr_check is the NR half of the same pass.  A_u is never
-    # inverted: no np.linalg.solve runs at all
+    # one residuals call over a whole battery on a 200-row plan projects
+    # each metric once, by three solves of its dim_h x dim_h normal
+    # equations, which give both GO criteria; the NR residual takes none,
+    # and nr_check is the NR half of the same pass.  Nothing is factored by
+    # SVD or QR, and no n x n matrix (A_u) is ever solved
     space, dec, _ = catalog.make_space(spec)
     fns = [finsler.parse_metric(m) for m in suites.battery_for(dec.arity)]
     plan = gocheck.sample_plan(dec, _shared_pattern(fns), 200, seed=1)
     calls = {name: _count_calls(monkeypatch, name) for name in ("svd", "qr", "solve")}
     gocheck.residuals(space, dec, fns, plan)
-    assert calls == {"svd": [200], "qr": [200] * len(fns), "solve": []}
+    normal = (200, space.dim_h, space.dim_h)
+    assert calls == {"svd": [], "qr": [], "solve": [normal] * (3 * len(fns))}
     for check in (gocheck.verdicts, gocheck.nr_check):
-        for rows in calls.values():
-            rows.clear()
+        for shapes in calls.values():
+            shapes.clear()
         check(space, dec, fns[0], samples=200, seed=1)
-        assert calls == {"svd": [200], "qr": [200], "solve": []}
+        assert calls == {"svd": [], "qr": [], "solve": [normal] * 3}
 
 
-@pytest.mark.parametrize("spec", LISTED)
+@pytest.mark.parametrize("spec", listed_ids())
 def test_metrics_share_one_residual_pass(spec):
-    # the shared tangent basis changes nothing: each metric's triple from a
-    # call over the whole battery equals its own single-metric call bit for bit
+    # grouping metrics changes nothing: each metric's triple from a call
+    # over the whole battery equals its own single-metric call bit for bit
     space, dec, _ = catalog.make_space(spec)
     fns = [finsler.parse_metric(m) for m in suites.battery_for(dec.arity)]
     plan = gocheck.sample_plan(dec, _shared_pattern(fns), 200, seed=3)
@@ -422,7 +528,7 @@ def test_metrics_share_one_residual_pass(spec):
     assert gocheck.residuals(space, dec, (), plan) == []
 
 
-@pytest.mark.parametrize("spec", LISTED)
+@pytest.mark.parametrize("spec", listed_ids())
 def test_battery_reports_match_single_metric_passes(spec):
     # the suites' grouped pass reports what each metric's own pass reports
     # on the same plan

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import listed_ids
 from gospace import catalog, homspace, liealg
 from gospace.errors import (DimensionMismatchError, NotSubalgebraError,
                             ReductivityError, ZeroVectorError)
@@ -109,7 +110,7 @@ def invariance_residual_loop(space, dec):
     return worst
 
 
-@pytest.mark.parametrize("rid", [rid for rid, _, _ in catalog.list_catalog()])
+@pytest.mark.parametrize("rid", listed_ids())
 def test_invariance_residual_matches_loop(rid):
     space, dec, _ = catalog.make_space(rid)
     got = homspace.invariance_residual(space, dec)
@@ -180,7 +181,7 @@ def dense_stack_commutant_dim(space):
     return len(sym) - int(np.sum(sigma > cut))
 
 
-SMALL_M = [rid for rid, _, _ in catalog.list_catalog()] + [
+SMALL_M = listed_ids() + [
     "wallach-so/1,1,1", "wallach-so/1,1,2", "wallach-so/1,2,2",
     "wallach-su/2,1,1"]
 
@@ -200,7 +201,7 @@ def test_commutant_dim_matches_dense_stack_circle(circle_in_so3):
             == dense_stack_commutant_dim(circle_in_so3) == 1)
 
 
-@pytest.mark.parametrize("rid", [rid for rid, _, _ in catalog.list_catalog()] + [
+@pytest.mark.parametrize("rid", listed_ids() + [
     "wallach-su/2,2,2", "wallach-sp/1,1,2", "wallach-so/3,3,3", "wallach-so/3,3,4",
     "wallach-so/2,3,5"])
 def test_commutant_elements_are_symmetric_and_commute(rid):

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import listed_ids
 from gospace import catalog, liealg
 from gospace.errors import (DependentBasisError, DimensionMismatchError,
                             NonClosedError, NonCompactError)
@@ -73,7 +74,7 @@ def jacobi_and_invariance_loops(g, trials=100, seed=0):
     return jac, inv / max(float(np.linalg.norm(g.q_form, 2)), 1.0)
 
 
-@pytest.mark.parametrize("rid", [rid for rid, _, _ in catalog.list_catalog()])
+@pytest.mark.parametrize("rid", listed_ids())
 def test_probes_match_per_trial_loops(rid):
     g = catalog.make_space(rid)[0].g
     jac, inv = jacobi_and_invariance_loops(g)
