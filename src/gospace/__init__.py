@@ -5,8 +5,10 @@ The pipeline: build a compact Lie algebra from structure constants
 (:mod:`gospace.liealg`), split it into a reductive pair and invariant
 summands (:mod:`gospace.homspace`), put a block norm on the tangent space
 (:mod:`gospace.finsler`), then decide geodesic-orbit / naturally-reductive
-properties by two independent criteria (:mod:`gospace.gocheck`), either on
-your own space or on the built-in catalog (:mod:`gospace.catalog`).
+properties (:mod:`gospace.gocheck`), either on your own space or on the
+built-in catalog (:mod:`gospace.catalog`).  One projection per direction
+fills both GO fields of a report; :func:`gospace.gocheck.latifi_residuals`
+is the independent check.
 """
 
 from . import errors

@@ -39,9 +39,10 @@ from . import _linalg
 from .homspace import Decomposition
 
 _ODD_COEFF_TOL = 1e-12
-# largest |coefficient| of L that parse_metric accepts: squares of the
-# brackets and gradients built from it stay finite
+# parse_metric's bounds on the largest |coefficient| of L: the squares of
+# the brackets and gradients built from it neither overflow nor underflow
 _MAX_COEFF = 1e150
+_MIN_COEFF = 1e-150
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def l_from_phi(phi, check=True):
     block dims (2, 2); the fundamental-tensor spectrum does not depend on
     block dims beyond multiplicities, so that screen is exhaustive.
     The theta_2 = 0 face is C^2 only when the odd low-order coefficients of
-    phi^2 vanish (in particular phi'(0) = 0).
+    phi^2 vanish (in particular phi'(0) = 0) relative to the largest one.
     """
     if not isinstance(phi, PhiProfile):
         phi = PhiProfile(tuple(phi))
@@ -155,7 +156,7 @@ def l_from_phi(phi, check=True):
     psi = np.concatenate([psi, np.zeros(max(0, 5 - psi.size))])
     dpsi = npoly.polyder(psi)
     d2psi = npoly.polyder(psi, 2)
-    scale = max(1.0, float(np.max(np.abs(psi))))
+    scale = float(np.max(np.abs(psi)))
     face2_ok = bool(abs(psi[1]) <= _ODD_COEFF_TOL * scale
                     and abs(psi[3]) <= _ODD_COEFF_TOL * scale)
 
@@ -318,9 +319,9 @@ def tensor_spectrum(dims, g1, h2, theta):
 
 def require_positive_definite(dims, g1, h2, theta):
     """Raise unless A_y is positive definite on every row: its smallest
-    eigenvalue must exceed n eps max(|largest|, 1), n = sum(dims)."""
+    eigenvalue must exceed n eps |largest|, n = sum(dims)."""
     lo, hi = tensor_spectrum(dims, g1, h2, theta)
-    bad = np.flatnonzero(lo <= sum(dims) * _linalg.EPS * np.maximum(np.abs(hi), 1.0))
+    bad = np.flatnonzero(lo <= sum(dims) * _linalg.EPS * np.abs(hi))
     if bad.size:
         raise NotPositiveDefiniteError(
             f"fundamental tensor not positive definite (min eigenvalue {lo[bad[0]]:.3e})")
@@ -399,7 +400,8 @@ def parse_metric(text, arity=None):
     ``arity`` (when given) must match the block count of the parsed norm.
     The original text is kept as the norm's ``spec_string`` so reports echo
     the user's input.  The coefficients of L (lambda_i and eps, and for
-    ``phi`` those of phi^2) must be at most 1e150 in magnitude.
+    ``phi`` those of phi^2) must be at most 1e150 in magnitude, and unless
+    they are all zero the largest must be at least 1e-150.
     """
     text = text.strip()
     if ":" not in text:
@@ -424,10 +426,12 @@ def parse_metric(text, arity=None):
     if kind == "phi":
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs = npoly.polymul(coeffs, coeffs)
+    name = "phi^2 coefficient" if kind == "phi" else "coefficient"
     big = np.flatnonzero(~(np.abs(coeffs) <= _MAX_COEFF))
     if big.size:
-        name = "phi^2 coefficient" if kind == "phi" else "coefficient"
         raise SpecFormatError(f"{name} {coeffs[big[0]]:g} exceeds {_MAX_COEFF:g} in magnitude")
+    if any(vals) and np.max(np.abs(coeffs)) < _MIN_COEFF:
+        raise SpecFormatError(f"{name}s are all below {_MIN_COEFF:g} in magnitude")
     if kind == "linear":
         if len(vals) < 2:
             raise SpecFormatError("linear needs at least two coefficients",

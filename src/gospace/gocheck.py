@@ -4,21 +4,18 @@ Every GO residual is one projection per direction and metric: the part of
 [u, A_u(u)]_m off the span of the columns [h_j, A_u(u)]_m.  Each summand
 is ad(h)-invariant, so [w, A_u(u)] = D [w, u] with D = sum_i dL/dtheta_i P_i,
 and the equivariance A_u [w, u] = [w, A_u(u)] puts A_u [h, u] in the same
-span.  That one projection gives both criteria:
-
-* operator route: least squares of [w + u, A_u(u)] = 0 over w in h
-  (Kowalski-Vanhecke), the projection together with the h-part
-  [u, A_u(u)]_h, which vanishes by ad-invariance of Q;
-* spray route: the A_u-weighted tangency of the spray,
-  min_w |A_u [w, u] - [u, A_u(u)]_m| (Latifi), the projection alone.
-
-Both are divided by the scale D(u) = max(|[u, A_u(u)]|, |u|^2), so the
-gap between them is |[u, A_u(u)]_h| / D(u).  The projection comes from
-three solves of the ridged dim_h x dim_h normal equations, whose w is
-always feasible: a residual can only overstate the least-squares minimum.
-:func:`latifi_residuals` evaluates Latifi's lemma from the structure
-constants and values of L alone, sharing none of this, by an SVD least
-squares, and is the oracle the ``crossval`` suite compares against.
+span.  That one projection fills both GO fields of a report: the operator
+residual of [w + u, A_u(u)] = 0 over w in h (Kowalski-Vanhecke) adds the
+h-part [u, A_u(u)]_h, which vanishes by ad-invariance of Q, and the spray
+residual min_w |A_u [w, u] - [u, A_u(u)]_m| (Latifi) is the projection
+alone.  Every GO and NR residual is divided by the one scale
+D(u) = |u| |A_u(u)|, of degree 2 in u and 1 in L like each numerator, so
+scaling u or L moves none.  The projection comes from three solves of the
+ridged dim_h x dim_h normal equations, whose w is always feasible: a
+residual can only overstate the least-squares minimum.  The independent
+check is :func:`latifi_residuals`, which evaluates Latifi's lemma from the
+structure constants and values of L alone by an SVD least squares; the
+``crossval`` suite compares against it.
 Verdicts are sampled certificates: NOT_GO is proved by a witness, GO is
 evidence at the sampled tolerance.
 """
@@ -34,7 +31,7 @@ import numpy as np
 from . import _linalg
 from .errors import DimensionMismatchError, ZeroVectorError
 from .finsler import (PhiProfile, admissible_faces, apply_grad, block_data,
-                      l_from_phi, require_positive_definite)
+                      require_positive_definite)
 from .homspace import centralizer_in_h, tilde_centralizer
 
 GO = "GO"
@@ -143,21 +140,18 @@ BUDGET = 2 ** 17  # floats (1 MiB) per (rows, n, max(n, dim_h)) array; sets the 
 
 
 def _shared(space, dec, fn, u):
-    """(u, comps, theta, g1, A_u(u), [u, A_u(u)]_h, [u, A_u(u)]_m) at rows u."""
+    """(comps, theta, g1, A_u(u), [u, A_u(u)]_h, [u, A_u(u)]_m, D(u)) at rows u."""
     u, comps, theta = block_data(fn, dec, u)
     g1 = fn.grad(theta)
     auu = apply_grad(g1, comps)
-    return (u, comps, theta, g1, auu, *space.bracket_mm(u, auu))
+    scale = _norm(u) * _norm(auu)
+    if np.any(scale == 0.0):
+        raise ZeroVectorError("residual scale |u| |A_u(u)| vanishes")
+    return (comps, theta, g1, auu, *space.bracket_mm(u, auu), scale)
 
 
 def _norm(x):
     return np.linalg.norm(x, axis=-1)
-
-
-def _scale(sh):
-    """D(u) = max(|[u, A_u(u)]|, |u|^2)."""
-    u, *_, bh, bm = sh
-    return np.maximum(np.hypot(_norm(bh), _norm(bm)), _norm(u) ** 2)
 
 
 # _off_orbit solves the normal equations of its columns a with a ridge,
@@ -199,20 +193,16 @@ def _go(space, dec, fn, sh):
     the columns [h_j, A_u(u)]_m, after checking that A_u is positive
     definite on every row.  The columns are taken at A_u(u) over the largest
     dL/dtheta_i, which leaves their span as it is."""
-    _, _, theta, g1, auu, bh, bm = sh
+    _, theta, g1, auu, bh, bm, scale = sh
     require_positive_definite(dec.dims, g1, fn.hess(theta), theta)
     cols = space.hm_columns(auu / np.max(g1, axis=1, keepdims=True))
     off = _norm(_off_orbit(cols, bm))
-    scale = _scale(sh)
     return np.hypot(off, _norm(bh)) / scale, off / scale
 
 
 def _nr(sh):
-    u, *_, auu, bh, bm = sh
-    den = _norm(u) * _norm(auu)
-    if np.any(den == 0.0):
-        raise ZeroVectorError("natural-reductivity residual undefined at zero")
-    return np.hypot(_norm(bh), _norm(bm)) / den
+    *_, bh, bm, scale = sh
+    return np.hypot(_norm(bh), _norm(bm)) / scale
 
 
 def residuals(space, dec, fns, plan):
@@ -223,8 +213,8 @@ def residuals(space, dec, fns, plan):
     so every plan of a few hundred directions is one array pass and a long
     plan runs in bounded memory.  Each chunk checks its rows for every
     metric, then each metric projects [u, A_u(u)]_m off [h, A_u(u)]_m by
-    three solves of its dim_h x dim_h normal equations, which gives both GO
-    criteria; no SVD or QR runs, and A_u(u) and [u, A_u(u)] are computed
+    three solves of its dim_h x dim_h normal equations, which fills both GO
+    fields; no SVD or QR runs, and A_u(u), [u, A_u(u)] and D(u) are computed
     once per direction and metric.  A single direction u is the plan
     ``u[None]``.
     """
@@ -257,9 +247,9 @@ def latifi_residuals(space, dec, fn, plan):
     the brackets come from the structure constants of g, lifted by
     ``space.m_basis`` and ``space.h_basis`` and projected back through
     ``g.q_form``; w from one batched least squares.  The residual
-    |[u + w, gamma]_m| is divided by max(|[u, gamma]|, |u|^2) from the same
-    brackets.  It uses neither the derivatives of L nor the bracket tables,
-    and the difference stencil puts a floor of about 2e-12 under it.
+    |[u + w, gamma]_m| is divided by D(u) = |u| |gamma|, as gamma = A_u(u).
+    It uses neither the derivatives of L nor the bracket tables, and the
+    difference stencil puts a floor of about 2e-12 under it.
     """
     plan = np.asarray(plan, dtype=float)
     g = space.g
@@ -277,8 +267,7 @@ def latifi_residuals(space, dec, fn, plan):
     to_m = g.q_form @ space.m_basis.T
     cols = (space.h_basis @ ad @ to_m).transpose(0, 2, 1)              # [h_j, gamma]_m
     _, resid, _ = _linalg.lstsq_stack(cols, -(b @ to_m), space.dim_h)
-    scale = np.maximum(np.sqrt(np.einsum("nk,kl,nl->n", b, g.q_form, b)), _norm(plan) ** 2)
-    return _norm(resid) / scale
+    return _norm(resid) / (_norm(plan) * _norm(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +280,13 @@ def _band(worst, proof, tol, yes, no):
 
 
 def go_verdict(space, dec, fn, samples=200, seed=42, tol=1e-8):
-    """Sampled geodesic-orbit verdict under both criteria.
+    """Sampled geodesic-orbit verdict from the one GO projection.
 
-    GO: every sample passes both criteria at ``tol``.  NOT_GO: some sample
-    fails both by a factor of 1e3.  Anything else is INCONCLUSIVE.  The
-    report records the worst sample as witness and flags any sample where
-    the two criteria disagree at those thresholds.
+    GO: every operator residual is at most ``tol``.  NOT_GO: some spray
+    residual, the operator residual without its vanishing h-part, exceeds
+    1e3 * tol.  Anything else is INCONCLUSIVE.  The report records the worst
+    sample as witness, with both GO fields, and flags any sample where the
+    two fields fall on opposite sides of those thresholds.
     """
     return verdicts(space, dec, fn, samples=samples, seed=seed, tol=tol)[0]
 
@@ -319,7 +309,7 @@ def reports(plan, residuals, tol, seed):
     which no spray residual exceeds its operator residual.
 
     The verdict rules live here: the bands, the worst-sample witnesses and
-    the agreement of the two GO criteria.  ``seed`` is only recorded.
+    the agreement of the two GO fields.  ``seed`` is only recorded.
     """
     if len(plan) == 0:
         raise DimensionMismatchError("a verdict needs at least one sample, got an empty plan")
@@ -358,8 +348,9 @@ def two_summand_phi_check(space, dec, phi, u1, u2):
     solves the coefficient form
     ``-(phi'/t)[u1,u2]_m = (phi - t phi')[w,u1] + (phi - (t-1/t) phi')[w,u2]``
     with t = |u2|/|u| by one batched least squares, adds the w-independent
-    h-part of the cross bracket, and rescales by phi(t) onto the
-    operator-criterion scale, so the residuals (N,) agree with the operator
+    h-part of the cross bracket, and divides by D(u) / phi(t) =
+    |u| |c1 u1 + c2 u2|, as A_u(u) = phi(t) (c1 u1 + c2 u2) with c1, c2 the
+    two coefficients above.  The residuals (N,) agree with the operator
     residuals of :func:`residuals` to machine precision.
     """
     if dec.arity != 2:
@@ -387,8 +378,8 @@ def two_summand_phi_check(space, dec, phi, u1, u2):
     cols = (c1[:, None, None] * space.hm_columns(u1)
             + c2[:, None, None] * space.hm_columns(u2))
     _, resid, _ = _linalg.lstsq_stack(cols, -(pd / t)[:, None] * bm, cols.shape[-1])
-    num = np.hypot(pv * _norm(resid), pv * (pd / t) * _norm(bh))
-    return num / _scale(_shared(space, dec, l_from_phi(phi, check=False), u))
+    scale = nrm * _norm(c1[:, None] * u1 + c2[:, None] * u2)
+    return np.hypot(_norm(resid), (pd / t) * _norm(bh)) / scale
 
 
 def wallach_system_check(space, dec, fn, u):
@@ -399,12 +390,11 @@ def wallach_system_check(space, dec, fn, u):
     summand (indices j < k complementary to i), one batched solve for the
     stack, and splits the optimal residual by block, all on the shared
     scale D(u).  Returns (N, 3); the norm of each row agrees with the
-    operator-criterion residual.
+    operator residual.
     """
     if dec.arity != 3:
         raise DimensionMismatchError("three-block system needs a three-summand splitting")
-    sh = _shared(space, dec, fn, u)
-    _, comps, _, g1, *_ = sh
+    comps, _, g1, *_, scale = _shared(space, dec, fn, u)
     pieces, rhs = [], []
     for i, (j, k) in enumerate(((1, 2), (0, 2), (0, 1))):
         p = dec.summands[i]
@@ -414,7 +404,7 @@ def wallach_system_check(space, dec, fn, u):
     cols = np.concatenate(pieces, axis=1)
     _, resid, _ = _linalg.lstsq_stack(cols, np.concatenate(rhs, axis=1), cols.shape[-1])
     blocks = np.split(resid, np.cumsum(dec.dims)[:-1], axis=1)
-    return np.stack([_norm(b) for b in blocks], axis=1) / _scale(sh)[:, None]
+    return np.stack([_norm(b) for b in blocks], axis=1) / scale[:, None]
 
 
 PAIR_BUDGET = 2 ** 15  # floats (256 KiB) per largest per-pair array; sets the pairs per chunk

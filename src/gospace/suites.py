@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import catalog, gocheck
-from .finsler import PhiProfile, parse_metric
+from .finsler import PhiProfile, l_from_phi, parse_metric
 from .gocheck import GO, NOT_GO, NR, NOT_NR
 
 # documented default battery: equal linear, two unequal linear, and the
@@ -114,8 +114,8 @@ def suite_thm1_converse(samples=200, seed=42, tol=1e-8):
 
 
 def _equal_only_go(suite, specs, samples, seed, tol):
-    """GO for the equal-coefficient linear metric, NOT_GO with a witness
-    failing both criteria by 1e-3 for every other battery metric."""
+    """GO for the equal-coefficient linear metric, NOT_GO for every other
+    battery metric, with a witness whose GO fields (one projection) exceed 1e-3."""
     out = SuiteResult(suite)
     for spec, _, dec, rows in _battery(specs, samples, seed, tol):
         for mtext, go, *_ in rows:
@@ -202,10 +202,11 @@ def suite_invariants(samples=40, seed=42, tol=1e-8):
     space, dec, _ = catalog.make_space("so5/u2")
     fn = parse_metric("phi:1,0,0.25")
     u = unit_rows(space.dim_m)
-    worst = float(np.max(np.abs(gocheck.residuals(space, dec, (fn,), u)[0][0]
-                                - gocheck.residuals(space, dec, (fn,), 7.3 * u)[0][0])))
+    fns = (fn, *(l_from_phi(PhiProfile((c, 0.0, 0.25 * c)), check=False) for c in (1e50, 1e-50)))
+    ops = np.array([r for r, *_ in gocheck.residuals(space, dec, fns, np.vstack([u, 7.3 * u]))])
+    worst = float(np.max(np.abs(ops - np.tile(ops[0, :len(u)], 2))))
     out.add("so5/u2 residual scale invariance", worst <= 1e-10,
-            f"max |r(u) - r(7.3u)| = {worst:.3e}")
+            f"max |r(tu; cL) - r(u; L)| over t = 1, 7.3 and c = 1, 1e100, 1e-100 = {worst:.3e}")
 
     phi = PhiProfile((1.0, 0.0, 0.25))
     u = unit_rows(space.dim_m)

@@ -46,13 +46,15 @@ def test_check_go_exit_zero(capsys):
 
 def test_check_with_orbit_tangent_zero_rows(capsys):
     # one face row of the plan lies in m1, which h fixes, so its [h, u] is
-    # zero; the check still ends in a verdict
+    # zero; the check still ends in a verdict.  The worst row is the unit
+    # u = u1 + u3 with |u1|^2 = |u3|^2 = 1/2, where |[u, A_u(u)]| = 1/2 and
+    # D(u) = |u| |u1 + 3 u3| = sqrt(5)
     code, out, _ = run(capsys, "check", "--space", "wallach-so/1,1,2",
                        "--metric", "linear:1,2,3")
     assert code == cli.EXIT_OK
     rep = json.loads(out)
     assert rep["verdicts"] == {"go": "NOT_GO", "nr": "NOT_NR"}
-    assert rep["max_residuals"]["go_operator"] == pytest.approx(0.5, abs=1e-12)
+    assert rep["max_residuals"]["go_operator"] == pytest.approx(0.5 / 5 ** 0.5, abs=1e-12)
 
 
 def test_check_expect_match_and_mismatch(capsys):
@@ -149,18 +151,33 @@ def _strict_json(text):
     ("so5/u2", "phi:1e200", "phi^2 coefficient inf exceeds 1e+150 in magnitude"),
     ("so5/u2", "phi:1e76", "phi^2 coefficient 1e+152 exceeds 1e+150 in magnitude"),
     ("su3/t2", "pert3:1,1,1,-2e150", "coefficient -2e+150 exceeds 1e+150 in magnitude"),
+    ("so5/u2", "linear:1e-200,1e-200", "coefficients are all below 1e-150 in magnitude"),
+    ("so5/u2", "phi:1e-76", "phi^2 coefficients are all below 1e-150 in magnitude"),
+    ("so5/u2", "phi:1e-200,0,1e-201", "phi^2 coefficients are all below 1e-150 in magnitude"),
+    ("su3/t2", "pert3:1e-151,1e-151,1e-151,0", "coefficients are all below 1e-150 in magnitude"),
 ])
 def test_check_rejects_coefficients_whose_squares_overflow(capsys, space, metric, message):
+    # or underflow: a largest coefficient below 1e-150 leaves |A_u(u)|^2
+    # below the smallest normal float
     code, out, err = run(capsys, "check", "--space", space, "--metric", metric)
     assert (code, out, err) == (cli.EXIT_BAD_SPEC, "", f"bad spec: {message}\n")
 
 
-@pytest.mark.parametrize("metric", ["linear:1e150,1e150", "phi:1e75"])
+@pytest.mark.parametrize("metric", ["linear:1e150,1e150", "phi:1e75",
+                                    "linear:1e-100,1e-100", "phi:1e-74"])
 def test_check_largest_coefficients_give_strict_json(capsys, metric):
+    # the normal metric at the largest and at small scales: D(u) = |u| |A_u(u)|
+    # scales with L like every residual's numerator, so both verdicts hold
     code, out, _ = run(capsys, "check", "--space", "so5/u2", "--metric", metric,
                        "--samples", "100")
     assert code == cli.EXIT_OK
-    assert _strict_json(out)["verdicts"]["nr"] == "NR"
+    assert _strict_json(out)["verdicts"] == {"go": "GO", "nr": "NR"}
+
+
+def test_check_all_zero_coefficients_stay_metric_rejections(capsys):
+    for metric in ("linear:0,0", "phi:0"):
+        code, out, _ = run(capsys, "check", "--space", "so5/u2", "--metric", metric)
+        assert (code, out) == (cli.EXIT_METRIC_REJECTED, "")
 
 
 def test_json_reports_refuse_nan():

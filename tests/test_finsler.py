@@ -7,6 +7,7 @@ from gospace import catalog, finsler, homspace
 from gospace.errors import (BoundaryNondifferentiableError,
                             DimensionMismatchError, InvalidProfileError,
                             NonPositiveCoefficientError,
+                            NotPositiveDefiniteError,
                             NotStronglyConvexError, SpecFormatError,
                             ZeroVectorError)
 
@@ -128,6 +129,27 @@ def test_boundary_dispatch():
     npt.assert_allclose(even.grad(th0), [1.0, 1.5])  # psi = 1 + .5 t^2 + ...
     with pytest.raises(BoundaryNondifferentiableError):
         odd.grad(th0)
+
+
+@pytest.mark.parametrize("scaled,plain", [
+    ("phi:1e-7,1e-8", "phi:1,0.1"),
+    ("phi:1e-7,0,2.5e-8", "phi:1,0,0.25"),
+    ("phi:1e7,1e6", "phi:1,0.1"),
+])
+def test_boundary_faces_do_not_depend_on_the_scale(scaled, plain):
+    # the C^2 test of the theta_2 = 0 face compares the odd coefficients of
+    # phi^2 with its largest one, so phi and c phi admit the same faces
+    assert finsler.parse_metric(scaled).boundary_ok == finsler.parse_metric(plain).boundary_ok
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e-9, 1.0, 1e9, 1e150])
+def test_positive_definite_cutoff_scales_with_the_metric(c):
+    # the cutoff is n eps |largest eigenvalue|: eigenvalue ratios 1e-14 pass
+    # and 1e-16 fail at every scale of L
+    dims, theta, h2 = (2, 2), np.array([[0.5, 0.5]]), np.zeros((1, 2, 2))
+    finsler.require_positive_definite(dims, c * np.array([[1.0, 1e-14]]), h2, theta)
+    with pytest.raises(NotPositiveDefiniteError):
+        finsler.require_positive_definite(dims, c * np.array([[1.0, 1e-16]]), h2, theta)
 
 
 def test_boundary_matches_interior_limit():

@@ -252,7 +252,8 @@ def _ref_lstsq_residual(a, b):
 
 
 def _ref_residuals(space, dec, fn, u):
-    """(operator, spray, nr) residuals at one direction, one formula each.
+    """(operator, spray, nr) residuals at one direction, one formula each,
+    all divided by D(u) = |u| |A_u(u)|.
 
     The spray reference solves for eta with the dense tensor and projects
     off span(A_u [h, u]); the engine projects off span([h, A_u(u)]), so
@@ -263,18 +264,19 @@ def _ref_residuals(space, dec, fn, u):
     bh = np.einsum("abk,a,b->k", space.bracket_mm_h, u, auu)
     bm = np.einsum("abk,a,b->k", space.bracket_mm_m, u, auu)
     big = np.sqrt(bh @ bh + bm @ bm)
+    scale = np.linalg.norm(u) * np.linalg.norm(auu)
     # operator: least squares of [w + u, A_u(u)] = 0 over w in h
     cols = np.einsum("jab,a->bj", space.bracket_hm, auu)
     resid_m = _ref_lstsq_residual(cols, -bm)
-    r_op = np.sqrt(resid_m @ resid_m + bh @ bh) / max(big, u @ u)
+    r_op = np.sqrt(resid_m @ resid_m + bh @ bh) / scale
     # spray: eta from the metric equation, then its distance from [h, u]
     a = ref_tensor(fn, dec, u)
     wt = np.einsum("ibk,b,k->i", space.bracket_mm_m, u, auu)
     eta = np.linalg.solve(a, wt)
     cols = np.einsum("jab,a->bj", space.bracket_hm, u)
     resid = _ref_lstsq_residual(a @ cols, a @ eta)
-    r_sp = np.linalg.norm(resid) / max(np.linalg.norm(wt), u @ u)
-    r_nr = big / (np.linalg.norm(u) * np.linalg.norm(auu))
+    r_sp = np.linalg.norm(resid) / scale
+    r_nr = big / scale
     return r_op, r_sp, r_nr
 
 
@@ -348,14 +350,13 @@ def _svd_operator_residuals(space, dec, fn, plan):
     """Operator residuals over a plan (N, n) from the bracket tables: the
     part of [u, A_u(u)]_m off the left singular vectors of the columns
     [h_j, A_u(u)]_m, one batched SVD cut at numpy's lstsq cutoff, with the
-    h-part alongside."""
+    h-part alongside, divided by D(u) = |u| |A_u(u)|."""
     bh, bm, auu = _table_brackets(space, dec, fn, plan)
     cols = np.einsum("jab,na->nbj", space.bracket_hm, auu)
     left, sigma, _ = np.linalg.svd(cols, full_matrices=False)
     left = left * (np.arange(sigma.shape[1]) < _linalg.svd_rank(sigma, cols.shape[1:])[:, None])[:, None]
     off = bm - np.einsum("nmk,nk->nm", left, np.einsum("nmk,nm->nk", left, bm))
-    big = np.hypot(_norm(bh), _norm(bm))
-    return np.hypot(_norm(off), _norm(bh)) / np.maximum(big, _norm(plan) ** 2)
+    return np.hypot(_norm(off), _norm(bh)) / (_norm(plan) * _norm(auu))
 
 
 @pytest.mark.parametrize("spec", ["wallach-so/1,1,1", "wallach-so/1,1,2", "wallach-so/1,1,3"])
@@ -369,8 +370,8 @@ def test_zero_orbit_tangent_keeps_the_whole_bracket(spec):
     fixed = ~np.any(space.hm_columns(plan), axis=(1, 2))
     assert np.any(fixed)
     (r_op, r_sp, _), = gocheck.residuals(space, dec, (fn,), plan)
-    bh, bm, _ = _table_brackets(space, dec, fn, plan[fixed])
-    scale = np.maximum(np.hypot(_norm(bh), _norm(bm)), _norm(plan[fixed]) ** 2)
+    bh, bm, auu = _table_brackets(space, dec, fn, plan[fixed])
+    scale = _norm(plan[fixed]) * _norm(auu)
     npt.assert_allclose(r_sp[fixed], _norm(bm) / scale, rtol=0, atol=1e-15)
     npt.assert_allclose(r_op[fixed], np.hypot(_norm(bh), _norm(bm)) / scale, rtol=0, atol=1e-15)
 
@@ -430,6 +431,33 @@ def test_engine_near_the_boundary(spec):
         assert np.all(got[:2] - want[:2] <= 1e-6), mtext
 
 
+SCALES = (1e-149, 1e-9, 1e-3, 1e3, 1e9, 1e100, 1e149)
+
+
+def _scaled(mtext, c):
+    """The metric text of c L: phi is scaled by sqrt(c), the other kinds'
+    coefficients by c."""
+    kind, _, args = mtext.partition(":")
+    k = c ** 0.5 if kind == "phi" else c
+    return kind + ":" + ",".join(repr(float(x) * k) for x in args.split(","))
+
+
+@pytest.mark.parametrize("spec,mtext", ENGINE_CASES)
+def test_verdicts_do_not_depend_on_the_scale_of_the_metric(spec, mtext):
+    # c L has the geodesics of L, and every residual's numerator and D(u)
+    # are of degree 1 in L: the plan, the verdicts and the residuals stay
+    # those of c = 1 from 1e-149 to 1e149
+    space, dec, _ = catalog.make_space(spec)
+    fns = [finsler.parse_metric(_scaled(mtext, c)) for c in (1.0,) + SCALES]
+    assert {fn.boundary_ok for fn in fns} == {fns[0].boundary_ok}
+    plan = gocheck.sample_plan(dec, fns[0].boundary_ok, 60, seed=42)
+    res = gocheck.residuals(space, dec, fns, plan)
+    want = [r.verdict for r in gocheck.reports(plan, res[0], 1e-8, 42)]
+    for c, got in zip(SCALES, res[1:]):
+        assert [r.verdict for r in gocheck.reports(plan, got, 1e-8, 42)] == want, c
+        npt.assert_allclose(got, res[0], rtol=0, atol=1e-12, err_msg=str(c))
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("engine code called")
 
@@ -446,7 +474,7 @@ def test_latifi_oracle_shares_no_engine_code(spec, mtext, monkeypatch):
     values_only = dataclasses.replace(fn, grad=_refuse, hess=_refuse)
     for name in ("bracket_mm", "hm_columns"):
         monkeypatch.setattr(homspace.HomogeneousSpace, name, _refuse)
-    for name in ("_shared", "_off_orbit", "_scale"):
+    for name in ("_shared", "_off_orbit"):
         monkeypatch.setattr(gocheck, name, _refuse)
     with pytest.raises(AssertionError, match="engine code called"):
         gocheck.residuals(space, dec, (fn,), plan)
@@ -574,6 +602,11 @@ def test_engine_errors_keep_their_messages():
     three = finsler.parse_metric("linear:1,2,3")
     _raises(DimensionMismatchError, "norm has 3 blocks but decomposition has 2",
             gocheck.residuals, space, dec, (three,), u1[None])
+    # below the coefficients parse_metric accepts, |A_u(u)|^2 underflows and
+    # no residual has a scale
+    tiny = finsler.l_linear([1e-170, 1e-170])
+    _raises(ZeroVectorError, "residual scale |u| |A_u(u)| vanishes",
+            gocheck.residuals, space, dec, (tiny,), u1[None])
     # the first bad row of a plan decides the error
     plan = np.array([dec.summands[1][0], np.zeros(n), u1])
     _raises(ZeroVectorError, zero, gocheck.residuals, space, dec, (odd,), plan)
@@ -655,7 +688,7 @@ def test_engine_positive_definite_errors():
     plan = gocheck.sample_plan(dec, bad.boundary_ok, 100, seed=2)
     spectra = [np.linalg.eigvalsh(ref_tensor(bad, dec, u)) for u in plan]
     eps = np.finfo(float).eps
-    first = next(w[0] for w in spectra if w[0] <= len(w) * eps * max(abs(w[-1]), 1.0))
+    first = next(w[0] for w in spectra if w[0] <= len(w) * eps * abs(w[-1]))
     assert first < -1e-3
     for check in (gocheck.go_verdict, gocheck.nr_check):
         with pytest.raises(NotPositiveDefiniteError) as info:
@@ -666,7 +699,7 @@ def test_engine_positive_definite_errors():
     # a zero row anywhere in the pass is reported before it
     plan = gocheck.sample_plan(dec, bad.boundary_ok, 400, seed=2)
     spectra = np.array([np.linalg.eigvalsh(ref_tensor(bad, dec, u)) for u in plan])
-    fails = spectra[:, 0] <= 6 * eps * np.maximum(np.abs(spectra[:, -1]), 1.0)
+    fails = spectra[:, 0] <= 6 * eps * np.abs(spectra[:, -1])
     good, failing = plan[~fails], plan[fails]
     assert len(good) >= 40 and len(failing) >= 2
     plan = np.vstack([good[:40], failing[1:], failing[:1]])
