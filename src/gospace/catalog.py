@@ -40,6 +40,7 @@ from .liealg import (
     direct_sum,
     from_matrices,
     matrix_coords,
+    realify,
     so_matrices,
     sp_matrices,
     su_matrices,
@@ -149,12 +150,16 @@ def _graded(g, autos):
 
 def _conjugation(mats, s):
     """Matrix of the automorphism M -> S M S^-1 (S unitary) on the span of
-    ``mats``, read off exactly: each image must be +-(a basis matrix)."""
-    flat = np.reshape(mats, (len(mats), -1))
-    img = (s @ np.asarray(mats) @ np.conj(s).T).reshape(flat.shape)
-    overlap = img @ flat.conj().T
+    ``mats``, read off exactly: each image must be +-(a basis matrix).  A
+    complex S or basis is compared in real form, where S^-1 is S^T."""
+    mats, s = np.asarray(mats), np.asarray(s)
+    if np.iscomplexobj(mats) or np.iscomplexobj(s):
+        mats, s = realify(mats), realify(s)
+    flat = mats.reshape(len(mats), -1)
+    img = (s @ mats @ s.T).reshape(flat.shape)
+    overlap = img @ flat.T
     rows, hit = np.arange(len(flat)), np.argmax(np.abs(overlap), axis=1)
-    sign = np.sign(overlap[rows, hit].real)
+    sign = np.sign(overlap[rows, hit])
     if not np.array_equal(img, sign[:, None] * flat[hit]):
         raise UnsupportedRankError("conjugation does not permute the basis up to sign")
     out = np.zeros(overlap.shape)

@@ -416,10 +416,12 @@ def centralizer_condition_check(space, x, y):
     For each pair of rows of x, y (N, dim_m), looks for z_x in C~(x+y)
     centralizing x and z_y in C~(x+y) centralizing y with
     [x, y] = [z_y, x] + [z_x, y].  One pair is ``x[None], y[None]``.
-    Returns a dict of arrays over the pairs: feasibility (relative residual
-    at most 1e-8), uniqueness (full column rank of the solve's column map,
-    which is exact for u = x + y != 0 since that map is z -> [z_x + z_y, u]
-    and C~(u) is orthogonal to C(u)), the residual and z_x, z_y (N, dim_h).
+    Returns a dict of arrays over the pairs: feasibility (residual at most
+    1e-8, relative to max(|[x, y]|, |x| |y|) and 0 where that is 0, so it
+    does not depend on the scale of the pair), uniqueness (full column rank
+    of the solve's column map, which is exact for u = x + y != 0 since that
+    map is z -> [z_x + z_y, u] and C~(u) is orthogonal to C(u)), the
+    residual and z_x, z_y (N, dim_h).
 
     Pairs run in chunks that keep the largest per-pair array, the C~ stack
     of dim_h^2 (dim_h + 1) floats or the kernels' 2 (dim_m + dim_h) dim_h,
@@ -453,8 +455,8 @@ def _centralizer_chunk(space, x, y):
     mat = np.concatenate([space.hm_columns(x) @ sy.transpose(0, 2, 1),
                           space.hm_columns(y) @ sx.transpose(0, 2, 1)], axis=2)
     coef, resid, rank = _linalg.lstsq_stack(mat, target, dx + dy)
-    scale = np.maximum(np.maximum(_norm(target), _norm(x) * _norm(y)), _linalg.EPS)
-    residual = _norm(resid) / scale
+    scale = np.maximum(_norm(target), _norm(x) * _norm(y))
+    residual = np.divide(_norm(resid), scale, out=np.zeros_like(scale), where=scale > 0.0)
     return {
         "feasible": residual <= 1e-8,
         "unique": rank == dx + dy,

@@ -22,16 +22,6 @@ from .errors import (
 )
 
 
-def _antisymmetrize(c):
-    # keep the i<j entries and reflect, so c[i,j] == -c[j,i] holds exactly
-    n = c.shape[0]
-    out = np.zeros_like(c)
-    iu, ju = np.triu_indices(n, k=1)
-    out[iu, ju, :] = 0.5 * (c[iu, ju, :] - c[ju, iu, :])
-    out[ju, iu, :] = -out[iu, ju, :]
-    return out
-
-
 class LieAlgebra:
     """A real compact Lie algebra given by its structure-constant tensor.
 
@@ -39,7 +29,9 @@ class LieAlgebra:
     ----------
     structure : (n, n, n) array_like
         ``structure[i, j, k]`` is the ``e_k`` coefficient of ``[e_i, e_j]``.
-        The tensor is antisymmetrized in its first two indices on input.
+        The tensor is antisymmetrized in its first two indices on input, as
+        ``(c - c^T) / 2`` over those indices, and the Killing form is one
+        (n x n^2)(n^2 x n) matrix product.
     check_compact : bool
         Verify that ``Q = -B`` is positive definite (raises
         :class:`NonCompactError` otherwise).  Disable only for diagnostics.
@@ -50,9 +42,10 @@ class LieAlgebra:
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise DimensionMismatchError(
                 f"structure tensor must be cubic, got shape {c.shape}")
-        c = _antisymmetrize(c)
+        c = 0.5 * (c - c.transpose(1, 0, 2))
         n = c.shape[0]
-        b = np.einsum("imk,jkm->ij", c, c)
+        # B_ij = sum_mk c[i, m, k] c[j, k, m]
+        b = c.reshape(n, n * n) @ c.transpose(0, 2, 1).reshape(n, n * n).T
         b = 0.5 * (b + b.T)
         q = -b
         if check_compact:
@@ -91,15 +84,16 @@ def from_matrices(matrices):
     """Build a :class:`LieAlgebra` from a list of matrices closed under commutators.
 
     Complex matrices are converted to their real form first (see
-    :func:`realify`).  Raises :class:`DependentBasisError` if the matrices are
-    linearly dependent, :class:`NonClosedError` if some commutator leaves
-    their span (relative residual above 1e-8) and :class:`NonCompactError`
-    if the algebra is not compact.
+    :func:`realify`).  One SVD of the flattened basis gives both its rank and
+    the coordinate map; the commutators [m_i, m_j], j > i, are formed,
+    solved and checked one basis row i at a time, so no temporary is larger
+    than n d^2 floats.  Raises :class:`DimensionMismatchError` unless the
+    matrices share a square shape, :class:`DependentBasisError` if they are
+    linearly dependent, :class:`NonClosedError` for the first (i, j) whose
+    commutator leaves their span (relative residual above 1e-8) and
+    :class:`NonCompactError` if the algebra is not compact.
     """
     mats = [np.asarray(m) for m in matrices]
-    if any(np.iscomplexobj(m) for m in mats):
-        mats = [realify(m) for m in mats]
-    mats = [np.asarray(m, dtype=float) for m in mats]
     n = len(mats)
     if n == 0:
         raise DependentBasisError("empty matrix list")
@@ -107,28 +101,28 @@ def from_matrices(matrices):
     if any(m.shape != (d, d) for m in mats):
         raise DimensionMismatchError("matrices must share a square shape")
     stack = np.array(mats)
-    flat = stack.reshape(n, d * d)
-    sigma = np.linalg.svd(flat, compute_uv=False)
-    if _linalg.svd_rank(sigma, flat.shape) < n:
-        raise DependentBasisError(
-            f"matrices span only {_linalg.svd_rank(sigma, flat.shape)} "
-            f"of {n} dimensions")
-    # every commutator [m_i, m_j], i < j, solved in the span at once
-    iu, ju = np.triu_indices(n, k=1)
-    comm = (stack[iu] @ stack[ju] - stack[ju] @ stack[iu]).reshape(len(iu), d * d)
-    a = comm @ np.linalg.pinv(flat.T).T
-    resid = np.linalg.norm(a @ flat - comm, axis=1)
+    stack = (realify(stack) if np.iscomplexobj(stack) else stack).astype(float)
+    flat = stack.reshape(n, -1)
+    u, sigma, vh = np.linalg.svd(flat.T, full_matrices=False)
+    rank = _linalg.svd_rank(sigma, flat.shape)
+    if rank < n:
+        raise DependentBasisError(f"matrices span only {rank} of {n} dimensions")
+    # pinv(flat) from the same SVD, formed as np.linalg.pinv forms it
+    to_coords = (vh.T @ ((1.0 / sigma)[:, None] * u.T)).T
     norms = np.linalg.norm(flat, axis=1)
-    rel = resid / np.maximum(norms[iu] * norms[ju], 1.0)
-    bad = np.flatnonzero(rel > 1e-8)
-    if bad.size:
-        i = bad[0]
-        raise NonClosedError(
-            f"commutator of matrices {iu[i]}, {ju[i]} leaves the span "
-            f"(relative residual {rel[i]:.3e})")
     c = np.zeros((n, n, n))
-    c[iu, ju] = a
-    c[ju, iu] = -a
+    for i in range(n - 1):
+        comm = (stack[i] @ stack[i + 1:] - stack[i + 1:] @ stack[i]).reshape(n - i - 1, -1)
+        a = comm @ to_coords
+        rel = (np.linalg.norm(a @ flat - comm, axis=1)
+               / np.maximum(norms[i] * norms[i + 1:], 1.0))
+        bad = np.flatnonzero(rel > 1e-8)
+        if bad.size:
+            raise NonClosedError(
+                f"commutator of matrices {i}, {i + 1 + bad[0]} leaves the span "
+                f"(relative residual {rel[bad[0]]:.3e})")
+        c[i, i + 1:] = a
+        c[i + 1:, i] = -a
     return LieAlgebra(c)
 
 

@@ -22,6 +22,13 @@ def listed_ids(*tags):
             if set(tags) <= set(_static_tags(rid))]
 
 
+def raises_exactly(exc, message, func, *args):
+    """func(*args) raises exc with exactly this message."""
+    with pytest.raises(exc) as info:
+        func(*args)
+    assert str(info.value) == message
+
+
 def listed_arity(rid):
     """Number of summands of a listed id, from its static tags."""
     return 2 if "two-summand" in _static_tags(rid) else 3

@@ -390,6 +390,10 @@ def test_conjugation_rejects_a_non_permuting_matrix():
     with pytest.raises(UnsupportedRankError,
                        match="^conjugation does not permute the basis up to sign$"):
         catalog._conjugation(liealg.so_matrices(5), s)
+    # the same through the real form: a phase of 0.3 rad on one axis of su(3)
+    with pytest.raises(UnsupportedRankError,
+                       match="^conjugation does not permute the basis up to sign$"):
+        catalog._conjugation(liealg.su_matrices(3), np.diag([np.exp(0.3j), 1.0, 1.0]))
 
 
 # the graded entries whose splitting is unique: commutant = number of summands

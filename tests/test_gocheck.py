@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import listed_arity, listed_ids, ref_tensor
+from conftest import listed_arity, listed_ids, raises_exactly as _raises, ref_tensor
 from gospace import _linalg, catalog, finsler, gocheck, homspace, suites
 from gospace.errors import (BoundaryNondifferentiableError,
                             DimensionMismatchError, NotPositiveDefiniteError,
@@ -573,12 +573,6 @@ def test_battery_reports_match_single_metric_passes(spec):
         assert [go.to_dict(), nr.to_dict()] == [r.to_dict() for r in want]
 
 
-def _raises(exc, message, func, *args):
-    with pytest.raises(exc) as info:
-        func(*args)
-    assert str(info.value) == message
-
-
 def test_engine_errors_keep_their_messages():
     space, dec, _ = catalog.make_space("so5/u2")
     n = space.dim_m
@@ -810,6 +804,21 @@ def test_centralizer_condition_fails_on_control(rng):
     out = gocheck.centralizer_condition_check(space, x, y)
     assert not out["feasible"][0]
     assert out["residual"][0] > 1e-3
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-9, 1e-12])
+def test_centralizer_condition_does_not_depend_on_the_scale(scale):
+    # five infeasible so6/so3irr pairs (residuals 0.14-0.29 at scale 1): an
+    # absolute floor on the denominator read them feasible at 1e-12
+    space, dec, _ = catalog.make_space("so6/so3irr")
+    x, y = _pairs(space, dec, np.random.default_rng(1), 5)
+    want = gocheck.centralizer_condition_check(space, x, y)
+    got = gocheck.centralizer_condition_check(space, scale * x, scale * y)
+    assert not want["feasible"].any()
+    assert np.all((want["residual"] > 0.1) & (want["residual"] < 0.3))
+    assert got["feasible"].tolist() == want["feasible"].tolist()
+    assert got["unique"].tolist() == want["unique"].tolist()
+    npt.assert_allclose(got["residual"], want["residual"], rtol=1e-12, atol=0)
 
 
 def test_centralizer_stacks_shapes():

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import listed_ids
+from conftest import listed_ids, raises_exactly
 from gospace import catalog, liealg
 from gospace.errors import (DependentBasisError, DimensionMismatchError,
                             NonClosedError, NonCompactError)
@@ -139,6 +141,65 @@ def test_from_matrices_errors():
         liealg.from_matrices([a[0], a[1]])      # [a0, a1] leaves the span
     with pytest.raises(DependentBasisError):
         liealg.from_matrices([])
+
+
+def test_from_matrices_error_messages():
+    # the shape check comes before stacking: numpy's own ValueError never shows
+    build, square = liealg.from_matrices, "matrices must share a square shape"
+    for mats in ([np.zeros((3, 3)), np.zeros((4, 4))],
+                 [np.zeros((3, 3)), np.eye(4, dtype=complex)],
+                 [np.zeros((3, 4))],
+                 [np.zeros((2, 2)), np.zeros((2, 3))]):
+        raises_exactly(DimensionMismatchError, square, build, mats)
+    a = liealg.so_matrices(3)
+    raises_exactly(DependentBasisError, "matrices span only 1 of 2 dimensions",
+                   build, [a[0], 2.0 * a[0]])
+    # in so(4), [E01, E23] = 0 stays in the span and [E01, E02] = -E12 is
+    # the first pair in row order to leave it: |E12| / (|E01| |E02|) = 1/sqrt(2)
+    e01, e02, _, _, _, e23 = liealg.so_matrices(4)
+    raises_exactly(NonClosedError, "commutator of matrices 0, 2 leaves the span "
+                   "(relative residual 7.071e-01)", build, [e01, e23, e02])
+
+
+def _pairwise_structure(mats):
+    """Structure constants one commutator at a time: [m_i, m_j] in the
+    real form, coordinates from np.linalg.lstsq."""
+    real = np.array([liealg.realify(m) if np.iscomplexobj(m) else m for m in mats])
+    n = len(real)
+    flat = real.reshape(n, -1)
+    c = np.zeros((n, n, n))
+    for i in range(n):
+        for j in range(n):
+            comm = real[i] @ real[j] - real[j] @ real[i]
+            c[i, j] = np.linalg.lstsq(flat.T, comm.ravel(), rcond=None)[0]
+    return c
+
+
+@pytest.mark.parametrize("basis", [
+    lambda: liealg.so_matrices(5),
+    lambda: liealg.su_matrices(3),
+    lambda: liealg.sp_matrices(2),
+    lambda: liealg.sp_matrices(3),
+], ids=["so5", "su3", "sp2", "sp3"])
+def test_from_matrices_matches_pairwise_reference(basis):
+    mats = basis()
+    npt.assert_allclose(liealg.from_matrices(mats).structure, _pairwise_structure(mats),
+                        rtol=0, atol=1e-14)
+
+
+def test_from_matrices_peak_memory():
+    # one basis row of commutators at a time: sp(4) (n = 36, realified 16 x 16)
+    # allocates about 1.3 MiB at its peak, where all n(n - 1)/2 commutators
+    # at once took 5.1 MiB
+    mats = liealg.sp_matrices(4)
+    liealg.from_matrices(mats)
+    tracemalloc.start()
+    try:
+        liealg.from_matrices(mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def test_matrix_coords_roundtrip(rng):
