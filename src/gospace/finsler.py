@@ -6,7 +6,8 @@ F(y) = sqrt(L(theta)).  Three kinds are supported:
 
 * ``linear``: L = sum(lambda_i * theta_i), the Riemannian diagonal case;
 * ``phi``: s = 2 with L = (theta_1 + theta_2) * phi(sqrt(theta_2 / sum))^2
-  for a polynomial profile phi;
+  for a polynomial profile phi, its coefficients stored lowest degree first
+  and evaluated by Horner's rule;
 * ``pert3``: s = 3 linear plus the symmetric cubic perturbation
   eps * theta_1 theta_2 theta_3 / sum^2.
 
@@ -23,7 +24,6 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     BoundaryNondifferentiableError,
@@ -70,34 +70,36 @@ def _format_floats(vals):
 
 
 def l_linear(lambdas):
-    """Diagonal Riemannian kind: L(theta) = sum(lambda_i theta_i), lambda_i > 0."""
+    """Diagonal Riemannian kind L = sum(lambda_i theta_i), lambda_i > 1e-10 max(lambda) > 0."""
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or lam.size < 1:
         raise DimensionMismatchError("need a 1-d list of coefficients")
     if np.any(lam <= 0.0):
         raise NonPositiveCoefficientError(f"coefficients must be positive, got {lam.tolist()}")
+    if lam.min() <= 1e-10 * lam.max():       # strong_convexity_check's rule, exactly
+        raise NotStronglyConvexError(f"fundamental tensor has eigenvalue {lam.min():.3e} "
+                                     f"at every point (largest {lam.max():.3e})")
     lam.setflags(write=False)
-    s = lam.size
 
     def value(theta):
         return np.asarray(theta, dtype=float) @ lam
 
     def grad(theta):
-        return np.broadcast_to(lam, np.shape(theta)[:-1] + (s,)).copy()
+        return np.broadcast_to(lam, np.shape(theta)[:-1] + lam.shape).copy()
 
     def hess(theta):
-        return np.zeros(np.shape(theta)[:-1] + (s, s))
+        return np.zeros(np.shape(theta)[:-1] + 2 * lam.shape)
 
-    return LFunction(arity=s, kind="linear", value=value, grad=grad, hess=hess,
-                     boundary_ok=(True,) * s,
+    return LFunction(arity=lam.size, kind="linear", value=value, grad=grad, hess=hess,
+                     boundary_ok=(True,) * lam.size,
                      spec_string="linear:" + _format_floats(lam))
 
 
 @dataclass(frozen=True)
 class PhiProfile:
-    """Polynomial profile phi(theta) = c0 + c1 theta + ... on [0, 1].
-
-    Validation samples 2001 evenly spaced points and requires phi > 0
+    """Polynomial profile phi(theta) = c0 + c1 theta + ... on [0, 1], stored
+    lowest degree first without trailing zeros and evaluated by Horner's
+    rule.  Validation samples 2001 evenly spaced points and requires phi > 0
     together with the two coefficient-positivity conditions
     phi - theta phi' > 0 and phi - (theta - 1/theta) phi' > 0; these are
     exactly positivity of the L-gradient for the induced two-block norm.
@@ -107,15 +109,16 @@ class PhiProfile:
 
     def __post_init__(self):
         cs = tuple(float(c) for c in self.coeffs)
+        cs = cs[:max(1, len(np.trim_zeros(cs, "b")))]      # trailing zeros add no degree
         if len(cs) == 0 or len(cs) > 9:
             raise InvalidProfileError("profile degree must be between 0 and 8")
         object.__setattr__(self, "coeffs", cs)
 
     def value(self, theta):
-        return npoly.polyval(theta, self.coeffs)
+        return np.polyval(self.coeffs[::-1], theta)
 
     def d1(self, theta):
-        return npoly.polyval(theta, npoly.polyder(self.coeffs))
+        return np.polyval(np.polyder(self.coeffs[::-1]), theta)
 
     def validate(self):
         t = np.linspace(0.0, 1.0, 2001)
@@ -152,19 +155,18 @@ def l_from_phi(phi, check=True):
         phi = PhiProfile(tuple(phi))
     if check:
         phi.validate()
-    psi = npoly.polymul(phi.coeffs, phi.coeffs)
-    psi = np.concatenate([psi, np.zeros(max(0, 5 - psi.size))])
-    dpsi = npoly.polyder(psi)
-    d2psi = npoly.polyder(psi, 2)
+    psi = np.polymul(phi.coeffs[::-1], phi.coeffs[::-1])   # psi[-1 - k] multiplies theta^k
+    psi = np.concatenate([np.zeros(max(0, 5 - psi.size)), psi])
+    dpsi, d2psi = np.polyder(psi), np.polyder(psi, 2)
     scale = float(np.max(np.abs(psi)))
-    face2_ok = bool(abs(psi[1]) <= _ODD_COEFF_TOL * scale
-                    and abs(psi[3]) <= _ODD_COEFF_TOL * scale)
+    face2_ok = bool(abs(psi[-2]) <= _ODD_COEFF_TOL * scale
+                    and abs(psi[-4]) <= _ODD_COEFF_TOL * scale)
 
     def value(theta):
         theta = np.asarray(theta, dtype=float)
         total = theta[..., 0] + theta[..., 1]
         x = np.divide(theta[..., 1], total, out=np.zeros_like(total), where=total != 0.0)
-        return total * npoly.polyval(np.sqrt(x), psi)
+        return total * np.polyval(psi, np.sqrt(x))
 
     def _phi_derivs(theta, need_second):
         theta = np.asarray(theta, dtype=float)
@@ -179,11 +181,11 @@ def l_from_phi(phi, check=True):
                 "theta_2 = 0 face is not C^2 for this profile "
                 "(phi^2 has odd low-order terms)")
         ts = np.where(face, 1.0, th)              # the face takes the limits below
-        pd = npoly.polyval(ts, dpsi)
+        pd = np.polyval(dpsi, ts)
         if need_second:
-            d2big = (ts * npoly.polyval(ts, d2psi) - pd) / (4.0 * ts ** 3)
-            return total, x, np.where(face, 2.0 * psi[4], d2big)
-        return total, x, npoly.polyval(th, psi), np.where(face, psi[2], pd / (2.0 * ts))
+            d2big = (ts * np.polyval(d2psi, ts) - pd) / (4.0 * ts ** 3)
+            return total, x, np.where(face, 2.0 * psi[-5], d2big)
+        return total, x, np.polyval(psi, th), np.where(face, psi[-3], pd / (2.0 * ts))
 
     def grad(theta):
         _, x, big_phi, dbig = _phi_derivs(theta, need_second=False)
@@ -344,7 +346,6 @@ def metric_operator(fn, dec, y):
 def f_squared(fn, dec, y):
     """F(y)^2 = L(theta(y)) for one vector y or a stack of rows (N, n), which
     gives (N,); y = 0 gives 0."""
-    y = np.asarray(y, dtype=float)
     return fn.value(dec.theta(y))
 
 
@@ -373,10 +374,9 @@ def strong_convexity_check(fn, dims):
     if len(dims) != fn.arity:
         raise DimensionMismatchError(
             f"norm has {fn.arity} blocks but {len(dims)} dims were given")
-    samples = 64
     rng = np.random.default_rng(0)
     patterns = np.array([(True,) * len(dims)] + admissible_faces(fn.boundary_ok))
-    kept = np.repeat(patterns[np.arange(samples) % len(patterns)], dims, axis=1)
+    kept = np.repeat(patterns[np.arange(64) % len(patterns)], dims, axis=1)
     us = np.zeros(kept.shape)
     us[kept] = rng.standard_normal(np.count_nonzero(kept))   # row-major: kept blocks in order
     us /= np.linalg.norm(us, axis=1, keepdims=True)
@@ -425,7 +425,7 @@ def parse_metric(text, arity=None):
     coeffs = np.array(vals)
     if kind == "phi":
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = npoly.polymul(coeffs, coeffs)
+            coeffs = np.polymul(coeffs[::-1], coeffs[::-1])[::-1]
     name = "phi^2 coefficient" if kind == "phi" else "coefficient"
     big = np.flatnonzero(~(np.abs(coeffs) <= _MAX_COEFF))
     if big.size:

@@ -134,6 +134,36 @@ def test_check_scaled_profile_passes_like_the_profile(capsys, scaled, plain, ver
         assert json.loads(out)["verdicts"] == verdicts
 
 
+@pytest.mark.parametrize("metric,lo", [("linear:1e-15,1", "1.000e-15"),
+                                       ("linear:1e-20,1", "1.000e-20"),
+                                       ("linear:1,1e-10", "1.000e-10")])
+def test_check_ill_conditioned_linear_exit_three(capsys, metric, lo):
+    # positive definite, but at or below the convexity screen's relative
+    # cutoff: a metric rejection, not an internal error
+    line = (f"metric rejected: fundamental tensor has eigenvalue {lo} "
+            "at every point (largest 1.000e+00)\n")
+    assert run(capsys, "check", "--space", "so5/u2", "--metric", metric) == (
+        cli.EXIT_METRIC_REJECTED, "", line)
+
+
+def test_check_profile_trailing_zeros_do_not_count_towards_the_degree(capsys):
+    padded, plain = "phi:1,0,0.25,0,0,0,0,0,0,0", "phi:1,0,0.25"
+    reports = []
+    for metric in (padded, plain):
+        code, out, _ = run(capsys, "check", "--space", "so5/u2", "--metric", metric,
+                           "--samples", "40")
+        assert code == cli.EXIT_OK
+        rep = json.loads(out)
+        assert rep.pop("metric") == metric
+        rep.pop("wallclock")
+        reports.append(rep)
+    assert reports[0] == reports[1]
+    code, out, err = run(capsys, "check", "--space", "so5/u2",
+                         "--metric", "phi:1,0,0.25,0,0,0,0,0,0,1e-9")
+    assert (code, out, err) == (cli.EXIT_METRIC_REJECTED, "",
+                                "metric rejected: profile degree must be between 0 and 8\n")
+
+
 def test_check_nonconvex_pert_exit_three(capsys):
     code, _, err = run(capsys, "check", "--space", "su3/t2",
                        "--metric", "pert3:1,1,1,40")

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from conftest import fd_gradient, fd_hessian, ref_tensor
 from gospace import catalog, finsler, homspace
@@ -110,6 +111,72 @@ def test_profile_validation():
     with pytest.raises(InvalidProfileError):
         finsler.parse_metric("phi:1,0,5")            # phi - t phi' < 0 inside
     finsler.PhiProfile((1.0, 0.0, 0.25)).validate()  # fine
+
+
+def _seeded_profiles():
+    rng = np.random.default_rng(28)
+    seeded = [tuple(rng.uniform(-1.0, 1.0, size=d + 1)) for d in range(9)]
+    return seeded + [(1.0, 0.0, 0.25, 0.0, 0.0), (0.5, -0.3, 0.0), (0.0, 0.0),
+                     (1.0,), (2.5,), (1.0, 0.0, 0.25, 0.0, -0.1, 0.0, 0.0, 0.0, 0.0, 0.0)]
+
+
+def _reference_l(coeffs, theta):
+    """value, grad and hess of L from phi^2 and its derivatives by
+    numpy.polynomial, as a reference that shares no evaluation code."""
+    psi = npoly.polymul(coeffs, coeffs)
+    psi = np.concatenate([psi, np.zeros(max(0, 5 - psi.size))])
+    total = theta[:, 0] + theta[:, 1]
+    x = theta[:, 1] / total
+    th = np.sqrt(x)
+    face = th == 0.0
+    ts = np.where(face, 1.0, th)
+    pd = npoly.polyval(ts, npoly.polyder(psi))
+    big, dbig = npoly.polyval(th, psi), np.where(face, psi[2], pd / (2.0 * ts))
+    d2big = (ts * npoly.polyval(ts, npoly.polyder(psi, 2)) - pd) / (4.0 * ts ** 3)
+    d2big = np.where(face, 2.0 * psi[4], d2big)
+    v = np.stack([x, x - 1.0], axis=-1)
+    return (total * big, np.stack([big - x * dbig, big + (1.0 - x) * dbig], axis=-1),
+            (d2big / total)[:, None, None] * v[:, :, None] * v[:, None, :])
+
+
+@pytest.mark.parametrize("coeffs", _seeded_profiles())
+def test_profile_algebra_is_bit_identical_to_numpy_polynomial(coeffs):
+    # Horner's rule on the reversed coefficients runs the steps of
+    # numpy.polynomial's polyval, and each coefficient of the self-product
+    # sums a palindromic list of products, which reversal leaves unchanged;
+    # so equality is exact, trailing zeros or not
+    phi = finsler.PhiProfile(coeffs)
+    t = np.linspace(0.0, 1.0, 201)
+    assert np.array_equal(phi.value(t), npoly.polyval(t, coeffs))
+    assert np.array_equal(phi.d1(t), npoly.polyval(t, npoly.polyder(coeffs)))
+    fn = finsler.l_from_phi(phi, check=False)
+    theta = 1.7 * np.stack([1.0 - t, t], axis=1)
+    if not fn.boundary_ok[1]:
+        theta = theta[1:]
+    for got, want in zip((fn.value(theta), fn.grad(theta), fn.hess(theta)),
+                         _reference_l(coeffs, theta)):
+        assert np.array_equal(got, want)
+
+
+def test_profile_degree_ignores_trailing_zeros():
+    assert finsler.PhiProfile((1.0, 0.0, 0.25, 0.0, -0.0)).coeffs == (1.0, 0.0, 0.25)
+    assert finsler.PhiProfile((0.0, 0.0)).coeffs == (0.0,)
+    assert finsler.PhiProfile((1.0,) + (0.0,) * 20).coeffs == (1.0,)
+    for coeffs in ((), (1.0,) * 10, (1.0,) * 9 + (1e-9, 0.0)):
+        with pytest.raises(InvalidProfileError, match="^profile degree must be between 0 and 8$"):
+            finsler.PhiProfile(coeffs)
+
+
+@pytest.mark.parametrize("lambdas", [[1e-15, 1.0], [1.0, 3.0, 1e-10], [1e-200, 1e-190]])
+def test_linear_rejects_relative_eigenvalues_at_the_screen_cutoff(lambdas):
+    # the fundamental tensor of linear:lambda has the eigenvalues lambda_i at
+    # every point, so the screen's 1e-10 relative rule needs no sampling
+    lo, hi = min(lambdas), max(lambdas)
+    with pytest.raises(NotStronglyConvexError) as info:
+        finsler.l_linear(lambdas)
+    assert str(info.value) == (f"fundamental tensor has eigenvalue {lo:.3e} "
+                               f"at every point (largest {hi:.3e})")
+    finsler.l_linear([1.01e-10 * hi if x == lo else x for x in lambdas])
 
 
 def test_convexity_screen_rejects():

@@ -134,6 +134,26 @@ def test_no_unused_public_definitions():
     assert unused == []
 
 
+IMPORT_FOOTPRINT = """
+import json, sys
+sys.path.insert(0, {src!r})
+import gospace, gospace.cli
+print(json.dumps(sorted(name for name in sys.modules
+                        if name.split(".")[:2] in (["numpy", "polynomial"], ["numpy", "random"]))))
+"""
+
+
+def test_import_loads_neither_numpy_polynomial_nor_numpy_random():
+    # gospace needs numpy core only: numpy.polynomial is never loaded, and
+    # numpy.random (6 MiB of resident memory) waits for the first sampling;
+    # a fresh interpreter keeps this test process's imports out of the count
+    script = IMPORT_FOOTPRINT.format(src=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=ROOT, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
 TRACE_SMOKE = """
 import collections, contextlib, importlib, io, json, sys
 sys.path[:0] = [{bench!r}, {src!r}]
