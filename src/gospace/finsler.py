@@ -307,12 +307,14 @@ def apply_tensor(dec, g1, h2, comps, x):
 
 
 def tensor_spectrum(dims, g1, h2, theta):
-    """(smallest, largest) eigenvalue of A_y per row, from one (N, s, s) eigvalsh.
-
-    On the span of the unit block components A_y is R = diag(g1) + 2 D h2 D,
-    D = diag(sqrt(theta)); a block with theta_i = 0 enters R through g1_i
-    alone.  On the rest of summand i, of dimension d_i - 1, A_y is g1_i.
+    """(smallest, largest) eigenvalue of A_y per row, from one (N, s, s)
+    eigvalsh of R = diag(g1) + 2 D h2 D, D = diag(sqrt(theta)), which is A_y
+    on the span of the unit block components; a block with theta_i = 0
+    enters R through g1_i alone, and on the rest of summand i A_y is g1_i.
+    A zero L-Hessian (``linear``) leaves R = diag(g1), with no eigvalsh.
     """
+    if not np.any(h2):
+        return g1.min(axis=1), g1.max(axis=1)
     root = np.sqrt(theta)
     r = 2.0 * root[:, :, None] * h2 * root[:, None, :] + g1[:, :, None] * np.eye(len(dims))
     w = np.concatenate([np.linalg.eigvalsh(r), g1[:, np.asarray(dims) >= 2]], axis=1)

@@ -12,12 +12,12 @@ alone.  Every GO and NR residual is divided by the one scale
 D(u) = |u| |A_u(u)|, of degree 2 in u and 1 in L like each numerator, so
 scaling u or L moves none.  The projection comes from three solves of the
 ridged dim_h x dim_h normal equations, whose w is always feasible: a
-residual can only overstate the least-squares minimum.  The independent
-check is :func:`latifi_residuals`, which evaluates Latifi's lemma from the
-structure constants and values of L alone by an SVD least squares; the
-``crossval`` suite compares against it.
-Verdicts are sampled certificates: NOT_GO is proved by a witness, GO is
-evidence at the sampled tolerance.
+residual can only overstate the least-squares minimum.  The metrics of one
+call share the block data of its rows and take one pass each.  The
+independent check, :func:`latifi_residuals`, evaluates Latifi's lemma from
+the structure constants and values of L alone by an SVD least squares; the
+``crossval`` suite compares against it.  Verdicts are sampled certificates:
+NOT_GO is proved by a witness, GO is evidence at the sampled tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg
-from .errors import DimensionMismatchError, ZeroVectorError
+from .errors import DimensionMismatchError, NotPositiveDefiniteError, ZeroVectorError
 from .finsler import (PhiProfile, admissible_faces, apply_grad, block_data,
                       require_positive_definite)
 from .homspace import centralizer_in_h, tilde_centralizer
@@ -139,19 +139,18 @@ def _weight_combos(s, grid):
 BUDGET = 2 ** 17  # floats (1 MiB) per (rows, n, max(n, dim_h)) array; sets the rows per array pass
 
 
-def _shared(space, dec, fn, u):
-    """(comps, theta, g1, A_u(u), [u, A_u(u)]_h, [u, A_u(u)]_m, D(u)) at rows u."""
-    u, comps, theta = block_data(fn, dec, u)
+def _scaled(fn, u, comps, theta):
+    """(g1, A_u(u), D(u) = |u| |A_u(u)|) at rows u with their block data."""
     g1 = fn.grad(theta)
     auu = apply_grad(g1, comps)
     scale = _norm(u) * _norm(auu)
     if np.any(scale == 0.0):
         raise ZeroVectorError("residual scale |u| |A_u(u)| vanishes")
-    return (comps, theta, g1, auu, *space.bracket_mm(u, auu), scale)
+    return g1, auu, scale
 
 
 def _norm(x):
-    return np.linalg.norm(x, axis=-1)
+    return np.sqrt(np.add.reduce(x * x, axis=-1))   # np.linalg.norm(x, axis=-1), x real
 
 
 # _off_orbit solves the normal equations of its columns a with a ridge,
@@ -188,21 +187,17 @@ def _off_orbit(a, b):
     return off
 
 
-def _go(space, dec, fn, sh):
-    """(operator, spray) residuals from one projection of [u, A_u(u)]_m off
-    the columns [h_j, A_u(u)]_m, after checking that A_u is positive
-    definite on every row.  The columns are taken at A_u(u) over the largest
-    dL/dtheta_i, which leaves their span as it is."""
-    _, theta, g1, auu, bh, bm, scale = sh
+def _metric_residuals(space, dec, fn, u, comps, theta):
+    """(operator, spray, nr) residuals of one metric at rows u with their block
+    data.  Once A_u is positive definite on every row, the GO fields project
+    [u, A_u(u)]_m off the columns [h_j, A_u(u) / max_i dL/dtheta_i]_m."""
+    g1, auu, scale = _scaled(fn, u, comps, theta)
+    bh, bm = space.bracket_mm(u, auu)
     require_positive_definite(dec.dims, g1, fn.hess(theta), theta)
     cols = space.hm_columns(auu / np.max(g1, axis=1, keepdims=True))
     off = _norm(_off_orbit(cols, bm))
-    return np.hypot(off, _norm(bh)) / scale, off / scale
-
-
-def _nr(sh):
-    *_, bh, bm, scale = sh
-    return np.hypot(_norm(bh), _norm(bm)) / scale
+    bh = _norm(bh)
+    return np.hypot(off, bh) / scale, off / scale, np.hypot(bh, _norm(bm)) / scale
 
 
 def residuals(space, dec, fns, plan):
@@ -211,26 +206,28 @@ def residuals(space, dec, fns, plan):
 
     Works in chunks of max(1, BUDGET // (n * max(n, dim_h))) rows, n = dim m,
     so every plan of a few hundred directions is one array pass and a long
-    plan runs in bounded memory.  Each chunk checks its rows for every
-    metric, then each metric projects [u, A_u(u)]_m off [h, A_u(u)]_m by
-    three solves of its dim_h x dim_h normal equations, which fills both GO
-    fields; no SVD or QR runs, and A_u(u), [u, A_u(u)] and D(u) are computed
-    once per direction and metric.  A single direction u is the plan
-    ``u[None]``.
+    plan runs in bounded memory.  Each chunk splits its rows into blocks once
+    per boundary pattern, then takes one pass per metric, whose three
+    dim_h x dim_h solves, no SVD or QR, give both GO fields.  Errors come
+    metric by metric, rows then D(u); a non-positive-definite A_u only after
+    every metric of the chunk passed those.  One direction u is ``u[None]``.
     """
     fns = tuple(fns)
-    n = space.dim_m
-    rows = max(1, BUDGET // max(n * max(n, space.dim_h), 1))
-    parts = [([], [], []) for _ in fns]
+    rows = max(1, BUDGET // max(space.dim_m * max(space.dim_m, space.dim_h), 1))
+    parts = [[] for _ in fns]
     for start in range(0, max(len(plan), 1), rows):
         chunk = plan[start:start + rows]
-        shs = [_shared(space, dec, fn, chunk) for fn in fns]
-        for fn, sh, (op, sp, nr) in zip(fns, shs, parts):
-            r_op, r_sp = _go(space, dec, fn, sh)
-            op.append(r_op)
-            sp.append(r_sp)
-            nr.append(_nr(sh))
-    return [tuple(np.concatenate(p) for p in part) for part in parts]
+        blocks, indefinite = {}, None
+        for fn, part in zip(fns, parts):
+            if fn.boundary_ok not in blocks:
+                blocks[fn.boundary_ok] = block_data(fn, dec, chunk)
+            try:
+                part.append(_metric_residuals(space, dec, fn, *blocks[fn.boundary_ok]))
+            except NotPositiveDefiniteError as err:
+                indefinite = indefinite or err
+        if indefinite:
+            raise indefinite
+    return [tuple(map(np.concatenate, zip(*part))) for part in parts]
 
 
 _LATIFI_STEP = 1e-4   # 5-point central-difference step for the gradient of F^2/2
@@ -394,7 +391,8 @@ def wallach_system_check(space, dec, fn, u):
     """
     if dec.arity != 3:
         raise DimensionMismatchError("three-block system needs a three-summand splitting")
-    comps, _, g1, *_, scale = _shared(space, dec, fn, u)
+    u, comps, theta = block_data(fn, dec, u)
+    g1, _, scale = _scaled(fn, u, comps, theta)
     pieces, rhs = [], []
     for i, (j, k) in enumerate(((1, 2), (0, 2), (0, 1))):
         p = dec.summands[i]

@@ -210,13 +210,17 @@ def test_boundary_faces_do_not_depend_on_the_scale(scaled, plain):
 
 
 @pytest.mark.parametrize("c", [1e-150, 1e-9, 1.0, 1e9, 1e150])
-def test_positive_definite_cutoff_scales_with_the_metric(c):
+def test_positive_definite_cutoff_scales_with_the_metric(c, monkeypatch):
     # the cutoff is n eps |largest eigenvalue|: eigenvalue ratios 1e-14 pass
-    # and 1e-16 fail at every scale of L
+    # and 1e-16 fail at every scale of L; with h2 = 0 the spectrum is read
+    # off g1, so no eigvalsh runs
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
     dims, theta, h2 = (2, 2), np.array([[0.5, 0.5]]), np.zeros((1, 2, 2))
     finsler.require_positive_definite(dims, c * np.array([[1.0, 1e-14]]), h2, theta)
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(NotPositiveDefiniteError) as info:
         finsler.require_positive_definite(dims, c * np.array([[1.0, 1e-16]]), h2, theta)
+    assert str(info.value) == ("fundamental tensor not positive definite "
+                               f"(min eigenvalue {c * 1e-16:.3e})")
 
 
 def test_boundary_matches_interior_limit():

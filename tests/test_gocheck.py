@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -474,7 +475,7 @@ def test_latifi_oracle_shares_no_engine_code(spec, mtext, monkeypatch):
     values_only = dataclasses.replace(fn, grad=_refuse, hess=_refuse)
     for name in ("bracket_mm", "hm_columns"):
         monkeypatch.setattr(homspace.HomogeneousSpace, name, _refuse)
-    for name in ("_shared", "_off_orbit"):
+    for name in ("_metric_residuals", "_off_orbit"):
         monkeypatch.setattr(gocheck, name, _refuse)
     with pytest.raises(AssertionError, match="engine code called"):
         gocheck.residuals(space, dec, (fn,), plan)
@@ -499,6 +500,28 @@ def test_tensor_spectrum_matches_dense_eigvalsh(spec, mtext):
     scale = np.max(np.abs(dense), axis=1)
     npt.assert_array_less(np.abs(lo - dense[:, 0]), 1e-13 * scale)
     npt.assert_array_less(np.abs(hi - dense[:, -1]), 1e-13 * scale)
+
+
+@pytest.mark.parametrize("spec,mtext", [(spec, m) for spec in listed_ids()
+                                        for m in suites.battery_for(listed_arity(spec))
+                                        if m.startswith("linear:")])
+def test_zero_hessian_spectrum_is_the_eigvalsh_spectrum(spec, mtext, monkeypatch):
+    # with h2 = 0 the spectrum is read off g1 with no eigvalsh, bit for bit
+    # what the (N, s, s) eigvalsh of diag(g1) gives, on a plan's rows and on
+    # each face theta_j = 0 (j != i), su3/su2's one-dimensional summand included
+    space, dec, _ = catalog.make_space(spec)
+    fn = finsler.parse_metric(mtext)
+    plan = gocheck.sample_plan(dec, fn.boundary_ok, 77, seed=11)
+    theta = np.vstack([dec.theta(plan), np.eye(dec.arity)])
+    g1, h2 = fn.grad(theta), fn.hess(theta)
+    assert not np.any(h2)
+    root = np.sqrt(theta)
+    r = 2.0 * root[:, :, None] * h2 * root[:, None, :] + g1[:, :, None] * np.eye(dec.arity)
+    w = np.concatenate([np.linalg.eigvalsh(r), g1[:, np.asarray(dec.dims) >= 2]], axis=1)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
+    lo, hi = finsler.tensor_spectrum(dec.dims, g1, h2, theta)
+    npt.assert_array_equal(lo, w.min(axis=1))
+    npt.assert_array_equal(hi, w.max(axis=1))
 
 
 def test_positivity_decomposes_nothing_wider_than_s(monkeypatch):
@@ -554,6 +577,87 @@ def test_metrics_share_one_residual_pass(spec):
         for g, w in zip(got, want):
             npt.assert_array_equal(g, w)
     assert gocheck.residuals(space, dec, (), plan) == []
+
+
+@pytest.mark.parametrize("spec", listed_ids())
+@pytest.mark.parametrize("budget", [gocheck.BUDGET, 2 ** 12])
+def test_block_data_once_per_chunk_and_pattern(spec, budget, monkeypatch):
+    # a pass over the whole battery splits each chunk's rows into blocks
+    # once per boundary pattern, in the metrics' order: twice for the
+    # two-block battery and once for the three-block one
+    space, dec, _ = catalog.make_space(spec)
+    fns = [finsler.parse_metric(m) for m in suites.battery_for(dec.arity)]
+    plan = gocheck.sample_plan(dec, _shared_pattern(fns), 200, seed=1)
+    one_chunk = budget == gocheck.BUDGET
+    monkeypatch.setattr(gocheck, "BUDGET", budget)
+    calls, block_data = [], finsler.block_data
+
+    def counted(fn, dec, ys):
+        calls.append((fn.boundary_ok, len(ys)))
+        return block_data(fn, dec, ys)
+    monkeypatch.setattr(gocheck, "block_data", counted)
+    gocheck.residuals(space, dec, fns, plan)
+    patterns = list(dict.fromkeys(fn.boundary_ok for fn in fns))
+    assert len(patterns) == {2: 2, 3: 1}[dec.arity]
+    rows = max(1, budget // (space.dim_m * max(space.dim_m, space.dim_h)))
+    chunks = [len(plan[i:i + rows]) for i in range(0, len(plan), rows)]
+    assert (len(chunks) == 1) == one_chunk
+    assert calls == [(p, k) for k in chunks for p in patterns]
+
+
+def _replace_grad(fn, g1):
+    # fn with dL/dtheta the constant row g1 (and no Hessian) at every point
+    return dataclasses.replace(
+        fn, grad=lambda theta: np.broadcast_to(g1, np.shape(theta)).copy(),
+        hess=lambda theta: np.zeros(np.shape(theta) + np.shape(theta)[-1:]))
+
+
+def test_multi_metric_errors_keep_their_order():
+    # every metric's rows and scale D(u) are checked, in metric order,
+    # before any metric's A_u is found not positive definite; of those the
+    # first metric's is reported
+    space, dec, _ = catalog.make_space("so5/u2")
+    base = finsler.parse_metric("linear:1,2")
+    odd = finsler.parse_metric("phi:1,0.1")            # theta_2 = 0 face not C^2
+    indefinite = _replace_grad(base, [1.0, -1.0])
+    steeper = _replace_grad(base, [1.0, -2.0])
+    flat = _replace_grad(base, [0.0, 0.0])
+    plan = gocheck.sample_plan(dec, base.boundary_ok, 40, seed=2)
+    scale = "residual scale |u| |A_u(u)| vanishes"
+    pd = "fundamental tensor not positive definite (min eigenvalue {:.3e})"
+    for fns in ((indefinite, flat), (flat, indefinite)):
+        _raises(ZeroVectorError, scale, gocheck.residuals, space, dec, fns, plan)
+    _raises(NotPositiveDefiniteError, pd.format(-1.0), gocheck.residuals, space, dec,
+            (base, indefinite, steeper), plan)
+    _raises(NotPositiveDefiniteError, pd.format(-2.0), gocheck.residuals, space, dec,
+            (steeper, base, indefinite), plan)
+    face = "block 2 vanishes but that face is not C^2 for this norm"
+    _raises(BoundaryNondifferentiableError, face, gocheck.residuals, space, dec,
+            (indefinite, odd, flat), plan)
+    _raises(ZeroVectorError, scale, gocheck.residuals, space, dec, (flat, odd), plan)
+    _raises(ZeroVectorError, "norm data requested at the zero vector", gocheck.residuals,
+            space, dec, (indefinite, flat), np.vstack([plan, np.zeros(space.dim_m)]))
+
+
+def test_battery_memory_stays_at_one_metric():
+    # one pass over a four-metric group holds one metric's arrays at a time:
+    # its traced peak is within 10% of the largest single-metric peak
+    space, dec, _ = catalog.make_space("spin8/g2")
+    fns = [fn for fn in map(finsler.parse_metric, suites.BATTERY_TWO_BLOCK)
+           if fn.boundary_ok == (True, True)]
+    assert len(fns) == 4
+    plan = gocheck.sample_plan(dec, (True, True), 200, seed=1)
+
+    def peak(group):
+        gocheck.residuals(space, dec, group, plan)
+        tracemalloc.start()
+        try:
+            gocheck.residuals(space, dec, group, plan)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    single = max(peak((fn,)) for fn in fns)
+    assert peak(fns) <= 1.1 * single
 
 
 @pytest.mark.parametrize("spec", listed_ids())
