@@ -27,7 +27,6 @@ from .errors import (GoSpaceError, InvalidProfileError,
 from .finsler import parse_metric
 
 SCHEMA_VERSION = "2"
-DEFAULT_TOL = 1e-8
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -78,10 +77,10 @@ def _build_parser():
     pc.add_argument("--space", required=True, help="catalog id, e.g. so5/u2")
     pc.add_argument("--metric", required=True,
                     help="metric spec: linear:..., phi:..., or pert3:...")
-    pc.add_argument("--samples", type=int, default=200)
-    pc.add_argument("--seed", type=int, default=42)
+    pc.add_argument("--samples", type=int, default=gocheck.DEFAULT_SAMPLES)
+    pc.add_argument("--seed", type=int, default=gocheck.DEFAULT_SEED)
     pc.add_argument("--tol", type=float, default=None,
-                    help=f"residual tolerance (default {DEFAULT_TOL:g}, "
+                    help=f"residual tolerance (default {gocheck.DEFAULT_TOL:g}, "
                          "or the GOSPACE_TOL environment variable)")
     pc.add_argument("--expect",
                     choices=("GO", "NOT_GO", "INCONCLUSIVE", "NR", "NOT_NR"),
@@ -93,7 +92,7 @@ def _build_parser():
     pv.add_argument("suite", choices=suites.SUITE_NAMES)
     pv.add_argument("--samples", type=int, default=None,
                     help="override the suite's default sample count")
-    pv.add_argument("--seed", type=int, default=42)
+    pv.add_argument("--seed", type=int, default=gocheck.DEFAULT_SEED)
     pv.add_argument("--tol", type=float, default=None)
     pv.add_argument("--format", choices=("json", "csv", "text"), default="text")
     pv.add_argument("--out", default=None)
@@ -106,7 +105,7 @@ def _resolve_tol(args):
     else:
         env = os.environ.get("GOSPACE_TOL", "")
         try:
-            tol = float(env) if env else DEFAULT_TOL
+            tol = float(env) if env else gocheck.DEFAULT_TOL
         except ValueError:
             raise _UsageError(f"GOSPACE_TOL is not a number: {env!r}")
     if not tol > 0.0:                   # NaN fails this test too
@@ -173,7 +172,7 @@ def _check_report(args, tol, fn, go, nr, wallclock):
         "tol": tol,
         "verdicts": {"go": go.verdict, "nr": nr.verdict},
         "max_residuals": {
-            "go_operator": go.extras["max_residual_operator"],
+            "go_operator": go.max_residual,
             "go_spray": go.extras["max_residual_spray"],
             "nr": nr.max_residual,
         },

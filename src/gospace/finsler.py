@@ -7,7 +7,7 @@ F(y) = sqrt(L(theta)).  Three kinds are supported:
 * ``linear``: L = sum(lambda_i * theta_i), the Riemannian diagonal case;
 * ``phi``: s = 2 with L = (theta_1 + theta_2) * phi(sqrt(theta_2 / sum))^2
   for a polynomial profile phi, its coefficients stored lowest degree first
-  and evaluated by Horner's rule;
+  and evaluated, like the derivatives of L, by Horner's rule;
 * ``pert3``: s = 3 linear plus the symmetric cubic perturbation
   eps * theta_1 theta_2 theta_3 / sum^2.
 
@@ -150,6 +150,10 @@ def l_from_phi(phi, check=True):
     block dims beyond multiplicities, so that screen is exhaustive.
     The theta_2 = 0 face is C^2 only when the odd low-order coefficients of
     phi^2 vanish (in particular phi'(0) = 0) relative to the largest one.
+    With psi = phi^2 = sum_k a_k t^k, ``grad`` and ``hess`` take
+    psi'/2t = sum_k (k a_k/2) t^(k-2) and (t psi'' - psi')/4t^3 =
+    sum_k (k (k-2) a_k/4) t^(k-4) term by term, so nothing cancels near the
+    face; on it the 1/t powers drop out and the limits a_2 and 2 a_4 remain.
     """
     if not isinstance(phi, PhiProfile):
         phi = PhiProfile(tuple(phi))
@@ -157,7 +161,8 @@ def l_from_phi(phi, check=True):
         phi.validate()
     psi = np.polymul(phi.coeffs[::-1], phi.coeffs[::-1])   # psi[-1 - k] multiplies theta^k
     psi = np.concatenate([np.zeros(max(0, 5 - psi.size)), psi])
-    dpsi, d2psi = np.polyder(psi), np.polyder(psi, 2)
+    k = np.arange(psi.size)[::-1]
+    c1, c2 = k * psi / 2.0, k * (k - 2) * psi / 4.0   # the terms of the two sums above
     scale = float(np.max(np.abs(psi)))
     face2_ok = bool(abs(psi[-2]) <= _ODD_COEFF_TOL * scale
                     and abs(psi[-4]) <= _ODD_COEFF_TOL * scale)
@@ -168,31 +173,29 @@ def l_from_phi(phi, check=True):
         x = np.divide(theta[..., 1], total, out=np.zeros_like(total), where=total != 0.0)
         return total * np.polyval(psi, np.sqrt(x))
 
-    def _phi_derivs(theta, need_second):
+    def _phi_t(theta):
+        # (sum, x, t, 1/t) with 1/t = 0 on the face, where the odd terms drop out
         theta = np.asarray(theta, dtype=float)
         total = theta[..., 0] + theta[..., 1]
         if np.any(total <= 0.0):
             raise ZeroVectorError("norm data requested at the zero vector")
         x = theta[..., 1] / total
-        th = np.sqrt(x)
-        face = th == 0.0
-        if not face2_ok and np.any(face):
+        t = np.sqrt(x)
+        if not face2_ok and np.any(t == 0.0):
             raise BoundaryNondifferentiableError(
                 "theta_2 = 0 face is not C^2 for this profile "
                 "(phi^2 has odd low-order terms)")
-        ts = np.where(face, 1.0, th)              # the face takes the limits below
-        pd = np.polyval(dpsi, ts)
-        if need_second:
-            d2big = (ts * np.polyval(d2psi, ts) - pd) / (4.0 * ts ** 3)
-            return total, x, np.where(face, 2.0 * psi[-5], d2big)
-        return total, x, np.polyval(psi, th), np.where(face, psi[-3], pd / (2.0 * ts))
+        return total, x, t, np.divide(1.0, t, out=np.zeros_like(t), where=t > 0.0)
 
     def grad(theta):
-        _, x, big_phi, dbig = _phi_derivs(theta, need_second=False)
+        _, x, t, r = _phi_t(theta)
+        big_phi = np.polyval(psi, t)
+        dbig = np.polyval(c1[:-2], t) + c1[-2] * r            # psi'(t) / 2t
         return np.stack([big_phi - x * dbig, big_phi + (1.0 - x) * dbig], axis=-1)
 
     def hess(theta):
-        total, x, d2big = _phi_derivs(theta, need_second=True)
+        total, x, t, r = _phi_t(theta)
+        d2big = np.polyval(c2[:-4], t) + r * (c2[-4] + c2[-2] * r * r)   # (t psi'' - psi') / 4t^3
         v = np.stack([x, x - 1.0], axis=-1)
         return (d2big / total)[..., None, None] * v[..., :, None] * v[..., None, :]
 

@@ -290,14 +290,14 @@ def symmetric_commutant(space):
     return out
 
 
-def symmetric_commutant_dim(space, summands=None):
+def symmetric_commutant_dim(space, summands):
     """Dimension of {S symmetric on m : S commutes with every ad(h)|_m}.
 
     Equals the summand count when the invariant splitting is unique;
     anything larger signals equivalent summands or a finer splitting.
 
     ``summands`` are orthonormal m-coords rows of an invariant splitting
-    m = m_1 + ... + m_s (None: m is one block).  Every ad(h)|_m preserves
+    m = m_1 + ... + m_s.  Every ad(h)|_m preserves
     each m_i, so the Casimir of :func:`symmetric_commutant` is block
     diagonal over Sym^2(m_i) and Hom(m_j, m_i), i < j, and its spectrum is
     the union of theirs.  Blocks of one shape share one ``eigvalsh``, and
@@ -308,10 +308,7 @@ def symmetric_commutant_dim(space, summands=None):
     m_i by more than 1e-8.
     """
     n = space.dim_m
-    if summands is None:
-        summands = (np.eye(n),)
-    else:
-        summands = _checked_summands(space, summands)
+    summands = _checked_summands(space, summands)
     blocks = [s @ space.bracket_hm @ s.T for s in summands]   # A_w on m_i, transposed
     # key (d,): Sym^2 of a d-dim summand; key (p, q), p <= q: Hom between two
     groups = {}

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import catalog, gocheck
 from .finsler import PhiProfile, l_from_phi, parse_metric
-from .gocheck import GO, NOT_GO, NR, NOT_NR
+from .gocheck import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL, GO, NOT_GO, NR, NOT_NR
 
 # documented default battery: equal linear, two unequal linear, and the
 # curvature-carrying profiles (two-block) or the cubic perturbation (three-block)
@@ -92,7 +92,7 @@ def _centralizer_pairs(space, dec, rng, count):
     return gocheck.centralizer_condition_check(space, x, y)
 
 
-def suite_thm1_converse(samples=200, seed=42, tol=1e-8):
+def suite_thm1_converse(samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     """Two-summand entries: GO for the whole battery, NOT_NR off the normal
     metric, and the two-block centralizer equation solvable and unique."""
     out = SuiteResult("thm1-converse")
@@ -129,21 +129,21 @@ def _equal_only_go(suite, specs, samples, seed, tol):
     return out
 
 
-def suite_thm2_wallach(samples=200, seed=42, tol=1e-8):
+def suite_thm2_wallach(samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     """Three-summand entries with all cross brackets nonzero: GO exactly for
     the equal-coefficient linear metric within the battery."""
     specs = _spaces_with_tag("wallach-type-ii") + _spaces_with_tag("wallach-type-iii")
     return _equal_only_go("thm2-wallach", specs, samples, seed, tol)
 
 
-def suite_cor_wallach_normal(samples=200, seed=42, tol=1e-8):
+def suite_cor_wallach_normal(samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     """Normal (equal-coefficient) metrics on su3/t2 and wallach-sp/1,1,1
     are GO; the battery confirms the equal-only-GO pattern on both."""
     return _equal_only_go("cor-wallach-normal", ("su3/t2", "wallach-sp/1,1,1"),
                           samples, seed, tol)
 
 
-def suite_type1_nr(samples=200, seed=42, tol=1e-8):
+def suite_type1_nr(samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     """Product-of-rank-one entry: every battery metric naturally reductive."""
     out = SuiteResult("type1-nr")
     for spec, _, _, rows in _battery(_spaces_with_tag("wallach-type-i"),
@@ -158,7 +158,7 @@ def suite_type1_nr(samples=200, seed=42, tol=1e-8):
 CROSSVAL_SPACES = ("so5/u2", "su3/su2", "su3/t2", "wallach-sp/1,1,1", "so6/so3irr")
 
 
-def suite_crossval(samples=60, seed=42, tol=1e-8):
+def suite_crossval(samples=60, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     """Per-sample agreement of the operator residual with the Latifi oracle
     :func:`gocheck.latifi_residuals`, which shares no engine code: the same
     band at ``tol`` and a gap of at most 1e-8 on every one of at least 1000
@@ -179,7 +179,7 @@ def suite_crossval(samples=60, seed=42, tol=1e-8):
     return out
 
 
-def suite_invariants(samples=40, seed=42, tol=1e-8):
+def suite_invariants(samples=40, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     """Cross-cutting identities: normal metric everywhere NR and GO, NR
     implies GO, residual scale invariance, the profile-form and blockwise
     specializations, and centralizer uniqueness when feasible."""
@@ -243,7 +243,7 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name, samples=None, seed=42, tol=1e-8):
+def run_suite(name, samples=None, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     """Run one named suite; ``samples=None`` keeps the suite's own default."""
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -121,19 +123,20 @@ def _seeded_profiles():
 
 
 def _reference_l(coeffs, theta):
-    """value, grad and hess of L from phi^2 and its derivatives by
-    numpy.polynomial, as a reference that shares no evaluation code."""
+    """value, grad and hess of L from phi^2 by numpy.polynomial, as a
+    reference that shares no evaluation code: psi'/2t and (t psi'' - psi')/4t^3
+    term by term from psi = sum_k a_k t^k, their 1/t terms dropped on the face."""
     psi = npoly.polymul(coeffs, coeffs)
     psi = np.concatenate([psi, np.zeros(max(0, 5 - psi.size))])
+    dpsi, k = npoly.polyder(psi), np.arange(psi.size)
+    e = k * (k - 2) * psi / 4.0                  # (t psi'' - psi')/4t^3 at t^(k-4)
     total = theta[:, 0] + theta[:, 1]
     x = theta[:, 1] / total
     th = np.sqrt(x)
-    face = th == 0.0
-    ts = np.where(face, 1.0, th)
-    pd = npoly.polyval(ts, npoly.polyder(psi))
-    big, dbig = npoly.polyval(th, psi), np.where(face, psi[2], pd / (2.0 * ts))
-    d2big = (ts * npoly.polyval(ts, npoly.polyder(psi, 2)) - pd) / (4.0 * ts ** 3)
-    d2big = np.where(face, 2.0 * psi[4], d2big)
+    inv = np.divide(1.0, th, out=np.zeros_like(th), where=th > 0.0)
+    big = npoly.polyval(th, psi)
+    dbig = npoly.polyval(th, dpsi[1:] / 2.0) + dpsi[0] / 2.0 * inv
+    d2big = npoly.polyval(th, e[4:]) + inv * (e[3] + e[1] * inv * inv)
     v = np.stack([x, x - 1.0], axis=-1)
     return (total * big, np.stack([big - x * dbig, big + (1.0 - x) * dbig], axis=-1),
             (d2big / total)[:, None, None] * v[:, :, None] * v[:, None, :])
@@ -156,6 +159,69 @@ def test_profile_algebra_is_bit_identical_to_numpy_polynomial(coeffs):
     for got, want in zip((fn.value(theta), fn.grad(theta), fn.hess(theta)),
                          _reference_l(coeffs, theta)):
         assert np.array_equal(got, want)
+
+
+def _exact_psi(coeffs):
+    """Coefficients a_k of psi = phi^2, lowest degree first, as exact fractions."""
+    c = [Fraction(v) for v in coeffs]
+    a = [Fraction(0)] * (2 * len(c) + 3)         # four zeros past the degree
+    for i, ci in enumerate(c):
+        for j, cj in enumerate(c):
+            a[i + j] += ci * cj
+    return a
+
+
+def _exact_grad_hess(coeffs, t):
+    """grad and hess of L = S psi(t) at theta = (1 - t^2, t^2), t rational, by
+    the chain rule in exact arithmetic; at t = 0 the face limits a_0 + a_2
+    and 2 a_4, valid when the odd a_k vanish."""
+    a = _exact_psi(coeffs)
+    x = t * t                                    # S = 1
+    if t == 0:
+        return [a[0], a[0] + a[2]], [[0, 0], [0, 2 * a[4]]]
+    psi = sum(ak * t ** k for k, ak in enumerate(a))
+    dpsi = sum(k * ak * t ** (k - 1) for k, ak in enumerate(a) if k >= 1)
+    d2psi = sum(k * (k - 1) * ak * t ** (k - 2) for k, ak in enumerate(a) if k >= 2)
+    dt, dx = [-x / (2 * t), (1 - x) / (2 * t)], [-x, 1 - x]         # d/dtheta_j of t, x
+    q = dpsi / (2 * t)
+    dq = [(d2psi / (2 * t) - dpsi / (2 * t * t)) * d for d in dt]
+    w = (-x, 1 - x)                              # grad_i = psi + w_i q
+    return ([psi + wi * q for wi in w],
+            [[dpsi * dt[j] - dx[j] * q + wi * dq[j] for j in range(2)] for wi in w])
+
+
+@pytest.mark.parametrize("coeffs", _seeded_profiles())
+def test_profile_derivatives_match_exact_rationals(coeffs):
+    # at t = 2^-k every float input is exact, so each difference from the
+    # exact value is rounding of the evaluation alone; the quotient forms
+    # psi'/2t and (t psi'' - psi')/4t^3 lose every digit by t = 2^-26
+    fn = finsler.l_from_phi(finsler.PhiProfile(coeffs), check=False)
+    ts = [Fraction(1, 2 ** k) for k in range(27)] + ([Fraction(0)] if fn.boundary_ok[1] else [])
+    theta = np.array([[float(1 - t * t), float(t * t)] for t in ts])
+    grad, hess = fn.grad(theta), fn.hess(theta)
+    for t, g, h in zip(ts, grad, hess):
+        want_g, want_h = _exact_grad_hess(coeffs, t)
+        for got, want in zip([*g, *h.ravel()], [*want_g, *want_h[0], *want_h[1]]):
+            assert abs(Fraction(float(got)) - want) <= Fraction(1e-13) * abs(want), (t, got)
+
+
+@pytest.mark.parametrize("mtext", ["phi:1,0,0.25", "phi:1,0,0.1", "phi:1,0,0.4"])
+def test_even_profile_hessian_near_the_face(mtext):
+    # psi is even, so L = S P(x) with P(x) = psi(sqrt x) a polynomial and the
+    # L-Hessian is P''(x) / S (x, x - 1)(x, x - 1)^T, exactly at the float theta
+    fn = finsler.parse_metric(mtext)
+    a = _exact_psi(float(v) for v in mtext[4:].split(","))
+    assert not any(a[1::2])
+    for x in (1e-31, 1e-20, 1e-16, 1e-14, 1e-13, 1e-8):
+        total = 1 + Fraction(x)
+        xe = Fraction(x) / total
+        d2p = sum(k * (k - 1) * a[2 * k] * xe ** (k - 2) for k in range(2, len(a) // 2))
+        v = (xe, xe - 1)
+        hess = fn.hess(np.array([1.0, x]))
+        for i in range(2):
+            for j in range(2):
+                want = d2p / total * v[i] * v[j]
+                assert abs(Fraction(float(hess[i, j])) - want) <= Fraction(1e-15) * abs(want)
 
 
 def test_profile_degree_ignores_trailing_zeros():

@@ -79,9 +79,9 @@ def test_go_verdict_go_and_witness_fields():
     assert rep.verdict == gocheck.GO
     assert rep.samples == 60
     assert rep.max_residual < 1e-10
-    assert not rep.extras["criteria_disagree"]
     d = rep.to_dict()
-    assert d["check"] == "go" and "max_residual_operator" in d
+    assert d["check"] == "go" and set(rep.extras) == {"max_residual_spray", "max_criteria_gap"}
+    assert d["max_residual_spray"] <= d["max_residual"] == rep.max_residual
 
 
 def test_go_verdict_not_go_has_large_witness():

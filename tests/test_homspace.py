@@ -139,13 +139,13 @@ def test_isotropy_decompose_irreducible(circle_in_so3):
 def test_commutant_of_trivial_complements():
     g = liealg.from_matrices(liealg.so_matrices(3))
     full = homspace.build(g, np.eye(3))                 # h = g, m = 0
-    assert homspace.symmetric_commutant_dim(full) == 0
+    assert len(homspace.symmetric_commutant(full)) == 0
     empty = homspace.isotropy_decompose(full)
     assert empty.dims == ()
     assert empty.theta(np.zeros(0)).shape == (0,)
     assert empty.theta(np.zeros((2, 0))).shape == (2, 0)
     point = homspace.build(g, np.zeros((0, 3)))         # h = 0: all of Sym^2(m)
-    assert homspace.symmetric_commutant_dim(point) == 6
+    assert len(homspace.symmetric_commutant(point)) == 6
     assert homspace.isotropy_decompose(point).dims == (1, 1, 1)
 
 
@@ -155,7 +155,7 @@ def test_symmetric_commutant_dims():
     for rid, want in expected.items():
         space, dec, _ = catalog.make_space(rid)
         assert dec.commutant_dim == want, rid
-        assert homspace.symmetric_commutant_dim(space) == want, rid
+        assert homspace.isotropy_decompose(space).commutant_dim == want, rid
 
 
 def dense_stack_commutant_dim(space):
@@ -191,13 +191,13 @@ def test_commutant_dim_matches_dense_stack(rid):
     space, dec, _ = catalog.make_space(rid)
     assert space.dim_m <= 14
     want = dense_stack_commutant_dim(space)
-    assert homspace.symmetric_commutant_dim(space) == want
+    assert len(homspace.symmetric_commutant(space)) == want
     assert dec.commutant_dim == want
     assert homspace.isotropy_decompose(space).commutant_dim == want
 
 
 def test_commutant_dim_matches_dense_stack_circle(circle_in_so3):
-    assert (homspace.symmetric_commutant_dim(circle_in_so3)
+    assert (len(homspace.symmetric_commutant(circle_in_so3))
             == dense_stack_commutant_dim(circle_in_so3) == 1)
 
 

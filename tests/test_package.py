@@ -173,10 +173,10 @@ print(json.dumps({{"rc": rc, "calls": collections.Counter(s[0] for s in tracer.s
 
 def test_bench_tracer_sees_the_centralizer_layers():
     # the benchmark's tracer rebinds the package's functions by name, so a
-    # rename breaks its per-layer metrics (the centralizer layers and the
-    # metric parsing and convexity screen of verify, the build layers of a
-    # cold make_space); a subprocess keeps the rebinding out of this test
-    # process
+    # rename breaks its per-layer metrics (the centralizer layers, the metric
+    # parsing, convexity screen and sample plans of verify, the build layers
+    # of a cold make_space); a subprocess keeps the rebinding out of this
+    # test process
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     script = TRACE_SMOKE.format(bench=str(ROOT / "bench"), src=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -187,5 +187,5 @@ def test_bench_tracer_sees_the_centralizer_layers():
     for name in ("homspace.centralizer_in_h", "homspace.tilde_centralizer",
                  "gocheck.centralizer_condition_check", "homspace.build",
                  "homspace.symmetric_commutant_dim", "finsler.parse_metric",
-                 "finsler.strong_convexity_check"):
+                 "finsler.strong_convexity_check", "gocheck.sample_plan"):
         assert out["calls"].get(name, 0) > 0, name
