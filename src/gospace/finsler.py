@@ -21,6 +21,9 @@ and its spectrum is taken in that block form, never as a dense n x n array.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +41,6 @@ from .errors import (
 from . import _linalg
 from .homspace import Decomposition
 
-_ODD_COEFF_TOL = 1e-12
 # parse_metric's bounds on the largest |coefficient| of L: the squares of
 # the brackets and gradients built from it neither overflow nor underflow
 _MAX_COEFF = 1e150
@@ -50,7 +52,8 @@ class LFunction:
     """Positively 1-homogeneous function of the squared block norms.
 
     ``value``, ``grad`` and ``hess`` take theta of shape (s,) or a stack
-    (N, s) and return (...), (..., s) and (..., s, s).  ``boundary_ok[i]``
+    (N, s) and return (...), (..., s) and (..., s, s); ``value`` also takes
+    complex theta, for complex-step derivatives.  ``boundary_ok[i]``
     records whether the face theta_i = 0 admits a C^2 evaluation; the
     gradient and Hessian callables raise
     :class:`BoundaryNondifferentiableError` on inadmissible faces.
@@ -82,7 +85,7 @@ def l_linear(lambdas):
     lam.setflags(write=False)
 
     def value(theta):
-        return np.asarray(theta, dtype=float) @ lam
+        return np.asarray(theta) @ lam
 
     def grad(theta):
         return np.broadcast_to(lam, np.shape(theta)[:-1] + lam.shape).copy()
@@ -99,10 +102,7 @@ def l_linear(lambdas):
 class PhiProfile:
     """Polynomial profile phi(theta) = c0 + c1 theta + ... on [0, 1], stored
     lowest degree first without trailing zeros and evaluated by Horner's
-    rule.  Validation samples 2001 evenly spaced points and requires phi > 0
-    together with the two coefficient-positivity conditions
-    phi - theta phi' > 0 and phi - (theta - 1/theta) phi' > 0; these are
-    exactly positivity of the L-gradient for the induced two-block norm.
+    rule.  Its admissibility is decided by :func:`l_from_phi`.
     """
 
     coeffs: tuple
@@ -120,55 +120,43 @@ class PhiProfile:
     def d1(self, theta):
         return np.polyval(np.polyder(self.coeffs[::-1]), theta)
 
-    def validate(self):
-        t = np.linspace(0.0, 1.0, 2001)
-        v = self.value(t)
-        if np.any(v <= 0.0):
-            bad = t[int(np.argmin(v))]
-            raise InvalidProfileError(f"phi is not positive on [0,1] (phi({bad:.4f}) <= 0)")
-        d = self.d1(t)
-        p1 = v - t * d
-        if np.any(p1 <= 0.0):
-            bad = t[int(np.argmin(p1))]
-            raise InvalidProfileError(
-                f"phi - theta*phi' is not positive on [0,1] (fails at theta={bad:.4f})")
-        ti, vi, di = t[1:], v[1:], d[1:]
-        p2 = vi - (ti - 1.0 / ti) * di
-        if np.any(p2 <= 0.0):
-            bad = ti[int(np.argmin(p2))]
-            raise InvalidProfileError(
-                f"phi - (theta - 1/theta)*phi' is not positive on (0,1] "
-                f"(fails at theta={bad:.4f})")
-        return self
-
 
 def l_from_phi(phi, check=True):
     """Two-block kind L = (theta_1 + theta_2) phi(sqrt(theta_2/sum))^2.
 
-    ``check=True`` validates the profile and screens strong convexity at
-    block dims (2, 2); the fundamental-tensor spectrum does not depend on
-    block dims beyond multiplicities, so that screen is exhaustive.
-    The theta_2 = 0 face is C^2 only when the odd low-order coefficients of
-    phi^2 vanish (in particular phi'(0) = 0) relative to the largest one.
-    With psi = phi^2 = sum_k a_k t^k, ``grad`` and ``hess`` take
-    psi'/2t = sum_k (k a_k/2) t^(k-2) and (t psi'' - psi')/4t^3 =
-    sum_k (k (k-2) a_k/4) t^(k-4) term by term, so nothing cancels near the
+    ``check=True`` screens strong convexity at block dims (2, 2), whose
+    spectrum holds every eigenvalue of the fundamental tensor, the L-gradient
+    phi (phi - t phi') and phi (t phi + (1 - t^2) phi') / t included.  The
+    screen's grid never reaches the t -> 0 end of a face that is not C^2, so
+    three exact coefficient rules come first: phi(0) > 0; phi'(0) >= 0, else
+    the second gradient entry tends to -inf; and on a face that is not C^2,
+    phi(0) + phi''(0) >= 0, the in-plane curvature phi - t phi' +
+    (1 - t^2) phi'' at t = 0 (the b = 1 positivity lemma for (alpha,
+    beta)-metrics).  The theta_2 = 0 face is C^2 iff the coefficients a_1
+    and a_3 of psi = phi^2 = sum_k a_k t^k are exactly zero.  ``grad`` and
+    ``hess`` take psi'/2t = sum_k (k a_k/2) t^(k-2) and (t psi'' - psi')/4t^3
+    = sum_k (k (k-2) a_k/4) t^(k-4) term by term, so nothing cancels near the
     face; on it the 1/t powers drop out and the limits a_2 and 2 a_4 remain.
     """
     if not isinstance(phi, PhiProfile):
         phi = PhiProfile(tuple(phi))
-    if check:
-        phi.validate()
     psi = np.polymul(phi.coeffs[::-1], phi.coeffs[::-1])   # psi[-1 - k] multiplies theta^k
     psi = np.concatenate([np.zeros(max(0, 5 - psi.size)), psi])
     k = np.arange(psi.size)[::-1]
     c1, c2 = k * psi / 2.0, k * (k - 2) * psi / 4.0   # the terms of the two sums above
-    scale = float(np.max(np.abs(psi)))
-    face2_ok = bool(abs(psi[-2]) <= _ODD_COEFF_TOL * scale
-                    and abs(psi[-4]) <= _ODD_COEFF_TOL * scale)
+    face2_ok = bool(psi[-2] == 0.0 and psi[-4] == 0.0)
+    b0, b1, b2 = (phi.coeffs + (0.0, 0.0))[:3]          # phi(0), phi'(0), phi''(0) / 2
+    if check and not b0 > 0.0:
+        raise InvalidProfileError(f"phi(0) = {b0:g} is not positive")
+    if check and b1 < 0.0:
+        raise InvalidProfileError(f"phi'(0) = {b1:g} is negative, so dL/dtheta_2 -> -inf "
+                                  "at the theta_2 = 0 face")
+    if check and not face2_ok and b0 + 2.0 * b2 < 0.0:
+        raise InvalidProfileError(f"phi(0) + phi''(0) = {b0 + 2.0 * b2:g} is negative at the "
+                                  "theta_2 = 0 face, which is not C^2")
 
     def value(theta):
-        theta = np.asarray(theta, dtype=float)
+        theta = np.asarray(theta)
         total = theta[..., 0] + theta[..., 1]
         x = np.divide(theta[..., 1], total, out=np.zeros_like(total), where=total != 0.0)
         return total * np.polyval(psi, np.sqrt(x))
@@ -229,7 +217,7 @@ def l_pert3(lambdas, eps):
         return th, total, prod, partials
 
     def value(theta):
-        th = np.asarray(theta, dtype=float)
+        th = np.asarray(theta)
         total = np.sum(th, axis=-1)
         return th @ lam + eps * np.prod(th, axis=-1) / np.where(total == 0.0, 1.0, total) ** 2
 
@@ -366,26 +354,35 @@ def admissible_faces(boundary_ok):
     return out
 
 
-def strong_convexity_check(fn, dims):
-    """``fn``, after scanning 64 seeded unit vectors (interior plus admissible
-    degenerate-block patterns) for the smallest fundamental-tensor eigenvalue.
+@functools.cache
+def _simplex_grid(s):
+    # step 1/m for the largest m with at most 256 points; stars and bars:
+    # each point is the gaps between s - 1 bars among m + s - 1 slots
+    m = max((k for k in range(1, 256) if math.comb(k + s - 1, s - 1) <= 256), default=1)
+    bars = np.array(list(itertools.combinations(range(m + s - 1), s - 1)), dtype=float)
+    grid = (np.diff(bars, axis=1, prepend=-1.0, append=m + s - 1.0) - 1.0) / m
+    grid.setflags(write=False)
+    return grid
 
-    Raises :class:`NotStronglyConvexError` when that eigenvalue is at most
-    1e-10 times the largest eigenvalue of the scan.  This is a sampled
-    certificate of failure, not a proof of convexity.
+
+def strong_convexity_check(fn, dims):
+    """``fn``, after taking the fundamental-tensor spectrum on one fixed
+    barycentric grid of the block-norm simplex, step 1/M for the largest M
+    that gives at most 256 points, less the face points ``fn.boundary_ok``
+    refuses.
+
+    Raises :class:`NotStronglyConvexError` when the smallest eigenvalue is at
+    most 1e-10 times the largest on the grid.  This is a deterministic
+    certificate of failure, not a proof of convexity: a dip between grid
+    points, or at the limit of a face that is not C^2, goes unseen.
     """
     dec = Decomposition.from_dims(dims)
     dims = dec.dims
     if len(dims) != fn.arity:
         raise DimensionMismatchError(
             f"norm has {fn.arity} blocks but {len(dims)} dims were given")
-    rng = np.random.default_rng(0)
-    patterns = np.array([(True,) * len(dims)] + admissible_faces(fn.boundary_ok))
-    kept = np.repeat(patterns[np.arange(64) % len(patterns)], dims, axis=1)
-    us = np.zeros(kept.shape)
-    us[kept] = rng.standard_normal(np.count_nonzero(kept))   # row-major: kept blocks in order
-    us /= np.linalg.norm(us, axis=1, keepdims=True)
-    theta = dec.theta(us)
+    theta = _simplex_grid(len(dims))
+    theta = theta[np.all((theta > 0.0) | np.array(fn.boundary_ok), axis=1)]
     lo, hi = tensor_spectrum(dims, fn.grad(theta), fn.hess(theta), theta)
     best = int(np.argmin(lo))
     if lo[best] <= 1e-10 * np.max(hi):

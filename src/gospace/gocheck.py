@@ -233,23 +233,20 @@ def residuals(space, dec, fns, plan):
     return [tuple(map(np.concatenate, zip(*part))) for part in parts]
 
 
-_LATIFI_STEP = 1e-4   # 5-point central-difference step for the gradient of F^2/2
-
-
 def latifi_residuals(space, dec, fn, plan):
     """GO residuals from Latifi's lemma, an oracle for :func:`residuals`.
 
     u is a geodesic vector iff some w in h gives g_u(u, [u + w, z]_m) = 0 for
     every z in m.  With gamma = grad(F^2/2)(u), g_u(u, .) = <gamma, .>, and
     ad-invariance of Q turns that into [u, gamma]_m + [w, gamma]_m = 0.
-    For each row u of ``plan`` (N, n), gamma comes from 5-point central
-    differences of ``fn.value`` over ``dec.theta`` at the fixed step 1e-4;
+    For each row u of ``plan`` (N, n), gamma_k = Im F^2(u + i h e_k) / 2h,
+    the complex step of ``fn.value`` over ``dec.theta`` at h = 1e-30;
     the brackets come from the structure constants of g, lifted by
     ``space.m_basis`` and ``space.h_basis`` and projected back through
     ``g.q_form``; w from one batched least squares.  The residual
     |[u + w, gamma]_m| is divided by D(u) = |u| |gamma|, as gamma = A_u(u).
     It uses neither the derivatives of L nor the bracket tables, and the
-    difference stencil puts a floor of about 2e-12 under it.
+    complex step has no subtraction, so it is accurate to rounding.
     """
     plan = np.asarray(plan, dtype=float)
     g = space.g
@@ -257,11 +254,9 @@ def latifi_residuals(space, dec, fn, plan):
     if plan.ndim != 2 or plan.shape[1] != n:
         raise DimensionMismatchError(
             f"expected a stack of m-coords rows (N, {n}), got {plan.shape}")
-    step = _LATIFI_STEP * np.eye(n)
-    f1, f_1, f2, f_2 = (fn.value(dec.theta((plan[:, None] + k * step).reshape(-1, n)))
-                        for k in (1.0, -1.0, 2.0, -2.0))
-    # half the 5-point central difference (8 (f1 - f_1) - (f2 - f_2)) / 12 step
-    gamma = ((8.0 * (f1 - f_1) - (f2 - f_2)) / (24.0 * _LATIFI_STEP)).reshape(len(plan), n)
+    h = 1e-30
+    f = fn.value(dec.theta((plan[:, None] + 1j * h * np.eye(n)).reshape(-1, n)))
+    gamma = (f.imag / (2.0 * h)).reshape(len(plan), n)
     ad = np.tensordot(gamma @ space.m_basis, g.structure, axes=(1, 1))   # row p: [e_p, gamma]
     b = np.einsum("np,npk->nk", plan @ space.m_basis, ad)               # [u, gamma]
     to_m = g.q_form @ space.m_basis.T

@@ -24,10 +24,10 @@ from .errors import DimensionMismatchError, NotSubalgebraError, ReductivityError
 from .liealg import LieAlgebra
 
 
-def _vec(v, size, name):
-    """``v`` as floats, after checking that it is one vector or a stack of
+def _vec(v, size, name, dtype=float):
+    """``v`` as ``dtype``, after checking that it is one vector or a stack of
     rows (N, size)."""
-    v = np.asarray(v, dtype=float)
+    v = np.asarray(v, dtype=dtype)
     if v.shape[-1:] != (size,) or v.ndim > 2:
         raise DimensionMismatchError(
             f"expected {name}-coords vector or rows of length {size}, got {v.shape}")
@@ -202,16 +202,17 @@ class Decomposition:
 
     def theta(self, u):
         """Squared component norms (theta_1, ..., theta_s): shape (s,) for one
-        vector, (N, s) for a stack of rows."""
-        u = self._rows(u)
-        theta = np.zeros(u.shape[:-1] + (self.arity,))
+        vector, (N, s) for a stack of rows.  Complex u gives the analytic
+        continuation sum_k c_k^2, unconjugated, for complex-step derivatives."""
+        u = self._rows(u, complex if np.iscomplexobj(u) else float)
+        theta = np.zeros(u.shape[:-1] + (self.arity,), dtype=u.dtype)
         for i, s in enumerate(self.summands):
             c = u @ s.T
             theta[..., i] = np.einsum("...i,...i->...", c, c)
         return theta
 
-    def _rows(self, u):
-        return _vec(u, self.summands[0].shape[1] if self.summands else 0, "m")
+    def _rows(self, u, dtype=float):
+        return _vec(u, self.summands[0].shape[1] if self.summands else 0, "m", dtype)
 
     def completeness_residual(self):
         stack = np.vstack(self.summands)

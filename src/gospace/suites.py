@@ -161,7 +161,7 @@ CROSSVAL_SPACES = ("so5/u2", "su3/su2", "su3/t2", "wallach-sp/1,1,1", "so6/so3ir
 def suite_crossval(samples=60, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     """Per-sample agreement of the operator residual with the Latifi oracle
     :func:`gocheck.latifi_residuals`, which shares no engine code: the same
-    band at ``tol`` and a gap of at most 1e-8 on every one of at least 1000
+    band at ``tol`` and a gap of at most 1e-12 on every one of at least 1000
     (space, metric, direction) triples."""
     out = SuiteResult("crossval")
     triples = 0
@@ -173,7 +173,7 @@ def suite_crossval(samples=60, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
             same = np.array_equal(np.digitize(r_op, bands, right=True),
                                   np.digitize(oracle, bands, right=True))
             triples += len(plan)
-            out.add(f"{spec} {mtext} agreement", same and gap <= 1e-8,
+            out.add(f"{spec} {mtext} agreement", same and gap <= 1e-12,
                     f"samples={len(plan)} max_gap={gap:.3e}")
     out.add("total triples >= 1000", triples >= 1000, f"triples={triples}")
     return out

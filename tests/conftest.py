@@ -3,8 +3,11 @@ fundamental tensor, plus the listed catalog ids by tag.
 
 The oracles are deliberately independent of the package's own derivative
 and block-form tensor code: central differences with curvature-appropriate
-step sizes, and the tensor summed entry by entry from its defining formula.
+step sizes, the tensor summed entry by entry from its defining formula, and
+an exact Sturm-count test of profile admissibility in rational arithmetic.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -83,6 +86,70 @@ def ref_tensor(fn, dec, u):
         for b in range(dec.arity):
             out += 2.0 * h2[a, b] * np.outer(comps[a], comps[b])
     return 0.5 * (out + out.T)
+
+
+def _trim(p):
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _at(p, x):
+    out = Fraction(0)
+    for c in reversed(p):
+        out = out * x + c
+    return out
+
+
+def _poly_sum(*terms):
+    """sum of coeff * t^shift * p over (coeff, shift, p), lowest degree first."""
+    out = [Fraction(0)] * max(shift + len(p) for _, shift, p in terms)
+    for coeff, shift, p in terms:
+        for i, v in enumerate(p):
+            out[shift + i] += coeff * v
+    return _trim(out)
+
+
+def _positive_on_unit_interval(p):
+    """p > 0 on [0, 1]: positive at both ends and, by Sturm's theorem, no
+    root in between."""
+    if not p or _at(p, 0) <= 0 or _at(p, 1) <= 0:
+        return False
+    seq = [p, _trim([k * c for k, c in enumerate(p)][1:])]
+    while len(seq[-1]) > 1:
+        rem = list(seq[-2])
+        while len(rem) >= len(seq[-1]):
+            q = rem[-1] / seq[-1][-1]
+            for i, c in enumerate(seq[-1]):
+                rem[len(rem) - len(seq[-1]) + i] -= q * c
+            rem = _trim(rem[:-1])
+        seq.append([-c for c in rem])
+
+    def changes(x):
+        signs = [v > 0 for q in seq if q for v in [_at(q, x)] if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    return changes(0) == changes(1)
+
+
+def exact_profile_accepts(coeffs):
+    """Whether the phi profile (lowest degree first) gives a strongly convex
+    norm, exactly, from its float coefficients as binary rationals: phi,
+    P1 = phi - t phi', P2 = t phi + (1 - t^2) phi' (P2/t when phi'(0) = 0,
+    with phi'(0) < 0 refused) and P3 = phi - t phi' + (1 - t^2) phi'' all
+    positive on [0, 1], except that P3(0) = 0 is accepted."""
+    c = _trim([Fraction(v) for v in coeffs])
+    d = _trim([k * v for k, v in enumerate(c)][1:])
+    d2 = _trim([k * v for k, v in enumerate(d)][1:])
+    if not c or (d and d[0] < 0):
+        return False
+    p1 = _poly_sum((1, 0, c), (-1, 1, d))
+    p2 = _poly_sum((1, 1, c), (1, 0, d), (-1, 2, d))
+    p3 = _poly_sum((1, 0, c), (-1, 1, d), (1, 0, d2), (-1, 2, d2))
+    if not (d and d[0]):
+        p2 = p2[1:]
+    while p3 and p3[0] == 0:
+        p3 = p3[1:]
+    return all(_positive_on_unit_interval(p) for p in (c, p1, p2, p3))
 
 
 @pytest.fixture

@@ -170,6 +170,28 @@ def test_check_nonconvex_pert_exit_three(capsys):
     assert code == cli.EXIT_METRIC_REJECTED
 
 
+_FACE_CURVATURE = ("phi(0) + phi''(0) = {} is negative at the theta_2 = 0 face, "
+                   "which is not C^2")
+
+
+@pytest.mark.parametrize("metric,spaces,message", [
+    ("phi:1,1.024,-0.506", ("so5/u2", "su3/su2", "spin8/g2"), _FACE_CURVATURE.format(-0.012)),
+    ("phi:1,0.121,-0.504,0.333", ("so5/u2", "su3/su2", "spin8/g2"),
+     _FACE_CURVATURE.format(-0.008)),
+    ("pert3:0.967,0.22,2.008,2.613", ("su3/t2", "wallach-sp/1,1,1", "ledger-obata/su2"),
+     "fundamental tensor has eigenvalue -1.331e-01 at block norms "
+     "[0.333333, 0.285714, 0.380952]"),
+    ("phi:1,-1e-13,0.25", ("spin8/g2",),
+     "phi'(0) = -1e-13 is negative, so dL/dtheta_2 -> -inf at the theta_2 = 0 face"),
+])
+def test_check_metrics_that_are_not_strongly_convex_exit_three(capsys, metric, spaces, message):
+    # none is strongly convex, so each is a metric rejection and never an
+    # internal error (exit 5), whatever the space
+    for space in spaces:
+        assert run(capsys, "check", "--space", space, "--metric", metric) == (
+            cli.EXIT_METRIC_REJECTED, "", f"metric rejected: {message}\n")
+
+
 def _strict_json(text):
     def refuse(token):
         raise ValueError(f"not JSON: {token}")

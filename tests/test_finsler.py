@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from conftest import fd_gradient, fd_hessian, ref_tensor
+from conftest import exact_profile_accepts, fd_gradient, fd_hessian, ref_tensor
 from gospace import catalog, finsler, homspace
 from gospace.errors import (BoundaryNondifferentiableError,
                             DimensionMismatchError, InvalidProfileError,
@@ -107,12 +107,61 @@ def test_pert3_guards():
 # profiles and their admissibility
 
 
-def test_profile_validation():
-    with pytest.raises(InvalidProfileError):
-        finsler.PhiProfile((1.0, -2.0)).validate()   # phi(1) < 0
-    with pytest.raises(InvalidProfileError):
-        finsler.parse_metric("phi:1,0,5")            # phi - t phi' < 0 inside
-    finsler.PhiProfile((1.0, 0.0, 0.25)).validate()  # fine
+@pytest.mark.parametrize("mtext,message", [
+    ("phi:0", "phi(0) = 0 is not positive"),
+    ("phi:-1,0,0.25", "phi(0) = -1 is not positive"),
+    ("phi:1,-2", "phi'(0) = -2 is negative, so dL/dtheta_2 -> -inf at the theta_2 = 0 face"),
+    ("phi:1,-1e-13,0.25",
+     "phi'(0) = -1e-13 is negative, so dL/dtheta_2 -> -inf at the theta_2 = 0 face"),
+    ("phi:1,1.024,-0.506",
+     "phi(0) + phi''(0) = -0.012 is negative at the theta_2 = 0 face, which is not C^2"),
+    ("phi:1,0.121,-0.504,0.333",
+     "phi(0) + phi''(0) = -0.008 is negative at the theta_2 = 0 face, which is not C^2"),
+])
+def test_profile_limit_rules(mtext, message):
+    # the t -> 0 end of the theta_2 = 0 face, which no grid point reaches
+    # when that face is not C^2, decided from the coefficients
+    with pytest.raises(InvalidProfileError) as info:
+        finsler.parse_metric(mtext)
+    assert str(info.value) == message
+
+
+def test_profile_limit_rules_leave_the_rest_to_the_screen():
+    # phi(0) + phi''(0) = 0 with phi'(0) > 0: P3 = 1.5 t^2 is positive for t > 0
+    assert finsler.parse_metric("phi:1,0.065,-0.5").boundary_ok == (True, False)
+    # on a C^2 face the grid has the face row itself: there dL/dtheta_2 =
+    # phi(0) (phi(0) + phi''(0)) = -0.2
+    with pytest.raises(NotStronglyConvexError) as info:
+        finsler.parse_metric("phi:1,0,-0.6")
+    assert str(info.value) == ("fundamental tensor has eigenvalue -2.000e-01 "
+                               "at block norms [1.0, 0.0]")
+    with pytest.raises(NotStronglyConvexError) as info:
+        finsler.parse_metric("phi:1,0,5")                 # phi - t phi' < 0 inside
+    assert str(info.value) == ("fundamental tensor has eigenvalue -2.400e+01 "
+                               "at block norms [0.0, 1.0]")
+
+
+def test_profile_face_rule_is_exact():
+    # the face is C^2 iff a_1 = a_3 = 0 in phi^2, with no tolerance
+    assert finsler.parse_metric("phi:1,0,0.25").boundary_ok == (True, True)
+    assert finsler.parse_metric("phi:1,0,0.25,1e-13").boundary_ok == (True, False)
+    assert finsler.parse_metric("phi:1,1e-13,0.25").boundary_ok == (True, False)
+
+
+def test_profile_acceptance_matches_exact_reference():
+    # seeded profiles phi = 1 + ... of degree 1 to 4; among them are three,
+    # such as phi:1,0.121,-0.504,0.333, whose in-plane curvature is negative
+    # only near t = 0
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        coeffs = (1.0, *np.round(rng.normal(0.0, 0.4, rng.integers(1, 5)), 3))
+        mtext = "phi:" + ",".join(format(float(c), "g") for c in coeffs)
+        try:
+            finsler.parse_metric(mtext)
+            accepted = True
+        except (InvalidProfileError, NotStronglyConvexError):
+            accepted = False
+        assert accepted == exact_profile_accepts(coeffs), mtext
 
 
 def _seeded_profiles():
@@ -362,26 +411,33 @@ def test_zero_vector_guards():
         finsler.metric_operator(fn, dec, np.zeros(space.dim_m))
 
 
+def _unscreened_pert3(lambdas, eps):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(finsler, "strong_convexity_check", lambda fn, dims: fn)
+        return finsler.l_pert3(lambdas, eps)
+
+
 @pytest.mark.parametrize("fn", [
     finsler.l_from_phi(finsler.PhiProfile((1.0, 0.0, 5.0)), check=False),
     finsler.l_from_phi(finsler.PhiProfile((1.0, 0.1)), check=False),
+    finsler.l_from_phi(finsler.PhiProfile((1.0, 0.435, -0.199, 0.002, -0.108, -0.222)),
+                       check=False),
     finsler.l_pert3([1.0, 1.0, 1.0], 0.5),
+    _unscreened_pert3([0.967, 0.22, 2.008], 2.613),
 ])
 def test_strong_convexity_screen_matches_loop(fn):
-    # the screen before batching: one dense tensor and one eigvalsh per direction
+    # the screen as a loop: one dense tensor and one eigvalsh per grid row,
+    # step 1/255 on the segment and 1/21 on the triangle
     dims = (2,) * fn.arity
     dec = homspace.Decomposition.from_dims(dims)
-    rng = np.random.default_rng(0)
-    patterns = [(True,) * fn.arity]
-    for mask in range(1, 2 ** fn.arity - 1):
-        keep = tuple(bool(mask >> i & 1) for i in range(fn.arity))
-        if all(fn.boundary_ok[i] for i, k in enumerate(keep) if not k):
-            patterns.append(keep)
+    m = 255 if fn.arity == 2 else 21
+    rows = [(i, m - i) for i in range(m + 1)] if fn.arity == 2 else [
+        (i, j, m - i - j) for i in range(m + 1) for j in range(m + 1 - i)]
     spectra, us = [], []
-    for it in range(64):
-        u = np.concatenate([rng.standard_normal(2) if keep else np.zeros(2)
-                            for keep in patterns[it % len(patterns)]])
-        u /= np.linalg.norm(u)
+    for row in rows:
+        if any(k == 0 and not ok for k, ok in zip(row, fn.boundary_ok)):
+            continue
+        u = np.concatenate([[np.sqrt(k / m), 0.0] for k in row])
         us.append(u)
         spectra.append(np.linalg.eigvalsh(ref_tensor(fn, dec, u)))
     spectra = np.array(spectra)

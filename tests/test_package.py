@@ -138,6 +138,8 @@ IMPORT_FOOTPRINT = """
 import json, sys
 sys.path.insert(0, {src!r})
 import gospace, gospace.cli
+gospace.parse_metric("phi:1,0.1,0.25")
+gospace.parse_metric("pert3:1,2,3,0.5")
 print(json.dumps(sorted(name for name in sys.modules
                         if name.split(".")[:2] in (["numpy", "polynomial"], ["numpy", "random"]))))
 """
@@ -145,8 +147,9 @@ print(json.dumps(sorted(name for name in sys.modules
 
 def test_import_loads_neither_numpy_polynomial_nor_numpy_random():
     # gospace needs numpy core only: numpy.polynomial is never loaded, and
-    # numpy.random (6 MiB of resident memory) waits for the first sampling;
-    # a fresh interpreter keeps this test process's imports out of the count
+    # numpy.random (6 MiB of resident memory) waits for the first sampling,
+    # which accepting a phi or pert3 metric does not do; a fresh interpreter
+    # keeps this test process's imports out of the count
     script = IMPORT_FOOTPRINT.format(src=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           cwd=ROOT, timeout=120, check=False)
